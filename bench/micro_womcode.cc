@@ -118,19 +118,6 @@ void BM_TrackerRecordWrite(benchmark::State& state) {
 }
 BENCHMARK(BM_TrackerRecordWrite);
 
-// Sectioned tracking: one page write updates a whole range of per-section
-// generations (64 sections/line for polar-m7).
-void BM_TrackerRecordWriteRange(benchmark::State& state) {
-  WomStateTracker tracker(8, 256 * 64);
-  Rng rng(13);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(tracker.record_write_range(
-        rng.next_below(4096), static_cast<unsigned>(rng.next_below(256)) * 64,
-        64));
-  }
-}
-BENCHMARK(BM_TrackerRecordWriteRange);
-
 void BM_ZipfSample(benchmark::State& state) {
   ZipfSampler zipf(1u << 20, 1.1);
   Rng rng(3);

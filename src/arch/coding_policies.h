@@ -155,14 +155,11 @@ class FnwCoding final : public CodingPolicy {
 // are RESET-only; a row at the limit takes the alpha-write. The hidden-page
 // organization pays a dependent second access per demand read and write.
 //
-// One class serves all four WOM kinds. The classic kinds (wide, hidden)
-// budget whole lines: one tracker slot per line, alpha when the line's
-// generation is exhausted. The sectioned kinds (polar, ts-constrained)
-// budget rc.sections_per_line independent sections per line: the tracker
-// holds one slot per section, a line write advances every section's
-// generation, and the write is RESET-only iff *all* touched sections still
-// had budget (partial re-init pays the alpha latency for the whole line —
-// the slow sections gate completion).
+// One class serves all four WOM kinds, with one tracker slot per line. The
+// sectioned kinds (polar, ts-constrained) split a line into several
+// codewords, but a line write advances all of them, alpha re-initializes
+// all of them, and a refresh erases the whole row, so the sections of a
+// line always share its generation: the line's slot classifies them all.
 class WomCoding final : public CodingPolicy {
  public:
   WomCoding(const RegionContext& ctx, CodingKind kind, RegionCode rc,
@@ -176,17 +173,13 @@ class WomCoding final : public CodingPolicy {
         max_writes_(rc.max_writes),
         wear_bound_(rc.wear_bound),
         lut_(rc.lut),
-        spl_(rc.sections_per_line),
         hidden_(kind == CodingKind::kWomHidden),
-        tracker_(rc.max_writes >= 1 ? rc.max_writes : 1,
-                 lines_per_row * (rc.sections_per_line >= 1
-                                      ? rc.sections_per_line
-                                      : 1),
+        tracker_(rc.max_writes >= 1 ? rc.max_writes : 1, lines_per_row,
                  erased_start) {
     if (!is_wom_coding(kind)) {
       throw std::invalid_argument("WomCoding: non-WOM coding kind");
     }
-    if (data_bits_ == 0 || wits_ == 0 || max_writes_ == 0 || spl_ == 0) {
+    if (data_bits_ == 0 || wits_ == 0 || max_writes_ == 0) {
       throw std::invalid_argument("WomCoding: null code");
     }
   }
@@ -198,24 +191,17 @@ class WomCoding final : public CodingPolicy {
   const WomCode* code() const override { return code_.get(); }
   const std::string& code_name() const { return name_; }
   const WomStateTracker& tracker() const { return tracker_; }
-  unsigned sections_per_line() const { return spl_; }
 
   WriteBegin begin_write(std::uint64_t track_key, unsigned line,
                          IssuePlan* p) override {
-    const auto rec =
-        spl_ == 1 ? tracker_.record_write(track_key, line)
-                  : tracker_.record_write_range(track_key, line * spl_, spl_);
+    const auto rec = tracker_.record_write(track_key, line);
     p->write_class = rec.cls;
     p->program_ns = ctx_.timing->program_ns(rec.cls);
     return {rec.cls, rec.cold};
   }
 
   void note_remap(std::uint64_t track_key, unsigned line) override {
-    if (spl_ == 1) {
-      tracker_.record_write(track_key, line);
-    } else {
-      tracker_.record_write_range(track_key, line * spl_, spl_);
-    }
+    tracker_.record_write(track_key, line);
   }
 
   bool finish_write(const WriteBegin& rec, bool demoted,
@@ -297,7 +283,6 @@ class WomCoding final : public CodingPolicy {
   unsigned max_writes_;
   double wear_bound_;
   bool lut_;
-  unsigned spl_;  // sections per line (1 for the classic whole-line kinds)
   bool hidden_;
   WomStateTracker tracker_;
   std::uint64_t* ctr_alpha_ = nullptr;

@@ -114,8 +114,6 @@ RegionCode resolve_region_code(CodingKind kind,
   rc.max_writes = info.max_writes;
   rc.wear_bound = info.wear_bound;
   rc.lut = info.lut;
-  rc.sections_per_line =
-      sectioned ? static_cast<unsigned>(line_bits / info.data_bits) : 1;
   if (kind != CodingKind::kTsConstrained) {
     // The classic kinds (and polar) are symbol codes; keep the shared
     // pointer for name()/diagnostic surfaces and the reference codecs.

@@ -141,7 +141,6 @@ struct RegionCode {
   unsigned max_writes = 0;   // t per section
   double wear_bound = 1.0;   // fraction of cells an in-budget write touches
   bool lut = false;          // EncodeLut fast path behind the encode
-  unsigned sections_per_line = 1;  // independently budgeted sections / line
   WomCodePtr code;           // null for native block families
 };
 

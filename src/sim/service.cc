@@ -8,9 +8,26 @@
 #include "sim/backend.h"
 
 namespace wompcm {
+namespace {
+
+// Rejects the config values no run can make progress under. Every entry
+// point (run(), Simulator, the sharded backend, womd) builds a SimService,
+// so checking here covers them all.
+const SimConfig& checked(const SimConfig& cfg) {
+  // A zero-capacity queue never accepts a transaction: the loop would spin.
+  if (cfg.queue_capacity == 0) {
+    throw std::invalid_argument("queue_capacity must be >= 1 (got 0)");
+  }
+  if (cfg.injection_block == 0) {
+    throw std::invalid_argument("injection_block must be >= 1 (got 0)");
+  }
+  return cfg;
+}
+
+}  // namespace
 
 SimService::SimService(const SimConfig& cfg, ServiceOptions opts)
-    : cfg_(cfg),
+    : cfg_(checked(cfg)),
       backend_(make_backend(cfg, opts.jobs)),
       mapper_(cfg.geom),
       warmup_(cfg.warmup_accesses.value_or(0)),
@@ -341,7 +358,7 @@ SimResult SimService::run_to_completion(TraceSource& trace) {
   // per-access slice overhead on the controller hot path).
   StreamSpec spec;
   spec.name = "batch";
-  spec.capacity = std::max(1u, cfg_.injection_block);
+  spec.capacity = cfg_.injection_block;
   spec.per_access_stats = false;
   const SessionId sid = open_session(std::move(spec));
   sessions_[sid].publish = false;
@@ -349,7 +366,7 @@ SimResult SimService::run_to_completion(TraceSource& trace) {
   // Fetch + feed a block at a time (the PR-8 batched front end): block
   // fetches amortize the virtual call, and the service's pump consumes
   // the buffered prefix exactly as the batch loop would.
-  const std::size_t block = std::max(1u, cfg_.injection_block);
+  const std::size_t block = cfg_.injection_block;
   std::vector<TraceRecord> buf(block);
   std::size_t have = 0;
   std::size_t at = 0;

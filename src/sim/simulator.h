@@ -40,14 +40,14 @@ struct SimConfig {
   // saturated channel never stalls its siblings. (Before the MemorySystem
   // split this was one global bound; the paper configuration has a single
   // channel, so its behaviour is unchanged. Multi-channel configs now hold
-  // channels * queue_capacity transactions at full load.)
+  // channels * queue_capacity transactions at full load.) Must be >= 1.
   unsigned queue_capacity = 256;
   bool read_forwarding = true;
   // Records fetched + decoded per trace-injection batch (sim/injector.h).
   // Purely a host-side throughput knob: any value >= 1 produces the
   // bit-identical injection sequence, larger blocks just amortize more of
   // the per-record front-end overhead (virtual fetch, address decode,
-  // phase timing). 0 is treated as 1.
+  // phase timing). Must be >= 1 (SimService rejects 0).
   unsigned injection_block = 64;
   // Optional DRAM-timing tier fronting the PCM backend (pcm/tier_spec.h).
   // Disabled by default; a disabled tier leaves runs bit-identical to a

@@ -71,42 +71,6 @@ WomStateTracker::WriteRecord WomStateTracker::record_write(RowKey row,
   return {WriteClass::kResetOnly, false};
 }
 
-WomStateTracker::WriteRecord WomStateTracker::record_write_range(
-    RowKey row, unsigned first, unsigned count) {
-  assert(count >= 1);
-  assert(first + count <= lines_);
-  if (count == 1) return record_write(row, first);
-  perf::ScopedCodecTimer codec_timer;
-  ++writes_;
-  const std::size_t id = slab_id(row);
-  std::uint8_t* gens = gen_slab(id);
-  unsigned& at_limit = at_limit_[id - 1];
-  WriteRecord r;
-  for (unsigned l = first; l < first + count; ++l) {
-    std::uint8_t& g = gens[l];
-    if (g == kUnknownGen || g == t_) {
-      // Per-section alpha re-init: only the exhausted (or never-touched)
-      // sections pay the SET cost; the page write is alpha if any did.
-      r.cls = WriteClass::kAlpha;
-      if (g == kUnknownGen) {
-        r.cold = true;
-      } else {
-        --at_limit;
-      }
-      g = 1;
-      if (t_ == 1) ++at_limit;
-    } else {
-      ++g;
-      if (g == t_) ++at_limit;
-    }
-  }
-  if (r.cls == WriteClass::kAlpha) {
-    ++alpha_writes_;
-    if (r.cold) ++cold_alpha_writes_;
-  }
-  return r;
-}
-
 bool WomStateTracker::row_has_limit_lines(RowKey row) const {
   const std::uint32_t* id = rows_.find(row);
   return id != nullptr && at_limit_[*id - 1] > 0;

@@ -7,6 +7,11 @@
 // *generation* to classify a write as RESET-only (fast) or alpha (slow):
 // the inverted code makes the classification data independent.
 //
+// Sectioned codes (polar, time-space constrained) split a line into several
+// codewords, but every write, remap and refresh touches all of a line's
+// sections together, so they always share one generation: the tracker keeps
+// one per line for every code.
+//
 // Line generation semantics (t = code rewrite limit):
 //   unknown      : never written since power-on. The array state is
 //                  arbitrary, so the first write needs SET pulses -> alpha.
@@ -45,14 +50,6 @@ class WomStateTracker {
 
   // Records a demand write to line `line` of `row` and returns its class.
   WriteRecord record_write(RowKey row, unsigned line);
-
-  // Records a demand write touching lines [first, first + count) of `row`
-  // at once — the sectioned-codec form, where one burst line spans several
-  // independently budgeted sections. Each section advances (or alpha
-  // re-initializes) on its own, the write counts once, and the combined
-  // class is RESET-only iff every touched section's was (cold if any
-  // section was never touched). count == 1 is exactly record_write.
-  WriteRecord record_write_range(RowKey row, unsigned first, unsigned count);
 
   // Classifies what the next write to (row, line) would be, without
   // recording it.

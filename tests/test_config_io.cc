@@ -3,6 +3,8 @@
 
 #include <filesystem>
 #include <fstream>
+#include <stdexcept>
+#include <string>
 
 #include "sim/config_io.h"
 #include "sim/experiment.h"
@@ -456,6 +458,21 @@ TEST(ConfigIo, NewKnobsRejectBadValues) {
                                  KeyValueConfig::from_tokens({tok})),
                  std::invalid_argument)
         << tok;
+  }
+}
+
+TEST(ConfigIo, ZeroQueueCapacityAndInjectionBlockFailTheRun) {
+  for (const std::string key : {"queue_capacity", "injection_block"}) {
+    const SimConfig cfg = apply_overrides(
+        paper_config(), KeyValueConfig::from_tokens({key + "=0"}));
+    try {
+      (void)run({cfg, TraceSpec::profile(*find_profile("401.bzip2"), 100),
+                 RunOptions::with_seed(1)});
+      ADD_FAILURE() << key << "=0 ran";
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string(e.what()).find(key), std::string::npos)
+          << e.what();
+    }
   }
 }
 

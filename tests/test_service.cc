@@ -182,6 +182,23 @@ TEST(ServiceLifecycle, FinishedServiceRejectsEverything) {
   EXPECT_THROW(svc.drain(), std::logic_error);
 }
 
+// A zero-capacity queue never accepts a transaction and a zero injection
+// block never fetches a record, so construction refuses both by name
+// rather than letting the event loop spin.
+TEST(ServiceLifecycle, ZeroQueueCapacityOrInjectionBlockThrows) {
+  for (const std::string key : {"queue_capacity", "injection_block"}) {
+    SimConfig cfg = small_config();
+    (key == "queue_capacity" ? cfg.queue_capacity : cfg.injection_block) = 0;
+    try {
+      SimService svc(cfg);
+      ADD_FAILURE() << key << "=0 accepted";
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string(e.what()).find(key), std::string::npos)
+          << e.what();
+    }
+  }
+}
+
 TEST(ServiceBackPressure, PartialAcceptThenResubmitDeliversAll) {
   const auto recs = burst_records(64, 3);
   SimService svc(small_config());
