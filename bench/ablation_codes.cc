@@ -32,7 +32,6 @@ struct Cell {
 
 ArchConfig make_arch(const Cell& cell) {
   ArchConfig a;
-  a.kind = ArchKind::kWomPcm;
   a.composition = validate_composition(
       {cell.main, false, CodingKind::kWomWide, RefreshKind::kNone});
   // The legacy key feeds the classic kinds; the per-region override feeds

@@ -46,7 +46,7 @@ int main(int argc, char** argv) {
   TextTable t({"main", "cache", "refresh", "arch", "write ns", "read ns",
                "wr pJ/acc", "cap ovh"});
   for (std::size_t a = 0; a < archs.size(); ++a) {
-    const Composition& c = *archs[a].composition;
+    const Composition& c = archs[a].composition;
     double w = 0.0, r = 0.0, e = 0.0;
     for (const SweepRow& row : rows) {
       const SimResult& res = row.results.at(a);

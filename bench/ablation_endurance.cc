@@ -20,7 +20,7 @@ namespace {
 
 struct Variant {
   const char* label;
-  ArchKind kind;
+  const char* preset;
   bool start_gap;
 };
 
@@ -37,12 +37,12 @@ int main(int argc, char** argv) {
       "from the hottest line's wear rate over the simulated window)\n\n");
 
   const Variant variants[] = {
-      {"pcm", ArchKind::kBaseline, false},
-      {"wom-pcm", ArchKind::kWomPcm, false},
-      {"pcm-refresh", ArchKind::kRefreshWomPcm, false},
-      {"wcpcm", ArchKind::kWcpcm, false},
-      {"wom-pcm + start-gap", ArchKind::kWomPcm, true},
-      {"pcm-refresh + start-gap", ArchKind::kRefreshWomPcm, true},
+      {"pcm", "pcm", false},
+      {"wom-pcm", "wom", false},
+      {"pcm-refresh", "refresh", false},
+      {"wcpcm", "wcpcm", false},
+      {"wom-pcm + start-gap", "wom", true},
+      {"pcm-refresh + start-gap", "refresh", true},
   };
 
   for (const char* bench : {"464.h264ref", "401.bzip2"}) {
@@ -52,7 +52,7 @@ int main(int argc, char** argv) {
                  "lifetime (hours)", "gap moves", "avg write ns"});
     for (const Variant& v : variants) {
       SimConfig cfg = paper_config();
-      cfg.arch.kind = v.kind;
+      cfg.arch.composition = arch_preset(v.preset);
       cfg.arch.start_gap = v.start_gap;
       cfg.arch.start_gap_interval = 128;
       const SimResult r = run({cfg, TraceSpec::profile(p, accesses),
@@ -89,7 +89,7 @@ int main(int argc, char** argv) {
     cfg.geom.ranks = 2;
     cfg.geom.banks_per_rank = 2;
     cfg.geom.rows_per_bank = 64;
-    cfg.arch.kind = ArchKind::kWomPcm;
+    cfg.arch.composition = arch_preset("wom");
     cfg.arch.start_gap = sg;
     cfg.arch.start_gap_interval = 4;
     const SimResult r = run({cfg, TraceSpec::profile(hot, accesses / 2),

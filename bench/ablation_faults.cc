@@ -25,7 +25,7 @@ namespace {
 
 struct Variant {
   const char* label;
-  ArchKind kind;
+  const char* preset;
 };
 
 }  // namespace
@@ -52,10 +52,10 @@ int main(int argc, char** argv) {
   if (!args.has("fault.spare_rows")) base.fault.spare_rows = 16;
 
   const Variant variants[] = {
-      {"pcm", ArchKind::kBaseline},
-      {"wom-pcm", ArchKind::kWomPcm},
-      {"pcm-refresh", ArchKind::kRefreshWomPcm},
-      {"wcpcm", ArchKind::kWcpcm},
+      {"pcm", "pcm"},
+      {"wom-pcm", "wom"},
+      {"pcm-refresh", "refresh"},
+      {"wcpcm", "wcpcm"},
   };
 
   std::printf(
@@ -74,7 +74,7 @@ int main(int argc, char** argv) {
                  "read disturbs"});
     for (const Variant& v : variants) {
       SimConfig cfg = base;
-      cfg.arch.kind = v.kind;
+      cfg.arch.composition = arch_preset(v.preset);
       cfg.fault.enabled = false;
       const SimResult clean =
           run({cfg, TraceSpec::profile(*profile, accesses), RunOptions::with_seed(seed)});

@@ -31,24 +31,24 @@ int main(int argc, char** argv) {
   for (const char* name : benches) {
     const auto p = *find_profile(name);
     SimConfig base = paper_config();
-    base.arch.kind = ArchKind::kBaseline;
+    base.arch.composition = arch_preset("pcm");
     const SimResult rb = run({base, TraceSpec::profile(p, accesses),
                               RunOptions::with_seed(seed)});
 
     struct Variant {
       const char* label;
-      ArchKind kind;
+      const char* preset;
       double fnw_fast;
     };
     const Variant variants[] = {
-        {"pcm", ArchKind::kBaseline, 0.0},
-        {"flip-n-write", ArchKind::kFlipNWrite, 0.0},
-        {"flip-n-write (10% fast)", ArchKind::kFlipNWrite, 0.10},
-        {"wom-pcm", ArchKind::kWomPcm, 0.0},
+        {"pcm", "pcm", 0.0},
+        {"flip-n-write", "fnw", 0.0},
+        {"flip-n-write (10% fast)", "fnw", 0.10},
+        {"wom-pcm", "wom", 0.0},
     };
     for (const Variant& v : variants) {
       SimConfig cfg = paper_config();
-      cfg.arch.kind = v.kind;
+      cfg.arch.composition = arch_preset(v.preset);
       cfg.arch.fnw_fast_fraction = v.fnw_fast;
       const SimResult res = run({cfg, TraceSpec::profile(p, accesses),
                                  RunOptions::with_seed(seed)});

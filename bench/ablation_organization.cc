@@ -34,17 +34,17 @@ int main(int argc, char** argv) {
   for (const char* name : benches) {
     const auto p = *find_profile(name);
     SimConfig base = paper_config();
-    base.arch.kind = ArchKind::kBaseline;
+    base.arch.composition = arch_preset("pcm");
     const SimResult rb = run({base, TraceSpec::profile(p, accesses),
                               RunOptions::with_seed(seed)});
 
     double w[2], r[2];
-    const WomOrganization orgs[] = {WomOrganization::kWideColumn,
-                                    WomOrganization::kHiddenPage};
+    const CodingKind codings[] = {CodingKind::kWomWide,
+                                  CodingKind::kWomHidden};
     for (int i = 0; i < 2; ++i) {
       SimConfig cfg = paper_config();
-      cfg.arch.kind = ArchKind::kWomPcm;
-      cfg.arch.organization = orgs[i];
+      cfg.arch.composition = arch_preset("wom");
+      cfg.arch.composition.main_coding = codings[i];
       const SimResult res = run({cfg, TraceSpec::profile(p, accesses),
                                  RunOptions::with_seed(seed)});
       w[i] = res.avg_write_ns() / rb.avg_write_ns();

@@ -31,7 +31,7 @@ int main(int argc, char** argv) {
   for (const char* name : benches) {
     const auto p = *find_profile(name);
     SimConfig base = paper_config();
-    base.arch.kind = ArchKind::kBaseline;
+    base.arch.composition = arch_preset("pcm");
     const SimResult rb = run({base, TraceSpec::profile(p, accesses),
                               RunOptions::with_seed(seed)});
 
@@ -39,7 +39,7 @@ int main(int argc, char** argv) {
     std::uint64_t cmds0 = 0;
     for (const double th : thresholds) {
       SimConfig cfg = paper_config();
-      cfg.arch.kind = ArchKind::kRefreshWomPcm;
+      cfg.arch.composition = arch_preset("refresh");
       cfg.refresh.threshold = th;
       const SimResult res = run({cfg, TraceSpec::profile(p, accesses),
                                  RunOptions::with_seed(seed)});
@@ -47,7 +47,7 @@ int main(int argc, char** argv) {
       row.push_back(TextTable::fmt(res.avg_write_ns() / rb.avg_write_ns()));
     }
     SimConfig cfg = paper_config();
-    cfg.arch.kind = ArchKind::kRefreshWomPcm;
+    cfg.arch.composition = arch_preset("refresh");
     cfg.refresh.write_pausing = false;
     const SimResult nop = run({cfg, TraceSpec::profile(p, accesses),
                                RunOptions::with_seed(seed)});

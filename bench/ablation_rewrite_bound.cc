@@ -49,12 +49,12 @@ int main(int argc, char** argv) {
     double wnorm = 0.0, rnorm = 0.0;
     for (const WorkloadProfile* p : {&bench1, &bench2}) {
       SimConfig base = paper_config();
-      base.arch.kind = ArchKind::kBaseline;
+      base.arch.composition = arch_preset("pcm");
       const SimResult rb = run({base, TraceSpec::profile(*p, accesses),
                                 RunOptions::with_seed(seed)});
 
       SimConfig cfg = paper_config();
-      cfg.arch.kind = ArchKind::kWomPcm;
+      cfg.arch.composition = arch_preset("wom");
       cfg.arch.code = name;
       const SimResult rw = run({cfg, TraceSpec::profile(*p, accesses),
                                 RunOptions::with_seed(seed)});

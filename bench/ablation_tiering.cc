@@ -51,25 +51,25 @@ int main(int argc, char** argv) {
     cfg.tier.ways = ways;
     return cfg;
   };
-  auto with_arch = [&](ArchKind kind) {
+  auto with_arch = [&](const char* preset) {
     SimConfig cfg = base;
-    cfg.arch.kind = kind;
+    cfg.arch.composition = arch_preset(preset);
     return cfg;
   };
 
   std::vector<Cell> cells;
-  cells.push_back({"refresh", with_arch(ArchKind::kRefreshWomPcm)});
+  cells.push_back({"refresh", with_arch("refresh")});
   cells.push_back({"refresh+tier",
-                   with_tier(with_arch(ArchKind::kRefreshWomPcm))});
-  cells.push_back({"wcpcm (wom-cache)", with_arch(ArchKind::kWcpcm)});
-  cells.push_back({"wcpcm+tier", with_tier(with_arch(ArchKind::kWcpcm))});
+                   with_tier(with_arch("refresh"))});
+  cells.push_back({"wcpcm (wom-cache)", with_arch("wcpcm")});
+  cells.push_back({"wcpcm+tier", with_tier(with_arch("wcpcm"))});
   {
-    SimConfig cfg = with_tier(with_arch(ArchKind::kRefreshWomPcm));
+    SimConfig cfg = with_tier(with_arch("refresh"));
     cfg.tier.write_policy = TierWritePolicy::kWritethrough;
     cells.push_back({"refresh+tier/wt", cfg});
   }
   {
-    SimConfig cfg = with_tier(with_arch(ArchKind::kRefreshWomPcm));
+    SimConfig cfg = with_tier(with_arch("refresh"));
     cfg.tier.replacement = ReplacementKind::kRandom;
     cells.push_back({"refresh+tier/rand", cfg});
   }

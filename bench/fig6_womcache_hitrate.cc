@@ -49,7 +49,7 @@ int main(int argc, char** argv) {
       SimConfig cfg = paper_config();
       cfg.geom.banks_per_rank = kBankSweep[bi];
       cfg.geom.rows_per_bank = 32768 * 32 / kBankSweep[bi];
-      cfg.arch.kind = ArchKind::kWcpcm;
+      cfg.arch.composition = arch_preset("wcpcm");
       const SimResult r =
           run({cfg, TraceSpec::profile(p, accesses), RunOptions::with_seed(seed)});
       const double hit = wcpcm_write_hit_rate(r);

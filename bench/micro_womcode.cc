@@ -142,7 +142,7 @@ void BM_SimulateAccesses(benchmark::State& state) {
   const auto accesses = static_cast<std::uint64_t>(state.range(0));
   for (auto _ : state) {
     SimConfig cfg = paper_config();
-    cfg.arch.kind = ArchKind::kRefreshWomPcm;
+    cfg.arch.composition = arch_preset("refresh");
     benchmark::DoNotOptimize(run({cfg, TraceSpec::profile(profile, accesses),
                                   RunOptions::with_seed(42)}));
   }

@@ -1,8 +1,6 @@
 // Hot-path microbench for the devirtualized dispatch layers: TagArray
 // probe throughput per replacement policy (the enum-switched
-// ReplacementState — or the virtual reference under
-// -DWOMPCM_REFERENCE_DISPATCH=ON, so an A/B of the two builds isolates the
-// dispatch cost), and trace-injection throughput across batch sizes (the
+// ReplacementState), and trace-injection throughput across batch sizes (the
 // TraceInjector front end shared by the serial and sharded event loops).
 //
 // Arguments: ops=N (default 2000000) probe operations per policy,
@@ -80,11 +78,7 @@ int main(int argc, char** argv) {
   const auto accesses =
       static_cast<std::uint64_t>(args.get_int_or("accesses", 1000000));
 
-#if defined(WOMPCM_REFERENCE_DISPATCH)
-  std::printf("perf_hotpath (reference virtual dispatch)\n\n");
-#else
   std::printf("perf_hotpath (devirtualized dispatch)\n\n");
-#endif
 
   std::printf("TagArray probe throughput (%llu mixed probes each):\n",
               static_cast<unsigned long long>(ops));

@@ -189,7 +189,8 @@ int main(int argc, char** argv) {
   SimConfig cfg = paper_config();
   cfg.geom.channels = channels;
   cfg.geom.ranks = std::max(1u, 16 / channels);  // keep total ranks constant
-  cfg.arch.kind = ArchKind::kRefreshWomPcm;
+  const char* const preset = "refresh";
+  cfg.arch.composition = arch_preset(preset);
   cfg.warmup_accesses = 0;
 
   std::vector<unsigned> stream_counts = {1, 2, 4, 8};
@@ -201,7 +202,7 @@ int main(int argc, char** argv) {
   const bool degraded = hw == 1;
   std::printf("perf_serve: %u-channel %s, %llu accesses/stream, seed %llu, "
               "%u hardware thread(s)\n",
-              channels, to_string(cfg.arch.kind),
+              channels, preset,
               static_cast<unsigned long long>(accesses),
               static_cast<unsigned long long>(seed), hw);
   if (degraded) {
@@ -213,7 +214,7 @@ int main(int argc, char** argv) {
 
   bench::BenchJson json(out_path, "perf_serve", /*schema=*/2);
   if (!json.valid()) return 1;
-  json.field_str("arch", to_string(cfg.arch.kind));
+  json.field_str("arch", preset);
   json.field_u64("channels", channels);
   json.field_u64("accesses_per_stream", accesses);
   json.field_u64("seed", seed);

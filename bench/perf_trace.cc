@@ -42,7 +42,7 @@ std::vector<Platform> platforms() {
   Platform paper;
   paper.name = "paper-refresh";
   paper.cfg = paper_config();
-  paper.cfg.arch.kind = ArchKind::kRefreshWomPcm;
+  paper.cfg.arch.composition = arch_preset("refresh");
   out.push_back(paper);
 
   Platform dual;
@@ -50,13 +50,13 @@ std::vector<Platform> platforms() {
   dual.cfg = paper_config();
   dual.cfg.geom.channels = 2;
   dual.cfg.geom.ranks = 8;
-  dual.cfg.arch.kind = ArchKind::kRefreshWomPcm;
+  dual.cfg.arch.composition = arch_preset("refresh");
   out.push_back(dual);
 
   Platform wcpcm;
   wcpcm.name = "paper-wcpcm";
   wcpcm.cfg = paper_config();
-  wcpcm.cfg.arch.kind = ArchKind::kWcpcm;
+  wcpcm.cfg.arch.composition = arch_preset("wcpcm");
   out.push_back(wcpcm);
 
   return out;

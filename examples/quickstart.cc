@@ -81,7 +81,7 @@ void multichannel_demo(const KeyValueConfig& args) {
   SimConfig cfg = paper_config();
   cfg.geom.channels = 2;
   cfg.geom.ranks = 8;
-  cfg.arch.kind = ArchKind::kRefreshWomPcm;
+  cfg.arch.composition = arch_preset("refresh");
   const SimResult r = run(
       {cfg, TraceSpec::profile(*find_profile(bench), accesses), RunOptions::with_seed(seed)});
 

@@ -16,7 +16,7 @@ SimResult run_cfg(const WorkloadProfile& profile, double threshold,
                   Tick period, bool pausing, std::uint64_t accesses,
                   std::uint64_t seed) {
   SimConfig cfg = paper_config();
-  cfg.arch.kind = ArchKind::kRefreshWomPcm;
+  cfg.arch.composition = arch_preset("refresh");
   cfg.refresh.threshold = threshold;
   cfg.refresh.write_pausing = pausing;
   cfg.timing.refresh_period_ns = period;

@@ -38,13 +38,11 @@ int main(int argc, char** argv) {
 
   auto archs = paper_architectures();
   for (auto& a : archs) {
-    // Keep the four paper kinds but inherit code/organization/etc. An
-    // explicit composition from the config file would shadow the kind, so
-    // drop it: this study is specifically the four canonical designs.
-    const ArchKind kind = a.kind;
+    // The four paper designs, inheriting everything else (code, rat, seed,
+    // ...) from the configured base.
+    const Composition c = a.composition;
     a = base.arch;
-    a.kind = kind;
-    a.composition.reset();
+    a.composition = c;
   }
   const auto jobs = static_cast<unsigned>(args.get_int_or("jobs", 0));
   RunOptions opts = RunOptions::with_seed(seed);

@@ -138,17 +138,10 @@ int cmd_run(const KeyValueConfig& args) {
     return 1;
   }
   SimConfig cfg = paper_config();
-  const std::string arch = args.get_string_or("arch", "refresh");
-  if (arch == "pcm") {
-    cfg.arch.kind = ArchKind::kBaseline;
-  } else if (arch == "wom") {
-    cfg.arch.kind = ArchKind::kWomPcm;
-  } else if (arch == "refresh") {
-    cfg.arch.kind = ArchKind::kRefreshWomPcm;
-  } else if (arch == "wcpcm") {
-    cfg.arch.kind = ArchKind::kWcpcm;
-  } else {
-    std::printf("unknown arch %s\n", arch.c_str());
+  try {
+    cfg.arch.composition = arch_preset(args.get_string_or("arch", "refresh"));
+  } catch (const std::invalid_argument& e) {
+    std::printf("run: %s\n", e.what());
     return 1;
   }
   const SimResult r = run({cfg, TraceSpec::file(in)});
@@ -168,7 +161,7 @@ int main(int argc, char** argv) {
         "  gen   out=FILE [benchmark=NAME] [accesses=N] [format=text|bin]\n"
         "  info  in=FILE\n"
         "  stats in=FILE\n"
-        "  run   in=FILE [arch=pcm|wom|refresh|wcpcm]\n");
+        "  run   in=FILE [arch=pcm|wom|refresh|wcpcm|fnw|symmetric]\n");
     return 1;
   }
   const std::string& cmd = args.positional().front();

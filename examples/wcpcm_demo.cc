@@ -4,10 +4,10 @@
 //
 // Any SimConfig key overrides the paper platform; with fault.enabled=true
 // the table grows graceful-degradation columns (dead WOM-cache rows bypass
-// to main memory, dead main rows remap onto spares). Passing arch= or
-// composition keys (main.coding=, cache.enabled=, cache.coding=, refresh=)
-// sweeps that design instead of the default WCPCM; cache columns print "-"
-// for cacheless compositions.
+// to main memory, dead main rows remap onto spares). The design defaults to
+// the wcpcm preset; arch= picks another preset, and the composition keys
+// (main.coding=, cache.enabled=, cache.coding=, refresh=) override single
+// axes of it. Cache columns print "-" for cacheless compositions.
 //
 // Usage: wcpcm_demo [benchmark=NAME] [accesses=N] [seed=S] [key=value...]
 //        e.g. wcpcm_demo fault.enabled=true fault.endurance=400
@@ -33,16 +33,12 @@ int main(int argc, char** argv) {
     return 1;
   }
 
-  SimConfig base =
-      apply_overrides(paper_config(), args,
-                      /*harness_keys=*/{"benchmark", "accesses", "seed"});
-  // Default to the canonical WCPCM unless the user picked a design via
-  // arch= or the composition keys.
-  if (!args.has("arch") && !base.arch.composition.has_value()) {
-    base.arch.kind = ArchKind::kWcpcm;
-  }
+  SimConfig base = paper_config();
+  base.arch.composition = arch_preset("wcpcm");
+  base = apply_overrides(base, args,
+                         /*harness_keys=*/{"benchmark", "accesses", "seed"});
   const bool faults = base.fault.enabled;
-  const Composition comp = base.arch.resolved_composition();
+  const Composition& comp = base.arch.composition;
 
   std::printf("%s on %s, banks/rank sweep (paper Figs. 6 and 7 axes)%s\n\n",
               comp.cache_enabled ? "WOM-cache composition" : "Composition",

@@ -12,8 +12,9 @@
 
 #include <functional>
 #include <memory>
-#include <optional>
+#include <span>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "common/address.h"
@@ -46,27 +47,15 @@ struct IssuePlan {
   std::vector<SpawnedWrite> spawned;  // internal writes to enqueue
 };
 
-enum class ArchKind : std::uint8_t {
-  kBaseline,       // conventional PCM, every write is SET-bound
-  kWomPcm,         // WOM-code PCM (Section 3.1)
-  kRefreshWomPcm,  // WOM-code PCM + PCM-refresh (Section 3.2)
-  kWcpcm,          // WOM-code cached PCM (Section 4)
-  kFlipNWrite,     // Flip-N-Write coding baseline (ablation)
-  kSymmetric,      // hypothetical S=1 memory (every write at RESET latency):
-                   // the upper bound all the WOM machinery chases
-};
-
-const char* to_string(ArchKind k);
-
 // ---- Composable architecture description ----
 //
 // Every architecture is a composition of orthogonal policies: a coding
 // scheme for the main-memory region, an optional per-rank WOM-cache front
 // end with its own coding scheme, and a refresh policy that attaches to
-// each WOM-coded region. The five legacy ArchKinds are points in this
-// space (see canonical_composition); the cross-product admits designs the
-// paper never evaluated (Flip-N-Write behind a WOM-cache, hidden-page +
-// refresh, a symmetric-latency cache as an upper bound).
+// each WOM-coded region. The paper's designs are named points in this
+// space (see arch_presets); the cross-product admits designs the paper
+// never evaluated (Flip-N-Write behind a WOM-cache, hidden-page + refresh,
+// a symmetric-latency cache as an upper bound).
 
 // How one region stores its lines.
 enum class CodingKind : std::uint8_t {
@@ -108,9 +97,28 @@ struct Composition {
   bool operator==(const Composition&) const = default;
 };
 
-// The composition each legacy ArchKind is shorthand for. Architectures
-// built from a kind and from its canonical composition are bit-identical.
-Composition canonical_composition(ArchKind kind, WomOrganization org);
+// A named composition: the value of the config key arch=, and the names
+// C++ callers use for the paper's designs.
+struct ArchPreset {
+  const char* name;
+  Composition composition;
+};
+
+// Every preset, in this order:
+//   pcm        conventional PCM, every write is SET-bound
+//   wom        WOM-code PCM, wide-column organization (Section 3.1)
+//   refresh    WOM-code PCM + PCM-refresh (Section 3.2)
+//   wcpcm      WOM-code cached PCM (Section 4)
+//   fnw        Flip-N-Write coding baseline (ablation)
+//   symmetric  hypothetical S=1 memory (every write at RESET latency): the
+//              upper bound all the WOM machinery chases
+// The hidden-page WOM organization is main.coding=wom-hidden on top of
+// wom or refresh.
+std::span<const ArchPreset> arch_presets();
+
+// The composition of the preset called `name`. Throws std::invalid_argument
+// listing the preset names when there is none.
+Composition arch_preset(std::string_view name);
 
 // Validates and normalizes a composition. Returns false (with an
 // actionable message in *why) for combinations with no meaning: refresh
@@ -121,11 +129,9 @@ bool composition_valid(const Composition& c, std::string* why = nullptr);
 Composition validate_composition(Composition c);
 
 struct ArchConfig {
-  ArchKind kind = ArchKind::kBaseline;
-  // Explicit policy composition. When set it takes precedence over `kind`
-  // (which the legacy call sites keep using as shorthand); when unset the
-  // kind's canonical composition applies. See resolved_composition().
-  std::optional<Composition> composition;
+  // The architecture; the default is conventional PCM (preset pcm).
+  // make_architecture() validates it.
+  Composition composition;
   // WOM-code used by every WOM-coded region; must be an inverted code.
   std::string code = "rs23-inv";
   // Per-region code overrides (config keys main.code= / cache.code=).
@@ -133,7 +139,6 @@ struct ArchConfig {
   // sectioned families (polar / ts-constrained) to their family default.
   std::string main_code;
   std::string cache_code;
-  WomOrganization organization = WomOrganization::kWideColumn;
   // Row-address-table capacity per refresh unit (Section 3.2 uses 5).
   unsigned rat_entries = 5;
   // Flip-N-Write: probability that a write needs no SET pulse at all.
@@ -141,16 +146,11 @@ struct ArchConfig {
   std::uint64_t seed = 1;
   // Optional Start-Gap wear leveling on the main-memory rows (endurance
   // extension; the paper leaves endurance open). One gap move per
-  // `start_gap_interval` writes per bank. Not applied when a cache front
-  // end is enabled: the cache index is the row address, so remapping main
-  // rows would desynchronize the tags.
+  // `start_gap_interval` writes per bank. Rejected with a cache front end:
+  // the cache index is the row address, so remapping main rows would
+  // desynchronize the tags.
   bool start_gap = false;
   unsigned start_gap_interval = 128;
-
-  // The composition this config builds: `composition` if set, else the
-  // kind's canonical one. Throws std::invalid_argument (with the reason)
-  // on an invalid explicit composition.
-  Composition resolved_composition() const;
 };
 
 class Architecture {
@@ -343,8 +343,9 @@ class Architecture {
   unsigned row_key_stride_;  // rows_per_bank + 1 (+ fault spares)
 };
 
-// Factory. Throws std::invalid_argument on bad configuration (unknown code
-// name, non-inverted code for a WOM architecture, ...).
+// Factory. Throws std::invalid_argument on bad configuration (invalid
+// composition, unknown code name, non-inverted code for a WOM architecture,
+// start_gap with a cache front end, ...).
 std::unique_ptr<Architecture> make_architecture(const ArchConfig& cfg,
                                                 const MemoryGeometry& geom,
                                                 const PcmTiming& timing);

@@ -11,8 +11,7 @@
 // policy and guarantees the kind <-> dynamic-type mapping (kWomWide and
 // kWomHidden are both WomCoding). The dispatch-equivalence suite
 // (tests/test_dispatch_equivalence.cc) checks these helpers against the
-// virtual calls hook-for-hook; building with -DWOMPCM_REFERENCE_DISPATCH=ON
-// routes them through the virtuals outright.
+// virtual calls hook-for-hook.
 #pragma once
 
 #include "arch/coding_policies.h"
@@ -24,10 +23,6 @@ inline CodingPolicy::WriteBegin coding_begin_write(CodingKind kind,
                                                    std::uint64_t track_key,
                                                    unsigned line,
                                                    IssuePlan* p) {
-#if defined(WOMPCM_REFERENCE_DISPATCH)
-  (void)kind;
-  return pol.begin_write(track_key, line, p);
-#else
   switch (kind) {
     case CodingKind::kRaw:
       return static_cast<RawCoding&>(pol).begin_write(track_key, line, p);
@@ -43,20 +38,14 @@ inline CodingPolicy::WriteBegin coding_begin_write(CodingKind kind,
       return static_cast<WomCoding&>(pol).begin_write(track_key, line, p);
   }
   return pol.begin_write(track_key, line, p);  // unreachable
-#endif
 }
 
 inline void coding_note_remap(CodingKind kind, CodingPolicy& pol,
                               std::uint64_t track_key, unsigned line) {
-#if defined(WOMPCM_REFERENCE_DISPATCH)
-  (void)kind;
-  pol.note_remap(track_key, line);
-#else
   // Only the WOM tracker has remap state; the others inherit the no-op.
   if (is_wom_coding(kind)) {
     static_cast<WomCoding&>(pol).note_remap(track_key, line);
   }
-#endif
 }
 
 inline bool coding_finish_write(CodingKind kind, CodingPolicy& pol,
@@ -64,11 +53,6 @@ inline bool coding_finish_write(CodingKind kind, CodingPolicy& pol,
                                 bool demoted, std::uint64_t track_key,
                                 std::uint64_t wear_key, unsigned line,
                                 bool internal, IssuePlan* p) {
-#if defined(WOMPCM_REFERENCE_DISPATCH)
-  (void)kind;
-  return pol.finish_write(rec, demoted, track_key, wear_key, line, internal,
-                          p);
-#else
   switch (kind) {
     case CodingKind::kRaw:
       return static_cast<RawCoding&>(pol).finish_write(
@@ -88,15 +72,10 @@ inline bool coding_finish_write(CodingKind kind, CodingPolicy& pol,
   }
   return pol.finish_write(rec, demoted, track_key, wear_key, line, internal,
                           p);  // unreachable
-#endif
 }
 
 inline void coding_read_energy(CodingKind kind, CodingPolicy& pol,
                                IssuePlan* p) {
-#if defined(WOMPCM_REFERENCE_DISPATCH)
-  (void)kind;
-  pol.read_energy(p);
-#else
   switch (kind) {
     case CodingKind::kRaw:
       static_cast<RawCoding&>(pol).read_energy(p);
@@ -115,22 +94,16 @@ inline void coding_read_energy(CodingKind kind, CodingPolicy& pol,
       return;
   }
   pol.read_energy(p);  // unreachable
-#endif
 }
 
 inline void coding_read_extras(CodingKind kind, CodingPolicy& pol,
                                IssuePlan* p) {
-#if defined(WOMPCM_REFERENCE_DISPATCH)
-  (void)kind;
-  pol.read_extras(p);
-#else
   // Only the hidden-page organization adds read extras (WomCoding's hook
   // early-returns for the non-hidden WOM kinds); the others inherit the
   // no-op.
   if (is_wom_coding(kind)) {
     static_cast<WomCoding&>(pol).read_extras(p);
   }
-#endif
 }
 
 }  // namespace wompcm

@@ -7,7 +7,7 @@ namespace wompcm {
 ComposedArchitecture::ComposedArchitecture(const MemoryGeometry& geom,
                                            const PcmTiming& timing,
                                            const ArchConfig& cfg)
-    : Architecture(geom, timing), comp_(cfg.resolved_composition()) {
+    : Architecture(geom, timing), comp_(validate_composition(cfg.composition)) {
   // Resolve each WOM-coded region's code (main.code= / cache.code=
   // override, else the shared legacy code= key or the family default). A
   // raw/fnw composition must build even with an unresolvable cfg.code,
@@ -60,8 +60,8 @@ ComposedArchitecture::ComposedArchitecture(const MemoryGeometry& geom,
 }
 
 std::string ComposedArchitecture::name() const {
-  // Canonical compositions keep the legacy names every config, bench and
-  // plot already uses.
+  // The paper's designs keep the names every config, bench and plot
+  // already uses.
   const char* org = comp_.main_coding == CodingKind::kWomHidden
                         ? to_string(WomOrganization::kHiddenPage)
                         : to_string(WomOrganization::kWideColumn);

@@ -162,9 +162,6 @@ TagArray::TagArray(unsigned sets, unsigned ways, ReplacementKind repl,
   if (sets_ == 0 || ways_ == 0) {
     throw std::invalid_argument("TagArray: sets and ways must be positive");
   }
-#if defined(WOMPCM_REFERENCE_DISPATCH)
-  ref_ = make_replacement_policy(repl, sets, ways, seed);
-#endif
   frames_.resize(static_cast<std::size_t>(sets_) * ways_);
 }
 
@@ -173,11 +170,7 @@ unsigned TagArray::fill_way(unsigned set) {
   for (unsigned w = 0; w < ways_; ++w) {
     if (!base[w].valid) return w;
   }
-#if defined(WOMPCM_REFERENCE_DISPATCH)
-  return ref_->victim(set);
-#else
   return repl_.victim(set);
-#endif
 }
 
 }  // namespace wompcm

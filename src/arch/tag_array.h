@@ -12,10 +12,8 @@
 // inline state (ReplacementState) that the compiler flattens into the
 // callers — TagArray probes inline into CacheLayer and TierFront with no
 // indirect call per access. The virtual ReplacementPolicy interface below
-// is kept as the straight-line reference implementation: construction-time
-// factory, the dispatch-equivalence suite, and WOMPCM_REFERENCE_DISPATCH
-// builds (which route every TagArray hook through the virtuals, mirroring
-// the scan_mode=reference pattern) are its only callers.
+// is kept as the straight-line reference implementation; the
+// dispatch-equivalence suite is its only caller.
 #pragma once
 
 #include <cassert>
@@ -177,11 +175,7 @@ class TagArray final {
 
   // Record a hit on (set, way) with the policy.
   void touch(unsigned set, unsigned way) {
-#if defined(WOMPCM_REFERENCE_DISPATCH)
-    ref_->touch(set, way);
-#else
     repl_.touch(set, way);
-#endif
   }
 
   // Install `tag` into (set, way), clobbering any previous occupant.
@@ -190,22 +184,14 @@ class TagArray final {
     f.valid = true;
     f.tag = tag;
     f.dirty = false;
-#if defined(WOMPCM_REFERENCE_DISPATCH)
-    ref_->install(set, way);
-#else
     repl_.install(set, way);
-#endif
   }
 
   void invalidate(unsigned set, unsigned way) {
     WayState& f = frame(set, way);
     f.valid = false;
     f.dirty = false;
-#if defined(WOMPCM_REFERENCE_DISPATCH)
-    ref_->invalidate(set, way);
-#else
     repl_.invalidate(set, way);
-#endif
   }
 
  private:
@@ -227,11 +213,6 @@ class TagArray final {
   unsigned sets_;
   unsigned ways_;
   ReplacementState repl_;
-#if defined(WOMPCM_REFERENCE_DISPATCH)
-  // Reference-dispatch builds route every hook through the virtual policy
-  // (repl_ stays untouched), proving the goldens hold on either path.
-  std::unique_ptr<ReplacementPolicy> ref_;
-#endif
   std::vector<WayState> frames_;
 };
 

@@ -10,19 +10,21 @@ const char* to_string(RowPolicy p) {
 }
 
 MemoryController::MemoryController(const ControllerConfig& cfg,
-                                   Architecture& arch, SimStats& stats)
+                                   unsigned channel, Architecture& arch,
+                                   SimStats& stats)
     : cfg_(cfg),
+      channel_(channel),
       arch_(arch),
       stats_(stats),
       drain_(cfg.sched),
-      refresh_(cfg.refresh, cfg.timing, cfg.geom, cfg.channel),
+      refresh_(cfg.refresh, cfg.timing, cfg.geom, channel),
       next_internal_id_((std::uint64_t{1} << 62) |
-                        (static_cast<std::uint64_t>(cfg.channel) << 48)) {
+                        (static_cast<std::uint64_t>(channel) << 48)) {
   std::string why;
   if (!cfg_.geom.valid(&why)) {
     throw std::invalid_argument("controller: bad geometry: " + why);
   }
-  if (cfg_.channel >= cfg_.geom.channels) {
+  if (channel_ >= cfg_.geom.channels) {
     throw std::invalid_argument("controller: channel out of range");
   }
   if (!cfg_.timing.valid(&why)) {
@@ -36,7 +38,7 @@ MemoryController::MemoryController(const ControllerConfig& cfg,
   const unsigned total = arch.num_resources();
   global_to_local_.assign(total, ~0u);
   for (unsigned r = 0; r < total; ++r) {
-    if (arch.resource_channel(r) == cfg_.channel) {
+    if (arch.resource_channel(r) == channel_) {
       global_to_local_[r] = static_cast<unsigned>(banks_.size());
       banks_.emplace_back();
     }
@@ -67,7 +69,7 @@ MemoryController::MemoryController(const ControllerConfig& cfg,
   if (refresh_active_) push_event(refresh_.next_check());
 
   if (cfg_.tier.enabled) {
-    tier_ = std::make_unique<TierFront>(cfg_.tier, cfg_.geom, cfg_.channel);
+    tier_ = std::make_unique<TierFront>(cfg_.tier, cfg_.geom, channel_);
   }
 }
 
@@ -83,7 +85,7 @@ void MemoryController::note_queue_depth() {
 
 void MemoryController::enqueue(Transaction tx) {
   assert(tx.arrival >= last_tick_);
-  assert(tx.dec.channel == cfg_.channel);
+  assert(tx.dec.channel == channel_);
   if (tx.internal) {
     internal_q_.push(tx, local_resource(arch_.route(tx.dec, tx.type, true)));
     note_queue_depth();
@@ -488,13 +490,13 @@ Tick MemoryController::next_event_after(Tick now) {
 }
 
 void MemoryController::publish_metrics(MetricsRegistry& reg) const {
-  reg.set_counter(channel_metric(cfg_.channel, "bus_busy_ns"),
+  reg.set_counter(channel_metric(channel_, "bus_busy_ns"),
                   bus_busy_time_);
-  reg.set_counter(channel_metric(cfg_.channel, "max_queue_depth"),
+  reg.set_counter(channel_metric(channel_, "max_queue_depth"),
                   max_queue_depth_);
-  reg.set_counter(channel_metric(cfg_.channel, "refresh.commands"),
+  reg.set_counter(channel_metric(channel_, "refresh.commands"),
                   refresh_.commands());
-  reg.set_counter(channel_metric(cfg_.channel, "refresh.rows"),
+  reg.set_counter(channel_metric(channel_, "refresh.rows"),
                   refresh_.rows_refreshed());
   reg.add_counter("refresh.commands", refresh_.commands());
   reg.add_counter("refresh.rows", refresh_.rows_refreshed());
@@ -515,7 +517,7 @@ void MemoryController::publish_metrics(MetricsRegistry& reg) const {
         {"tier.dead_frames", t.dead_frames},
     };
     for (const auto& row : rows) {
-      reg.set_counter(channel_metric(cfg_.channel, row.name), row.value);
+      reg.set_counter(channel_metric(channel_, row.name), row.value);
       reg.add_counter(row.name, row.value);
     }
   }

@@ -57,28 +57,33 @@ enum class RowPolicy : std::uint8_t {
 
 const char* to_string(RowPolicy p);
 
+// The memory-system settings every channel controller shares. SimConfig
+// (sim/simulator.h) derives from this, so a run's configuration reaches
+// each controller without a copy per layer.
 struct ControllerConfig {
   MemoryGeometry geom;
   PcmTiming timing;
   SchedulerConfig sched;
   RefreshConfig refresh;
   RowPolicy row_policy = RowPolicy::kOpen;
-  // Channel this controller serves; every enqueued transaction must decode
-  // to it.
-  unsigned channel = 0;
-  // Back-pressure bound on this channel's queued demand transactions
-  // (per-channel: a saturated channel never stalls its siblings).
+  // Back-pressure bound on queued demand transactions, per channel: each
+  // channel controller gets its own queue pair with this capacity, so a
+  // saturated channel never stalls its siblings. Multi-channel configs
+  // hold channels * queue_capacity transactions at full load. Must be >= 1.
   unsigned queue_capacity = 256;
   // Forward reads that hit a queued write (write-to-read forwarding).
   bool read_forwarding = true;
-  // Optional DRAM-timing tier fronting this channel's PCM queues.
+  // Optional DRAM-timing tier fronting each channel's PCM queues
+  // (pcm/tier_spec.h). Disabled by default; a disabled tier leaves runs
+  // bit-identical to a tierless build.
   TierSpec tier;
 };
 
 class MemoryController {
  public:
-  MemoryController(const ControllerConfig& cfg, Architecture& arch,
-                   SimStats& stats);
+  // Serves `channel`: every enqueued transaction must decode to it.
+  MemoryController(const ControllerConfig& cfg, unsigned channel,
+                   Architecture& arch, SimStats& stats);
 
   // Frontend back-pressure: false when the demand queues are full.
   bool can_accept() const;
@@ -104,7 +109,7 @@ class MemoryController {
     return read_q_.empty() && write_q_.empty() && internal_q_.empty();
   }
   Tick last_completion() const { return last_completion_; }
-  unsigned channel() const { return cfg_.channel; }
+  unsigned channel() const { return channel_; }
 
   std::size_t read_queue_size() const { return read_q_.size(); }
   std::size_t write_queue_size() const { return write_q_.size(); }
@@ -202,6 +207,7 @@ class MemoryController {
   }
 
   ControllerConfig cfg_;
+  unsigned channel_;
   Architecture& arch_;
   SimStats& stats_;
 

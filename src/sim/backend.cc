@@ -16,7 +16,7 @@ class SerialBackend final : public SimBackend {
   explicit SerialBackend(const SimConfig& cfg)
       : arch_(make_architecture(cfg.arch, cfg.geom, cfg.timing, cfg.fault)),
         arch_name_(arch_->name()),
-        mem_(memory_config(cfg), *arch_, stats_) {}
+        mem_(cfg, *arch_, stats_) {}
 
   const std::string& arch_name() const override { return arch_name_; }
   unsigned num_channels() const override { return mem_.num_channels(); }
@@ -53,19 +53,6 @@ class SerialBackend final : public SimBackend {
   }
 
  private:
-  static MemorySystemConfig memory_config(const SimConfig& cfg) {
-    MemorySystemConfig mcfg;
-    mcfg.geom = cfg.geom;
-    mcfg.timing = cfg.timing;
-    mcfg.sched = cfg.sched;
-    mcfg.refresh = cfg.refresh;
-    mcfg.row_policy = cfg.row_policy;
-    mcfg.queue_capacity = cfg.queue_capacity;
-    mcfg.read_forwarding = cfg.read_forwarding;
-    mcfg.tier = cfg.tier;
-    return mcfg;
-  }
-
   std::unique_ptr<Architecture> arch_;
   std::string arch_name_;
   SimStats stats_;

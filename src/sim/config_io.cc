@@ -16,9 +16,9 @@ namespace {
 constexpr const char* kKnownKeys[] = {
     "channels", "ranks", "banks", "rows", "cols", "devices", "bits_per_col",
     "burst", "mapping", "row_read", "row_write", "reset", "set", "col_read",
-    "refresh_period", "tag_check", "pause_resume", "arch", "code",
-    "organization", "rat", "main.coding", "main.code", "cache.enabled",
-    "cache.coding", "cache.code", "refresh", "refresh_enabled", "require_empty_queues", "rth",
+    "refresh_period", "tag_check", "pause_resume", "arch", "code", "rat",
+    "main.coding", "main.code", "cache.enabled", "cache.coding", "cache.code",
+    "refresh", "refresh_enabled", "require_empty_queues", "rth",
     "pausing", "fnw_fast", "start_gap", "start_gap_interval", "seed",
     "policy", "write_q_high", "write_q_low", "row_hit_first", "scan_limit",
     "scan_mode", "row_policy", "queue_capacity", "read_forwarding",
@@ -139,28 +139,11 @@ SimConfig apply_overrides(SimConfig cfg, const KeyValueConfig& kv,
   cfg.timing.pause_resume_ns =
       get_tick(kv, "pause_resume", cfg.timing.pause_resume_ns);
 
-  // Architecture.
+  // Architecture. arch= names a preset that sets all four composition
+  // axes; the composition keys below then override single axes. The
+  // key/value store is unordered, so the preset always applies first.
   if (kv.has("arch")) {
-    const std::string a = kv.get_string_or("arch", "");
-    if (a == "pcm") {
-      cfg.arch.kind = ArchKind::kBaseline;
-    } else if (a == "wom") {
-      cfg.arch.kind = ArchKind::kWomPcm;
-    } else if (a == "refresh") {
-      cfg.arch.kind = ArchKind::kRefreshWomPcm;
-    } else if (a == "wcpcm") {
-      cfg.arch.kind = ArchKind::kWcpcm;
-    } else if (a == "fnw") {
-      cfg.arch.kind = ArchKind::kFlipNWrite;
-    } else if (a == "symmetric") {
-      cfg.arch.kind = ArchKind::kSymmetric;
-    } else {
-      bad("arch", a);
-    }
-    // Selecting a legacy kind resets any explicit composition: "arch=" means
-    // the canonical composition of that kind, regardless of key order (the
-    // key/value store is unordered, so both orders must mean the same thing).
-    cfg.arch.composition.reset();
+    cfg.arch.composition = arch_preset(kv.get_string_or("arch", ""));
   }
   if (kv.has("code")) cfg.arch.code = kv.get_string_or("code", cfg.arch.code);
   // Per-region code overrides; empty means "derive from code= (classic
@@ -171,24 +154,12 @@ SimConfig apply_overrides(SimConfig cfg, const KeyValueConfig& kv,
   if (kv.has("cache.code")) {
     cfg.arch.cache_code = kv.get_string_or("cache.code", cfg.arch.cache_code);
   }
-  if (kv.has("organization")) {
-    const std::string o = kv.get_string_or("organization", "");
-    if (o == "wide") {
-      cfg.arch.organization = WomOrganization::kWideColumn;
-    } else if (o == "hidden") {
-      cfg.arch.organization = WomOrganization::kHiddenPage;
-    } else {
-      bad("organization", o);
-    }
-  }
   cfg.arch.rat_entries = get_unsigned(kv, "rat", cfg.arch.rat_entries);
-  // Composition keys override individual axes of the (possibly canonical)
-  // composition; validate_composition() rejects nonsense combinations with
-  // an actionable message.
+  // Composition keys override individual axes; validate_composition()
+  // rejects nonsense combinations with an actionable message.
   if (kv.has("main.coding") || kv.has("cache.enabled") ||
       kv.has("cache.coding") || kv.has("refresh")) {
-    Composition c = cfg.arch.composition.value_or(
-        canonical_composition(cfg.arch.kind, cfg.arch.organization));
+    Composition c = cfg.arch.composition;
     // Invalid coding kinds list the valid ones: the axis gained cells
     // (polar, ts-constrained) that older configs will not know about.
     constexpr const char* kCodingKinds =
@@ -457,29 +428,8 @@ std::string describe(const SimConfig& cfg) {
      << "refresh_period=" << cfg.timing.refresh_period_ns << "\n"
      << "tag_check=" << cfg.timing.tag_check_ns << "\n"
      << "pause_resume=" << cfg.timing.pause_resume_ns << "\n";
-  const char* arch = "pcm";
-  switch (cfg.arch.kind) {
-    case ArchKind::kBaseline:
-      arch = "pcm";
-      break;
-    case ArchKind::kWomPcm:
-      arch = "wom";
-      break;
-    case ArchKind::kRefreshWomPcm:
-      arch = "refresh";
-      break;
-    case ArchKind::kWcpcm:
-      arch = "wcpcm";
-      break;
-    case ArchKind::kFlipNWrite:
-      arch = "fnw";
-      break;
-    case ArchKind::kSymmetric:
-      arch = "symmetric";
-      break;
-  }
-  os << "arch=" << arch << "\n"
-     << "code=" << cfg.arch.code << "\n";
+  const Composition& c = cfg.arch.composition;
+  os << "code=" << cfg.arch.code << "\n";
   // Empty region overrides mean "derive" and stay implicit: "main.code="
   // with no value would not tokenize back into a key/value pair anyway.
   if (!cfg.arch.main_code.empty()) {
@@ -488,20 +438,11 @@ std::string describe(const SimConfig& cfg) {
   if (!cfg.arch.cache_code.empty()) {
     os << "cache.code=" << cfg.arch.cache_code << "\n";
   }
-  os << "organization="
-     << (cfg.arch.organization == WomOrganization::kWideColumn ? "wide"
-                                                               : "hidden")
-     << "\n"
+  os << "main.coding=" << to_string(c.main_coding) << "\n"
+     << "cache.enabled=" << (c.cache_enabled ? "true" : "false") << "\n"
+     << "cache.coding=" << to_string(c.cache_coding) << "\n"
+     << "refresh=" << to_string(c.refresh) << "\n"
      << "rat=" << cfg.arch.rat_entries << "\n";
-  if (cfg.arch.composition.has_value()) {
-    // Emitted after "arch=" so a round-trip re-applies the explicit
-    // composition on top of the kind's canonical one.
-    const Composition& c = *cfg.arch.composition;
-    os << "main.coding=" << to_string(c.main_coding) << "\n"
-       << "cache.enabled=" << (c.cache_enabled ? "true" : "false") << "\n"
-       << "cache.coding=" << to_string(c.cache_coding) << "\n"
-       << "refresh=" << to_string(c.refresh) << "\n";
-  }
   os << "refresh_enabled=" << (cfg.refresh.enabled ? "true" : "false")
      << "\n"
      << "rth=" << cfg.refresh.threshold << "\n"

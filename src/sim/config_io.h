@@ -24,7 +24,9 @@ namespace wompcm {
 //
 // Keys: channels ranks banks rows cols devices burst
 //       row_read row_write reset set col_read refresh_period
-//       arch (pcm|wom|refresh|wcpcm|fnw) code organization (wide|hidden)
+//       arch (pcm|wom|refresh|wcpcm|fnw|symmetric: a preset setting the
+//       four composition keys) main.coding cache.enabled cache.coding
+//       refresh (the composition axes) code main.code cache.code
 //       rat rth pausing policy (fcfs|read-priority) row_policy (open|closed)
 //       queue_capacity read_forwarding warmup
 //       start_gap start_gap_interval fnw_fast seed

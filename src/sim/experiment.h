@@ -19,15 +19,15 @@ namespace wompcm {
 // 27/150/40/150 ns and a 4000 ns refresh period; <2^2>^2/3 inverted code.
 SimConfig paper_config();
 
-// The four architectures of Fig. 5, in presentation order:
-// PCM (baseline), WOM-code PCM, PCM-refresh, WCPCM.
+// The four architectures of Fig. 5, in presentation order: the presets
+// pcm (baseline), wom (WOM-code PCM), refresh (PCM-refresh) and wcpcm.
 std::vector<ArchConfig> paper_architectures();
 
 // Builds the composition cross-product {main codings} x {cache on/off} x
 // {refresh kinds}, silently skipping combinations composition_valid()
 // rejects (e.g. refresh=rat with no WOM-coded region). Every returned
-// ArchConfig carries an explicit validated composition plus `code` for its
-// WOM regions, ready to feed run_sweep() (sim/run.h).
+// ArchConfig carries a validated composition plus `code` for its WOM
+// regions, ready to feed run_sweep() (sim/run.h).
 std::vector<ArchConfig> composition_sweep(
     const std::vector<CodingKind>& main_codings,
     const std::vector<bool>& cache_options,

@@ -4,24 +4,14 @@
 
 namespace wompcm {
 
-MemorySystem::MemorySystem(const MemorySystemConfig& cfg, Architecture& arch,
+MemorySystem::MemorySystem(const ControllerConfig& cfg, Architecture& arch,
                            SimStats& stats)
     : arch_(arch),
       dispatch_all_(cfg.sched.scan_mode == ScanMode::kReference) {
   channels_.reserve(cfg.geom.channels);
   for (unsigned c = 0; c < cfg.geom.channels; ++c) {
-    ControllerConfig ccfg;
-    ccfg.geom = cfg.geom;
-    ccfg.timing = cfg.timing;
-    ccfg.sched = cfg.sched;
-    ccfg.refresh = cfg.refresh;
-    ccfg.row_policy = cfg.row_policy;
-    ccfg.channel = c;
-    ccfg.queue_capacity = cfg.queue_capacity;
-    ccfg.read_forwarding = cfg.read_forwarding;
-    ccfg.tier = cfg.tier;
     channels_.push_back(
-        std::make_unique<MemoryController>(ccfg, arch, stats));
+        std::make_unique<MemoryController>(cfg, c, arch, stats));
   }
 }
 

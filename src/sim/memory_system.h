@@ -24,24 +24,10 @@
 
 namespace wompcm {
 
-struct MemorySystemConfig {
-  MemoryGeometry geom;
-  PcmTiming timing;
-  SchedulerConfig sched;
-  RefreshConfig refresh;
-  RowPolicy row_policy = RowPolicy::kOpen;
-  // Per-channel back-pressure bound (each controller gets this capacity;
-  // the paper's single-channel configuration is unchanged).
-  unsigned queue_capacity = 256;
-  bool read_forwarding = true;
-  // Optional DRAM-timing tier in front of the PCM backend (one TierFront
-  // per channel; see pcm/tier_spec.h).
-  TierSpec tier;
-};
-
 class MemorySystem {
  public:
-  MemorySystem(const MemorySystemConfig& cfg, Architecture& arch,
+  // One controller per cfg.geom.channels, each built from `cfg`.
+  MemorySystem(const ControllerConfig& cfg, Architecture& arch,
                SimStats& stats);
 
   unsigned num_channels() const {

@@ -81,18 +81,8 @@ ShardedBackend::ShardedBackend(const SimConfig& cfg, unsigned jobs) {
   for (unsigned c = 0; c < channels; ++c) {
     auto lane = std::make_unique<Lane>();
     lane->arch = make_architecture(cfg.arch, cfg.geom, cfg.timing, cfg.fault);
-    ControllerConfig ccfg;
-    ccfg.geom = cfg.geom;
-    ccfg.timing = cfg.timing;
-    ccfg.sched = cfg.sched;
-    ccfg.refresh = cfg.refresh;
-    ccfg.row_policy = cfg.row_policy;
-    ccfg.channel = c;
-    ccfg.queue_capacity = cfg.queue_capacity;
-    ccfg.read_forwarding = cfg.read_forwarding;
-    ccfg.tier = cfg.tier;
     lane->ctl =
-        std::make_unique<MemoryController>(ccfg, *lane->arch, lane->stats);
+        std::make_unique<MemoryController>(cfg, c, *lane->arch, lane->stats);
     lanes_.push_back(std::move(lane));
   }
   arch_name_ = lanes_[0]->arch->name();

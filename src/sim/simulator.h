@@ -25,34 +25,21 @@
 
 namespace wompcm {
 
-struct SimConfig {
-  MemoryGeometry geom;
-  PcmTiming timing;
-  SchedulerConfig sched;
-  RefreshConfig refresh;
+// A whole run's configuration: the memory-system settings every channel
+// controller shares (geometry, timing, scheduler, refresh, row policy,
+// queue capacity, forwarding, DRAM tier; controller/controller.h), plus the
+// architecture and the driver's own knobs.
+struct SimConfig : ControllerConfig {
   ArchConfig arch;
   // Seeded fault injection (pcm/fault_model.h). Disabled by default; a
   // disabled config leaves the run bit-identical to a faultless build.
   FaultConfig fault;
-  RowPolicy row_policy = RowPolicy::kOpen;
-  // Back-pressure bound on queued demand transactions, per channel: each
-  // channel controller gets its own queue pair with this capacity, so a
-  // saturated channel never stalls its siblings. (Before the MemorySystem
-  // split this was one global bound; the paper configuration has a single
-  // channel, so its behaviour is unchanged. Multi-channel configs now hold
-  // channels * queue_capacity transactions at full load.) Must be >= 1.
-  unsigned queue_capacity = 256;
-  bool read_forwarding = true;
   // Records fetched + decoded per trace-injection batch (sim/injector.h).
   // Purely a host-side throughput knob: any value >= 1 produces the
   // bit-identical injection sequence, larger blocks just amortize more of
   // the per-record front-end overhead (virtual fetch, address decode,
   // phase timing). Must be >= 1 (SimService rejects 0).
   unsigned injection_block = 64;
-  // Optional DRAM-timing tier fronting the PCM backend (pcm/tier_spec.h).
-  // Disabled by default; a disabled tier leaves runs bit-identical to a
-  // tierless build.
-  TierSpec tier;
   // Number of leading trace accesses to simulate without recording latency
   // stats (steady-state measurement, like a warmed trace window). nullopt
   // means "auto": run() (sim/run.h) resolves it to 20% of the trace

@@ -22,7 +22,7 @@ MemoryGeometry small_geom() {
 ArchConfig wcpcm_cfg(unsigned rat_entries = 5,
                      const std::string& code = "rs23-inv") {
   ArchConfig cfg;
-  cfg.kind = ArchKind::kWcpcm;
+  cfg.composition = arch_preset("wcpcm");
   cfg.rat_entries = rat_entries;
   cfg.code = code;
   return cfg;

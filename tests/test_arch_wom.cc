@@ -19,29 +19,29 @@ MemoryGeometry small_geom() {
   return g;
 }
 
-ArchConfig wom_cfg(WomOrganization org = WomOrganization::kWideColumn,
+ArchConfig wom_cfg(CodingKind coding = CodingKind::kWomWide,
                    const std::string& code = "rs23-inv") {
   ArchConfig cfg;
-  cfg.kind = ArchKind::kWomPcm;
-  cfg.organization = org;
+  cfg.composition = arch_preset("wom");
+  cfg.composition.main_coding = coding;
   cfg.code = code;
   return cfg;
 }
 
 ArchConfig refresh_cfg(unsigned rat_entries) {
   ArchConfig cfg;
-  cfg.kind = ArchKind::kRefreshWomPcm;
+  cfg.composition = arch_preset("refresh");
   cfg.rat_entries = rat_entries;
   return cfg;
 }
 
 TEST(WomPcm, RequiresInvertedCode) {
   EXPECT_THROW(ComposedArchitecture(small_geom(), PcmTiming{},
-                                    wom_cfg(WomOrganization::kWideColumn,
+                                    wom_cfg(CodingKind::kWomWide,
                                             "rs23")),
                std::invalid_argument);
   EXPECT_THROW(ComposedArchitecture(small_geom(), PcmTiming{},
-                                    wom_cfg(WomOrganization::kWideColumn,
+                                    wom_cfg(CodingKind::kWomWide,
                                             "no-such-code")),
                std::invalid_argument);
 }
@@ -88,7 +88,7 @@ TEST(WomPcm, WideColumnHasNoExtraAccesses) {
 TEST(WomPcm, HiddenPageAddsDependentAccess) {
   const PcmTiming t;
   ComposedArchitecture arch(small_geom(), t,
-                            wom_cfg(WomOrganization::kHiddenPage));
+                            wom_cfg(CodingKind::kWomHidden));
   EXPECT_EQ(arch.name(), "wom-pcm[rs23-inv,hidden-page]");
   DecodedAddr d{0, 0, 0, 3, 0};
   const IssuePlan w = arch.plan(d, AccessType::kWrite, false, 0);
@@ -108,7 +108,7 @@ TEST(WomPcm, OverheadMatchesCode) {
 TEST(WomPcm, HigherRewriteLimitDelaysAlpha) {
   ComposedArchitecture arch(
       small_geom(), PcmTiming{},
-      wom_cfg(WomOrganization::kWideColumn, "marker-k2t4-inv"));
+      wom_cfg(CodingKind::kWomWide, "marker-k2t4-inv"));
   DecodedAddr d{0, 0, 0, 3, 0};
   arch.plan(d, AccessType::kWrite, false, 0);  // cold alpha
   for (int i = 0; i < 3; ++i) {

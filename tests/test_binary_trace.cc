@@ -163,7 +163,7 @@ TEST(OpenTrace, TextAndBinaryRunsAreIdentical) {
     }
   }
   SimConfig cfg = paper_config();
-  cfg.arch.kind = ArchKind::kRefreshWomPcm;
+  cfg.arch.composition = arch_preset("refresh");
   cfg.warmup_accesses = 500;
   RunRequest req;
   req.config = cfg;

@@ -158,11 +158,11 @@ TEST(ControllerAllocation, SteadyStateTransactionsAreAllocationFree) {
   cfg.geom = geom;
   cfg.refresh.enabled = false;  // refresh bookkeeping is off the per-tx path
   ArchConfig acfg;
-  acfg.kind = ArchKind::kWomPcm;
+  acfg.composition = arch_preset("wom");
 
   SimStats stats;
   std::unique_ptr<Architecture> arch = make_architecture(acfg, geom, cfg.timing);
-  MemoryController ctrl(cfg, *arch, stats);
+  MemoryController ctrl(cfg, 0, *arch, stats);
   AddressMapper mapper(geom);
 
   std::uint64_t id = 1;

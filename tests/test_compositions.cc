@@ -1,11 +1,12 @@
-// The composition layer's contract (DESIGN.md section 9): every legacy
-// ArchKind is bit-identical to its explicit canonical composition, invalid
-// compositions are rejected with actionable messages, the sweep helper
-// enumerates only valid cells, and the novel compositions shipped in
-// configs/ run end-to-end.
+// The composition layer's contract (DESIGN.md section 9): every arch=
+// preset names its composition, invalid compositions are rejected with
+// actionable messages, the sweep helper enumerates only valid cells, and
+// the novel compositions shipped in configs/ run end-to-end.
 #include <gtest/gtest.h>
 
+#include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "arch/arch.h"
@@ -59,56 +60,49 @@ void expect_identical(const SimResult& a, const SimResult& b) {
   EXPECT_EQ(a.fault_read_disturbs, b.fault_read_disturbs);
 }
 
-struct KindCase {
-  ArchKind kind;
-  WomOrganization org;
-};
+// Every arch= preset parses to its composition and survives describe():
+// the config keys are the only spelling of a design, so a preset reloaded
+// from its description must be the same design.
+TEST(ArchPresets, EveryPresetParsesAndRoundTripsThroughDescribe) {
+  const std::vector<std::pair<std::string, Composition>> expected = {
+      {"pcm",
+       {CodingKind::kRaw, false, CodingKind::kWomWide, RefreshKind::kNone}},
+      {"wom",
+       {CodingKind::kWomWide, false, CodingKind::kWomWide, RefreshKind::kNone}},
+      {"refresh",
+       {CodingKind::kWomWide, false, CodingKind::kWomWide, RefreshKind::kRat}},
+      {"wcpcm",
+       {CodingKind::kRaw, true, CodingKind::kWomWide, RefreshKind::kRat}},
+      {"fnw",
+       {CodingKind::kFlipNWrite, false, CodingKind::kWomWide,
+        RefreshKind::kNone}},
+      {"symmetric",
+       {CodingKind::kSymmetric, false, CodingKind::kWomWide,
+        RefreshKind::kNone}},
+  };
+  ASSERT_EQ(arch_presets().size(), expected.size());
+  for (std::size_t i = 0; i < expected.size(); ++i) {
+    const auto& [name, comp] = expected[i];
+    SCOPED_TRACE(name);
+    EXPECT_EQ(arch_presets()[i].name, name);
+    EXPECT_EQ(arch_preset(name), comp);
+    EXPECT_EQ(validate_composition(comp), comp);  // valid and normalized
 
-// Every legacy kind, plus the hidden-page organization variant.
-const KindCase kKinds[] = {
-    {ArchKind::kBaseline, WomOrganization::kWideColumn},
-    {ArchKind::kWomPcm, WomOrganization::kWideColumn},
-    {ArchKind::kWomPcm, WomOrganization::kHiddenPage},
-    {ArchKind::kRefreshWomPcm, WomOrganization::kWideColumn},
-    {ArchKind::kWcpcm, WomOrganization::kWideColumn},
-    {ArchKind::kFlipNWrite, WomOrganization::kWideColumn},
-    {ArchKind::kSymmetric, WomOrganization::kWideColumn},
-};
-
-TEST(CompositionEquivalence, LegacyKindsMatchExplicitCompositions) {
-  const WorkloadProfile profile = *find_profile("401.bzip2");
-  for (const KindCase& kc : kKinds) {
-    for (const ScanMode scan : {ScanMode::kIndexed, ScanMode::kReference}) {
-      for (const bool faults : {false, true}) {
-        SimConfig legacy = small_config();
-        legacy.sched.scan_mode = scan;
-        legacy.arch.kind = kc.kind;
-        legacy.arch.organization = kc.org;
-        legacy.arch.code = "rs23-inv";
-        if (faults) {
-          legacy.fault.enabled = true;
-          legacy.fault.seed = 7;
-          legacy.fault.endurance = 400;
-          legacy.fault.sigma = 0.35;
-          legacy.fault.initial_wear = 0.75;
-          legacy.fault.spare_rows = 4;
-          legacy.fault.read_disturb = 0.0005;
-        }
-        SimConfig composed = legacy;
-        composed.arch.composition =
-            canonical_composition(kc.kind, kc.org);
-        const SimResult a = run({legacy, TraceSpec::profile(profile, 4000),
-                                 RunOptions::with_seed(11)});
-        const SimResult b = run({composed, TraceSpec::profile(profile, 4000),
-                                 RunOptions::with_seed(11)});
-        SCOPED_TRACE(std::string(to_string(kc.kind)) + "/" +
-                     to_string(kc.org) + "/scan=" +
-                     std::to_string(static_cast<int>(scan)) +
-                     "/faults=" + (faults ? "on" : "off"));
-        expect_identical(a, b);
-      }
-    }
+    const SimConfig cfg = apply_overrides(
+        paper_config(), KeyValueConfig::from_tokens({"arch=" + name}));
+    EXPECT_EQ(cfg.arch.composition, comp);
+    // Reload the description over a different design.
+    SimConfig other = paper_config();
+    other.arch.composition = arch_preset(name == "wcpcm" ? "fnw" : "wcpcm");
+    std::vector<std::string> tokens;
+    std::istringstream is(describe(cfg));
+    for (std::string tok; is >> tok;) tokens.push_back(tok);
+    EXPECT_EQ(
+        apply_overrides(other, KeyValueConfig::from_tokens(tokens))
+            .arch.composition,
+        comp);
   }
+  EXPECT_THROW(arch_preset("dram"), std::invalid_argument);
 }
 
 TEST(CompositionEquivalence, BankTagPolicyCachePreservesGoldens) {
@@ -127,7 +121,7 @@ TEST(CompositionEquivalence, BankTagPolicyCachePreservesGoldens) {
       SimConfig cfg = small_config();
       cfg.geom.channels = 2;
       cfg.sched.scan_mode = scan;
-      cfg.arch.kind = ArchKind::kWcpcm;
+      cfg.arch.composition = arch_preset("wcpcm");
       cfg.arch.code = "rs23-inv";
       if (faults) {
         cfg.fault.enabled = true;
@@ -199,8 +193,7 @@ TEST(CompositionSweep, EnumeratesOnlyValidCells) {
   // 5 x 2 x 2 = 20 cells minus the 3 cacheless non-WOM mains with refresh.
   EXPECT_EQ(archs.size(), 17u);
   for (const ArchConfig& a : archs) {
-    ASSERT_TRUE(a.composition.has_value());
-    EXPECT_TRUE(composition_valid(*a.composition));
+    EXPECT_TRUE(composition_valid(a.composition));
     EXPECT_EQ(a.code, "rs23-inv");
   }
 }

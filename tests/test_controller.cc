@@ -27,7 +27,7 @@ class ControllerTest : public ::testing::Test {
   void SetUp() override {
     cfg_.geom = small_geom();
     arch_ = make_architecture(ArchConfig{}, cfg_.geom, cfg_.timing);
-    ctrl_ = std::make_unique<MemoryController>(cfg_, *arch_, stats_);
+    ctrl_ = std::make_unique<MemoryController>(cfg_, 0, *arch_, stats_);
     mapper_ = std::make_unique<AddressMapper>(cfg_.geom);
   }
 
@@ -144,7 +144,7 @@ TEST_F(ControllerTest, WriteToReadForwarding) {
 
 TEST_F(ControllerTest, ForwardingCanBeDisabled) {
   cfg_.read_forwarding = false;
-  ctrl_ = std::make_unique<MemoryController>(cfg_, *arch_, stats_);
+  ctrl_ = std::make_unique<MemoryController>(cfg_, 0, *arch_, stats_);
   ctrl_->enqueue(tx(1, 0, 0, 3, 0, AccessType::kWrite, 0));
   ctrl_->enqueue(tx(2, 0, 0, 3, 0, AccessType::kRead, 1));
   run_to_drain();
@@ -156,7 +156,7 @@ TEST_F(ControllerTest, ForwardingCanBeDisabled) {
 
 TEST_F(ControllerTest, BackPressureAtCapacity) {
   cfg_.queue_capacity = 4;
-  ctrl_ = std::make_unique<MemoryController>(cfg_, *arch_, stats_);
+  ctrl_ = std::make_unique<MemoryController>(cfg_, 0, *arch_, stats_);
   for (std::uint64_t i = 0; i < 4; ++i) {
     ASSERT_TRUE(ctrl_->can_accept());
     ctrl_->enqueue(tx(i, 0, 0, 1, static_cast<unsigned>(i) % 8,
@@ -184,7 +184,7 @@ TEST_F(ControllerTest, LastCompletionTracksFinish) {
 
 TEST_F(ControllerTest, ReadPriorityPolicyServesReadFirst) {
   cfg_.sched.policy = SchedulingPolicy::kReadPriority;
-  ctrl_ = std::make_unique<MemoryController>(cfg_, *arch_, stats_);
+  ctrl_ = std::make_unique<MemoryController>(cfg_, 0, *arch_, stats_);
   // Write is older, read younger, same bank: read-priority lets the read
   // bypass the queued write.
   ctrl_->enqueue(tx(1, 0, 0, 3, 0, AccessType::kWrite, 0));

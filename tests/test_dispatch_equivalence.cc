@@ -5,8 +5,7 @@
 // replacement hooks run through the enum-switched ReplacementState value
 // type, and the per-access CodingPolicy hooks run through the
 // coding_dispatch.h switch helpers. The virtual implementations stay in the
-// tree as the reference (and as the only dispatch under
-// -DWOMPCM_REFERENCE_DISPATCH=ON); this suite drives both sides of each
+// tree as the reference; this suite drives both sides of each
 // pair through identical call sequences and requires identical results
 // call for call — victim streams, write classing, plan timing fields,
 // counter books, energy totals.

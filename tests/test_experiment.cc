@@ -24,10 +24,10 @@ TEST(Experiment, PaperConfigMatchesPaperParameters) {
 TEST(Experiment, PaperArchitecturesInPresentationOrder) {
   const auto archs = paper_architectures();
   ASSERT_EQ(archs.size(), 4u);
-  EXPECT_EQ(archs[0].kind, ArchKind::kBaseline);
-  EXPECT_EQ(archs[1].kind, ArchKind::kWomPcm);
-  EXPECT_EQ(archs[2].kind, ArchKind::kRefreshWomPcm);
-  EXPECT_EQ(archs[3].kind, ArchKind::kWcpcm);
+  EXPECT_EQ(archs[0].composition, arch_preset("pcm"));
+  EXPECT_EQ(archs[1].composition, arch_preset("wom"));
+  EXPECT_EQ(archs[2].composition, arch_preset("refresh"));
+  EXPECT_EQ(archs[3].composition, arch_preset("wcpcm"));
 }
 
 TEST(Experiment, RunBenchmarkIsDeterministic) {

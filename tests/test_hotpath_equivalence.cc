@@ -106,7 +106,7 @@ constexpr std::uint64_t kAccesses = 15000;
 
 TEST(HotpathEquivalence, PaperRefreshPlatform) {
   SimConfig cfg = paper_config();
-  cfg.arch.kind = ArchKind::kRefreshWomPcm;
+  cfg.arch.composition = arch_preset("refresh");
   check(cfg, "401.bzip2", kAccesses, 42);
   check(cfg, "ocean", kAccesses, 7);
 }
@@ -115,7 +115,7 @@ TEST(HotpathEquivalence, DualChannelPlatform) {
   SimConfig cfg = paper_config();
   cfg.geom.channels = 2;
   cfg.geom.ranks = 8;
-  cfg.arch.kind = ArchKind::kRefreshWomPcm;
+  cfg.arch.composition = arch_preset("refresh");
   check(cfg, "401.bzip2", kAccesses, 42);
   check(cfg, "462.libq", kAccesses, 11);
 }
@@ -124,16 +124,16 @@ TEST(HotpathEquivalence, WcpcmPlatform) {
   // WCPCM exercises dynamic routing (cache arrays, RAT migration), the
   // spawned-transaction path, and the route-version memoization.
   SimConfig cfg = paper_config();
-  cfg.arch.kind = ArchKind::kWcpcm;
+  cfg.arch.composition = arch_preset("wcpcm");
   check(cfg, "401.bzip2", kAccesses, 42);
   check(cfg, "qsort", kAccesses, 3);
 }
 
 TEST(HotpathEquivalence, BaselineAndWomPcm) {
   SimConfig cfg = paper_config();
-  cfg.arch.kind = ArchKind::kBaseline;
+  cfg.arch.composition = arch_preset("pcm");
   check(cfg, "400.perlbench", kAccesses, 42);
-  cfg.arch.kind = ArchKind::kWomPcm;
+  cfg.arch.composition = arch_preset("wom");
   check(cfg, "400.perlbench", kAccesses, 42);
 }
 
@@ -141,7 +141,7 @@ TEST(HotpathEquivalence, ReadPriorityScheduling) {
   // The write-drain hysteresis flips the scanned queue mid-run; the indexed
   // scan must agree on every pick either way.
   SimConfig cfg = paper_config();
-  cfg.arch.kind = ArchKind::kRefreshWomPcm;
+  cfg.arch.composition = arch_preset("refresh");
   cfg.sched.policy = SchedulingPolicy::kReadPriority;
   check(cfg, "401.bzip2", kAccesses, 42);
 }
@@ -150,7 +150,7 @@ TEST(HotpathEquivalence, ClosedPageOldestFirst) {
   // No row hits to prefer and no open rows to match: the degenerate
   // scheduling case where the indexed path must fall back to pure age order.
   SimConfig cfg = paper_config();
-  cfg.arch.kind = ArchKind::kRefreshWomPcm;
+  cfg.arch.composition = arch_preset("refresh");
   cfg.row_policy = RowPolicy::kClosed;
   cfg.sched.row_hit_first = false;
   check(cfg, "464.h264ref", kAccesses, 42);
@@ -161,7 +161,7 @@ TEST(HotpathEquivalence, NoReadForwardingSmallQueues) {
   // forwarding removes the contains_line fast-out — both affect which
   // events the cached next-event path must surface.
   SimConfig cfg = paper_config();
-  cfg.arch.kind = ArchKind::kWcpcm;
+  cfg.arch.composition = arch_preset("wcpcm");
   cfg.read_forwarding = false;
   cfg.queue_capacity = 8;
   check(cfg, "401.bzip2", kAccesses, 42);

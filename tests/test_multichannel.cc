@@ -26,12 +26,12 @@ class MultiChannelTest : public ::testing::Test {
  protected:
   void SetUp() override { build(); }
 
-  void build(ArchKind kind = ArchKind::kBaseline) {
-    cfg_ = MemorySystemConfig{};
+  void build(const char* preset = "pcm") {
+    cfg_ = ControllerConfig{};
     cfg_.geom = two_channel_geom();
     stats_ = SimStats{};
     ArchConfig ac;
-    ac.kind = kind;
+    ac.composition = arch_preset(preset);
     arch_ = make_architecture(ac, cfg_.geom, cfg_.timing);
     mem_ = std::make_unique<MemorySystem>(cfg_, *arch_, stats_);
   }
@@ -57,7 +57,7 @@ class MultiChannelTest : public ::testing::Test {
     }
   }
 
-  MemorySystemConfig cfg_;
+  ControllerConfig cfg_;
   SimStats stats_;
   std::unique_ptr<Architecture> arch_;
   std::unique_ptr<MemorySystem> mem_;
@@ -158,7 +158,7 @@ TEST_F(MultiChannelTest, PerChannelMetricsPublished) {
 }
 
 TEST_F(MultiChannelTest, RefreshCoversBothChannels) {
-  build(ArchKind::kRefreshWomPcm);
+  build("refresh");
   // Drive one row to the limit on each channel.
   for (unsigned ch = 0; ch < 2; ++ch) {
     mem_->enqueue(tx(1 + ch * 2, ch, 0, 0, 3, AccessType::kWrite, ch * 100));
@@ -176,7 +176,7 @@ TEST(MultiChannelSim, EndToEndRun) {
   SimConfig cfg = paper_config();
   cfg.geom.channels = 2;
   cfg.geom.ranks = 8;  // keep total ranks comparable
-  cfg.arch.kind = ArchKind::kRefreshWomPcm;
+  cfg.arch.composition = arch_preset("refresh");
   const SimResult r =
       run({cfg, TraceSpec::profile(*find_profile("401.bzip2"), 8000),
            RunOptions::with_seed(5)});

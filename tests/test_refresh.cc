@@ -28,9 +28,9 @@ class RefreshTest : public ::testing::Test {
     cfg_.refresh.threshold = threshold;
     cfg_.refresh.write_pausing = pausing;
     ArchConfig ac;
-    ac.kind = ArchKind::kRefreshWomPcm;
+    ac.composition = arch_preset("refresh");
     arch_ = make_architecture(ac, cfg_.geom, cfg_.timing);
-    ctrl_ = std::make_unique<MemoryController>(cfg_, *arch_, stats_);
+    ctrl_ = std::make_unique<MemoryController>(cfg_, 0, *arch_, stats_);
   }
 
   Transaction tx(std::uint64_t id, unsigned rank, unsigned bank, unsigned row,
@@ -91,9 +91,9 @@ TEST_F(RefreshTest, WithoutRefreshThirdWriteIsAlpha) {
   cfg_ = ControllerConfig{};
   cfg_.geom = small_geom();
   ArchConfig ac;
-  ac.kind = ArchKind::kWomPcm;  // no refresh hooks
+  ac.composition = arch_preset("wom");  // no refresh hooks
   arch_ = make_architecture(ac, cfg_.geom, cfg_.timing);
-  ctrl_ = std::make_unique<MemoryController>(cfg_, *arch_, stats_);
+  ctrl_ = std::make_unique<MemoryController>(cfg_, 0, *arch_, stats_);
 
   ctrl_->enqueue(tx(1, 0, 0, 3, 0, AccessType::kWrite, 0));
   ctrl_->enqueue(tx(2, 0, 0, 3, 0, AccessType::kWrite, 300));
@@ -163,9 +163,9 @@ TEST_F(RefreshTest, RefreshEngineInactiveWhenDisabled) {
   cfg_.geom = small_geom();
   cfg_.refresh.enabled = false;
   ArchConfig ac;
-  ac.kind = ArchKind::kRefreshWomPcm;
+  ac.composition = arch_preset("refresh");
   arch_ = make_architecture(ac, cfg_.geom, cfg_.timing);
-  ctrl_ = std::make_unique<MemoryController>(cfg_, *arch_, stats_);
+  ctrl_ = std::make_unique<MemoryController>(cfg_, 0, *arch_, stats_);
   ctrl_->enqueue(tx(1, 0, 0, 3, 0, AccessType::kWrite, 0));
   ctrl_->enqueue(tx(2, 0, 0, 3, 0, AccessType::kWrite, 300));
   run_until(20000);

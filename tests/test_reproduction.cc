@@ -164,7 +164,7 @@ TEST(ReproductionFig6, HitRateDropsWithBanksPerRank) {
       SimConfig cfg = paper_config();
       cfg.geom.banks_per_rank = banks;
       cfg.geom.rows_per_bank = 32768 * 32 / banks;
-      cfg.arch.kind = ArchKind::kWcpcm;
+      cfg.arch.composition = arch_preset("wcpcm");
       const SimResult r = run({cfg, TraceSpec::profile(p, 30000),
                                RunOptions::with_seed(42)});
       const double h =

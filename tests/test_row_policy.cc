@@ -25,7 +25,7 @@ class RowPolicyTest : public ::testing::TestWithParam<RowPolicy> {
     cfg_.geom = small_geom();
     cfg_.row_policy = GetParam();
     arch_ = make_architecture(ArchConfig{}, cfg_.geom, cfg_.timing);
-    ctrl_ = std::make_unique<MemoryController>(cfg_, *arch_, stats_);
+    ctrl_ = std::make_unique<MemoryController>(cfg_, 0, *arch_, stats_);
   }
 
   void run_to_drain() {

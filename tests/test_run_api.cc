@@ -118,7 +118,7 @@ TEST(RunApi, OversizedWarmupThrows) {
 
 TEST(RunApi, ScanModeOverrideIsObservationallyIdentical) {
   SimConfig cfg = small_config();
-  cfg.arch.kind = ArchKind::kRefreshWomPcm;
+  cfg.arch.composition = arch_preset("refresh");
   const auto trace = TraceSpec::benchmark("464.h264ref", 4000);
   RunOptions indexed = RunOptions::with_seed(3);
   indexed.scan_mode = ScanMode::kIndexed;

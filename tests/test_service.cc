@@ -337,7 +337,7 @@ TEST_P(ServiceEquivalence, KSessionsMatchPreMergedBatch) {
   constexpr std::uint64_t kSeed = 42;
 
   SimConfig cfg = small_config(/*channels=*/4);
-  cfg.arch.kind = ArchKind::kRefreshWomPcm;
+  cfg.arch.composition = arch_preset("refresh");
   cfg.sched.scan_mode = scan;
   cfg.warmup_accesses = 200;  // warmup ids must agree in merge order too
   if (faults) {

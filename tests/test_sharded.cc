@@ -123,21 +123,21 @@ void check(SimConfig cfg, const TraceSpec& trace, std::uint64_t seed) {
 
 constexpr std::uint64_t kAccesses = 12000;
 
-SimConfig quad_channel_config(ArchKind kind) {
+SimConfig quad_channel_config(const char* preset) {
   SimConfig cfg = paper_config();
   cfg.geom.channels = 4;
   cfg.geom.ranks = 4;  // keep total ranks comparable to the paper platform
-  cfg.arch.kind = kind;
+  cfg.arch.composition = arch_preset(preset);
   return cfg;
 }
 
 TEST(ShardedEquivalence, RefreshWomPcmQuadChannel) {
-  check(quad_channel_config(ArchKind::kRefreshWomPcm),
+  check(quad_channel_config("refresh"),
         TraceSpec::benchmark("401.bzip2", kAccesses), 42);
 }
 
 TEST(ShardedEquivalence, BaselineQuadChannel) {
-  check(quad_channel_config(ArchKind::kBaseline),
+  check(quad_channel_config("pcm"),
         TraceSpec::benchmark("400.perlbench", kAccesses), 42);
 }
 
@@ -145,7 +145,7 @@ TEST(ShardedEquivalence, FlipNWritePerChannelDraws) {
   // Flip-N-Write draws a fast/slow verdict per write from a seeded RNG:
   // the per-channel draw streams must make the outcome independent of how
   // the shards interleave.
-  check(quad_channel_config(ArchKind::kFlipNWrite),
+  check(quad_channel_config("fnw"),
         TraceSpec::benchmark("462.libq", kAccesses), 11);
 }
 
@@ -156,7 +156,7 @@ TEST(ShardedEquivalence, WcpcmDualChannel) {
   SimConfig cfg = paper_config();
   cfg.geom.channels = 2;
   cfg.geom.ranks = 8;
-  cfg.arch.kind = ArchKind::kWcpcm;
+  cfg.arch.composition = arch_preset("wcpcm");
   check(cfg, TraceSpec::benchmark("401.bzip2", kAccesses), 42);
 }
 
@@ -164,7 +164,7 @@ TEST(ShardedEquivalence, BackPressureSmallQueues) {
   // Tiny queues force deferred injections: the coordinator's serial
   // injection loop must defer and re-time arrivals exactly as the serial
   // run does.
-  SimConfig cfg = quad_channel_config(ArchKind::kRefreshWomPcm);
+  SimConfig cfg = quad_channel_config("refresh");
   cfg.queue_capacity = 8;
   cfg.read_forwarding = false;
   check(cfg, TraceSpec::benchmark("464.h264ref", kAccesses), 42);
@@ -180,7 +180,7 @@ TEST(ShardedEquivalence, FaultInjectionOn) {
   cfg.geom.banks_per_rank = 2;
   cfg.geom.rows_per_bank = 64;
   cfg.geom.cols_per_row = 64;
-  cfg.arch.kind = ArchKind::kWomPcm;
+  cfg.arch.composition = arch_preset("wom");
   cfg.warmup_accesses = 0;
   cfg.fault.enabled = true;
   cfg.fault.seed = 7;
@@ -211,7 +211,7 @@ TEST(ShardedEquivalence, SerialFallbackSingleChannel) {
   // One channel: jobs > 1 must silently take the legacy serial path and
   // still produce the identical result.
   SimConfig cfg = paper_config();
-  cfg.arch.kind = ArchKind::kRefreshWomPcm;
+  cfg.arch.composition = arch_preset("refresh");
   const TraceSpec trace = TraceSpec::benchmark("401.bzip2", 8000);
   expect_identical(run_jobs(cfg, trace, 42, 1), run_jobs(cfg, trace, 42, 4));
 }

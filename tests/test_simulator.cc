@@ -81,7 +81,7 @@ TEST(Simulator, BackPressureDefersInjections) {
 
 TEST(Simulator, ArchitecturePropagation) {
   SimConfig cfg = small_config();
-  cfg.arch.kind = ArchKind::kWcpcm;
+  cfg.arch.composition = arch_preset("wcpcm");
   VectorTraceSource trace(simple_trace());
   Simulator sim(cfg);
   const SimResult r = sim.run(trace);
@@ -91,7 +91,7 @@ TEST(Simulator, ArchitecturePropagation) {
 
 TEST(Simulator, RefreshCountersSurface) {
   SimConfig cfg = small_config();
-  cfg.arch.kind = ArchKind::kRefreshWomPcm;
+  cfg.arch.composition = arch_preset("refresh");
   std::vector<TraceRecord> records = {
       {0, AccessType::kWrite, 0},
       {300, AccessType::kWrite, 0},
@@ -137,7 +137,7 @@ TEST(Simulator, DeterministicAcrossRuns) {
 
 TEST(Simulator, WcpcmGeneratesInternalWrites) {
   SimConfig cfg = small_config();
-  cfg.arch.kind = ArchKind::kWcpcm;
+  cfg.arch.composition = arch_preset("wcpcm");
   // Two writes to the same rank/row from different banks force an eviction.
   AddressMapper mapper(cfg.geom);
   const Addr a = mapper.encode(DecodedAddr{0, 0, 0, 5, 0});

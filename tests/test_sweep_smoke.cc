@@ -8,18 +8,27 @@
 namespace wompcm {
 namespace {
 
+// The four Fig. 5 designs: the arch= preset, and the label test names use.
+struct PaperArch {
+  const char* preset;
+  const char* label;
+};
+
+constexpr PaperArch kArchs[] = {{"pcm", "pcm"},
+                                {"wom", "wom-pcm"},
+                                {"refresh", "pcm-refresh"},
+                                {"wcpcm", "wcpcm"}};
+
 struct Case {
   std::string benchmark;
-  ArchKind kind;
+  std::size_t arch;  // index into kArchs
 };
 
 std::vector<Case> all_cases() {
   std::vector<Case> cases;
   for (const WorkloadProfile& p : benchmark_profiles()) {
-    for (const ArchKind kind :
-         {ArchKind::kBaseline, ArchKind::kWomPcm, ArchKind::kRefreshWomPcm,
-          ArchKind::kWcpcm}) {
-      cases.push_back({p.name, kind});
+    for (std::size_t a = 0; a < std::size(kArchs); ++a) {
+      cases.push_back({p.name, a});
     }
   }
   return cases;
@@ -29,8 +38,9 @@ class SweepSmoke : public ::testing::TestWithParam<Case> {};
 
 TEST_P(SweepSmoke, RunsAndSatisfiesInvariants) {
   const Case& c = GetParam();
+  const std::string preset = kArchs[c.arch].preset;
   SimConfig cfg = paper_config();
-  cfg.arch.kind = c.kind;
+  cfg.arch.composition = arch_preset(preset);
   const auto profile = find_profile(c.benchmark);
   ASSERT_TRUE(profile.has_value());
   const SimResult r = run(
@@ -59,30 +69,22 @@ TEST_P(SweepSmoke, RunsAndSatisfiesInvariants) {
 
   // Architecture-specific invariants.
   const auto& cnt = r.stats.counters;
-  switch (c.kind) {
-    case ArchKind::kBaseline:
-      EXPECT_EQ(cnt.get("writes.fast"), 0u);
-      EXPECT_EQ(r.refresh_commands, 0u);
-      EXPECT_DOUBLE_EQ(r.capacity_overhead, 0.0);
-      break;
-    case ArchKind::kWomPcm:
-      EXPECT_EQ(r.refresh_commands, 0u);
-      EXPECT_GT(cnt.get("writes.alpha") + cnt.get("writes.fast"), 0u);
-      EXPECT_DOUBLE_EQ(r.capacity_overhead, 0.5);
-      break;
-    case ArchKind::kRefreshWomPcm:
-      EXPECT_GT(cnt.get("writes.alpha") + cnt.get("writes.fast"), 0u);
-      break;
-    case ArchKind::kWcpcm: {
-      const auto hits = cnt.get("wcpcm.write_hits");
-      const auto misses = cnt.get("wcpcm.write_misses");
-      EXPECT_GT(hits + misses, 0u);
-      EXPECT_EQ(misses, cnt.get("wcpcm.victims"));
-      EXPECT_NEAR(r.capacity_overhead, 0.047, 0.001);
-      break;
-    }
-    default:
-      break;
+  if (preset == "pcm") {
+    EXPECT_EQ(cnt.get("writes.fast"), 0u);
+    EXPECT_EQ(r.refresh_commands, 0u);
+    EXPECT_DOUBLE_EQ(r.capacity_overhead, 0.0);
+  } else if (preset == "wom") {
+    EXPECT_EQ(r.refresh_commands, 0u);
+    EXPECT_GT(cnt.get("writes.alpha") + cnt.get("writes.fast"), 0u);
+    EXPECT_DOUBLE_EQ(r.capacity_overhead, 0.5);
+  } else if (preset == "refresh") {
+    EXPECT_GT(cnt.get("writes.alpha") + cnt.get("writes.fast"), 0u);
+  } else if (preset == "wcpcm") {
+    const auto hits = cnt.get("wcpcm.write_hits");
+    const auto misses = cnt.get("wcpcm.write_misses");
+    EXPECT_GT(hits + misses, 0u);
+    EXPECT_EQ(misses, cnt.get("wcpcm.victims"));
+    EXPECT_NEAR(r.capacity_overhead, 0.047, 0.001);
   }
 
   // Wear and energy moved if anything was written.
@@ -93,7 +95,7 @@ TEST_P(SweepSmoke, RunsAndSatisfiesInvariants) {
 }
 
 std::string case_name(const ::testing::TestParamInfo<Case>& info) {
-  std::string s = info.param.benchmark + "_" + to_string(info.param.kind);
+  std::string s = info.param.benchmark + "_" + kArchs[info.param.arch].label;
   for (char& ch : s) {
     if (!isalnum(static_cast<unsigned char>(ch))) ch = '_';
   }

@@ -114,7 +114,7 @@ SimConfig tiered_config() {
   SimConfig cfg = paper_config();
   cfg.geom.channels = 2;
   cfg.geom.ranks = 8;
-  cfg.arch.kind = ArchKind::kRefreshWomPcm;
+  cfg.arch.composition = arch_preset("refresh");
   cfg.tier.enabled = true;
   cfg.tier.sets = 64;
   cfg.tier.ways = 2;
@@ -302,7 +302,7 @@ TEST(TieredEquivalence, ShardedMatchesSerialWithPcmFaults) {
   cfg.geom.banks_per_rank = 2;
   cfg.geom.rows_per_bank = 64;
   cfg.geom.cols_per_row = 64;
-  cfg.arch.kind = ArchKind::kWomPcm;
+  cfg.arch.composition = arch_preset("wom");
   cfg.warmup_accesses = 0;
   cfg.fault.enabled = true;
   cfg.fault.seed = 7;

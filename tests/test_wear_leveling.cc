@@ -94,7 +94,7 @@ MemoryGeometry small_geom() {
 
 TEST(StartGapIntegration, FactoryEnablesPerConfig) {
   ArchConfig cfg;
-  cfg.kind = ArchKind::kWomPcm;
+  cfg.composition = arch_preset("wom");
   cfg.start_gap = true;
   cfg.start_gap_interval = 2;
   const auto arch = make_architecture(cfg, small_geom(), PcmTiming{});
@@ -105,16 +105,24 @@ TEST(StartGapIntegration, FactoryEnablesPerConfig) {
 }
 
 TEST(StartGapIntegration, WcpcmNeverRemaps) {
+  // The WOM-cache indexes by row address, so Start-Gap is rejected with a
+  // cache front end rather than silently dropped.
   ArchConfig cfg;
-  cfg.kind = ArchKind::kWcpcm;
+  cfg.composition = arch_preset("wcpcm");
   cfg.start_gap = true;
-  const auto arch = make_architecture(cfg, small_geom(), PcmTiming{});
-  EXPECT_FALSE(arch->start_gap_enabled());
+  try {
+    make_architecture(cfg, small_geom(), PcmTiming{});
+    FAIL() << "start_gap with a cache front end accepted";
+  } catch (const std::invalid_argument& e) {
+    const std::string msg = e.what();
+    EXPECT_NE(msg.find("start_gap"), std::string::npos) << msg;
+    EXPECT_NE(msg.find("cache.enabled"), std::string::npos) << msg;
+  }
 }
 
 TEST(StartGapIntegration, GapMoveChargesRowCopy) {
   ArchConfig cfg;
-  cfg.kind = ArchKind::kBaseline;
+  cfg.composition = arch_preset("pcm");
   cfg.start_gap = true;
   cfg.start_gap_interval = 2;
   const auto arch = make_architecture(cfg, small_geom(), PcmTiming{});
@@ -129,7 +137,7 @@ TEST(StartGapIntegration, GapMoveChargesRowCopy) {
 
 TEST(StartGapIntegration, RemappedRowStaysWithinSpareRange) {
   ArchConfig cfg;
-  cfg.kind = ArchKind::kBaseline;
+  cfg.composition = arch_preset("pcm");
   cfg.start_gap = true;
   cfg.start_gap_interval = 1;
   const auto arch = make_architecture(cfg, small_geom(), PcmTiming{});

@@ -157,9 +157,8 @@ int main(int argc, char** argv) {
       feeds.push_back(std::move(fd));
     }
 
-    std::printf("womd: %zu stream(s) on %u-channel %s, jobs=%u, chunk=%zu\n",
-                feeds.size(), cfg.geom.channels, to_string(cfg.arch.kind),
-                jobs, chunk);
+    std::printf("womd: %zu stream(s) on %u channel(s), jobs=%u, chunk=%zu\n",
+                feeds.size(), cfg.geom.channels, jobs, chunk);
 
     ServiceOptions opts;
     opts.jobs = jobs;
