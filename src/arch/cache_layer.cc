@@ -1,12 +1,14 @@
 #include "arch/cache_layer.h"
 
+#include <algorithm>
+
 namespace wompcm {
 
 CacheLayer::CacheLayer(const MemoryGeometry& geom,
                        std::unique_ptr<CodingPolicy> coding)
     : ranks_(geom.ranks),
       rows_per_bank_(geom.rows_per_bank),
-      lines_per_row_(geom.lines_per_row()),
+      words_per_row_((geom.lines_per_row() + 63) / 64),
       coding_(std::move(coding)) {
   const unsigned arrays = geom.channels * geom.ranks;
   tags_.reserve(arrays);
@@ -14,7 +16,7 @@ CacheLayer::CacheLayer(const MemoryGeometry& geom,
     tags_.emplace_back(geom.rows_per_bank, /*ways=*/1,
                        ReplacementKind::kBankTag);
   }
-  lines_.assign(arrays, std::vector<LineBits>(geom.rows_per_bank));
+  line_slab_.assign(static_cast<std::size_t>(arrays) * rows_per_bank_, 0);
 }
 
 bool CacheLayer::probe_read_hit(const DecodedAddr& dec) const {
@@ -32,9 +34,20 @@ void CacheLayer::install(unsigned cache_idx, unsigned row, unsigned bank,
   } else {
     t.install(row, 0, bank);
   }
-  LineBits& bits = lines_[cache_idx][row];
-  if (bits.empty()) bits.assign((lines_per_row_ + 63) / 64, 0);
-  bits[line / 64] |= std::uint64_t{1} << (line % 64);
+  std::uint32_t& id = line_slab_[row_key(cache_idx, row)];
+  if (id == 0) {
+    line_words_.resize(line_words_.size() + words_per_row_, 0);
+    id = static_cast<std::uint32_t>(line_words_.size() / words_per_row_);
+  }
+  line_words_[word_index(id, line)] |= std::uint64_t{1} << (line % 64);
+}
+
+void CacheLayer::clear_lines(unsigned cache_idx, unsigned row) {
+  const std::uint32_t id = line_slab_[row_key(cache_idx, row)];
+  if (id == 0) return;
+  const auto first = line_words_.begin() +
+                     static_cast<std::ptrdiff_t>(word_index(id, 0));
+  std::fill(first, first + words_per_row_, 0);
 }
 
 }  // namespace wompcm

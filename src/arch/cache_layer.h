@@ -44,9 +44,9 @@ class CacheLayer final {
   }
 
   bool line_set(unsigned cache_idx, unsigned row, unsigned line) const {
-    const LineBits& bits = lines_[cache_idx][row];
-    if (bits.empty()) return false;
-    return (bits[line / 64] >> (line % 64)) & 1;
+    const std::uint32_t id = line_slab_[row_key(cache_idx, row)];
+    if (id == 0) return false;
+    return (line_words_[word_index(id, line)] >> (line % 64)) & 1;
   }
 
   // A read hits only if this bank's row is installed AND the requested line
@@ -57,13 +57,13 @@ class CacheLayer final {
   // Eviction flushed the previous occupant's lines; the tag itself is
   // rewritten by the install() that follows the fault pipeline.
   void evict_lines(unsigned cache_idx, unsigned row) {
-    lines_[cache_idx][row].clear();
+    clear_lines(cache_idx, row);
   }
 
   // Dead-row retirement: drop the occupant outright.
   void invalidate(unsigned cache_idx, unsigned row) {
     tags_[cache_idx].invalidate(row, 0);
-    lines_[cache_idx][row].clear();
+    clear_lines(cache_idx, row);
   }
 
   // Commit a write of `line`: (re)install `bank` as the row's occupant and
@@ -92,16 +92,24 @@ class CacheLayer final {
   void note_route_change() { ++route_version_; }
 
  private:
-  using LineBits = std::vector<std::uint64_t>;
+  // Word of slab `id` (nonzero) holding `line`'s valid bit.
+  std::size_t word_index(std::uint32_t id, unsigned line) const {
+    return (std::size_t{id} - 1) * words_per_row_ + line / 64;
+  }
+  void clear_lines(unsigned cache_idx, unsigned row);
 
   unsigned ranks_;
   unsigned rows_per_bank_;
-  unsigned lines_per_row_;
+  unsigned words_per_row_;  // 64-bit words of one row's line bitmap
   std::unique_ptr<CodingPolicy> coding_;
-  // One 1-way bank_tag TagArray per (channel, rank) cache array, with the
-  // per-line valid bitmaps as the slot-parallel payload (slot == row).
+  // One 1-way bank_tag TagArray per (channel, rank) cache array.
   std::vector<TagArray> tags_;
-  std::vector<std::vector<LineBits>> lines_;
+  // Per-line valid bitmaps, keyed like row_key: line_slab_ holds a row's
+  // 1-based slab id into line_words_ (0: no line written yet), and a row
+  // claims its words_per_row_ words on its first install(). Cleared rows
+  // keep their slab and are zeroed instead.
+  std::vector<std::uint32_t> line_slab_;
+  std::vector<std::uint64_t> line_words_;
   std::uint64_t route_version_ = 0;
   // Keyed like row_key; only ever populated while faults are enabled.
   FlatMap64<std::uint8_t> dead_rows_;

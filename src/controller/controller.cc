@@ -213,6 +213,8 @@ MemoryController::Pick MemoryController::find_pick_reference(
 //  - tests bank readiness by bitmap bit instead of recomputing
 //    demand_ready_at, using the bank cached at enqueue time (recomputing
 //    the route only for dynamically-routed entries);
+//  - reads only the queue's packed scan keys (arrival, cached bank, row),
+//    touching the Transaction only to re-probe a dynamic route;
 //  - stops at the first not-yet-arrived entry when arrivals are monotone
 //    (everything after it in age order has not arrived either).
 MemoryController::Pick MemoryController::find_pick(TransactionQueue& q,
@@ -239,10 +241,10 @@ MemoryController::Pick MemoryController::find_pick(TransactionQueue& q,
   std::size_t seen = 0;
   for (auto pos = q.first(); pos != TransactionQueue::kNoPos && seen < limit;
        pos = q.next(pos), ++seen) {
-    const Transaction& tx = q.at(pos);
-    if (tx.arrival > now) {
+    const Tick arrival = q.arrival_at(pos);
+    if (arrival > now) {
       if (monotone) {
-        barrier = tx.arrival;
+        barrier = arrival;
         break;
       }
       continue;
@@ -251,24 +253,25 @@ MemoryController::Pick MemoryController::find_pick(TransactionQueue& q,
     if (r == TransactionQueue::kNoResource) {
       r = q.route_hint(pos, rv);
       if (r == TransactionQueue::kNoResource) {
+        const Transaction& tx = q.at(pos);
         r = local_resource(arch_.route(tx.dec, tx.type, tx.internal));
         q.set_route_hint(pos, r, rv);
       }
     }
     if (!ready_.test(r)) continue;
     const auto open = banks_[r].open_row();
-    const bool hit = open.has_value() && *open == tx.dec.row;
+    const bool hit = open.has_value() && *open == q.row_at(pos);
     if (!row_hit_first || hit) {
       Pick p;
       p.idx = pos;
       p.row_hit = hit;
-      p.arrival = tx.arrival;
+      p.arrival = arrival;
       return p;
     }
     if (fallback.idx == kNoPick) {
       fallback.idx = pos;
       fallback.row_hit = false;
-      fallback.arrival = tx.arrival;
+      fallback.arrival = arrival;
     }
   }
   if (fallback.idx == kNoPick && monotone) {

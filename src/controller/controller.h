@@ -135,7 +135,7 @@ class MemoryController {
 
  private:
   struct Pick {
-    std::size_t idx = kNoPick;
+    TransactionQueue::Pos idx = kNoPick;
     bool row_hit = false;
     Tick arrival = kNeverTick;
   };

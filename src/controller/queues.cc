@@ -13,8 +13,7 @@ std::size_t pow2_at_least(std::size_t n) {
 }  // namespace
 
 TransactionQueue::TransactionQueue() {
-  ring_.assign(16, Slot{});
-  ring_mask_ = ring_.size() - 1;
+  grow_slab(16);
   lines_.assign(64, LineCell{});
   line_mask_ = lines_.size() - 1;
 }
@@ -26,12 +25,13 @@ void TransactionQueue::configure(unsigned line_bytes, unsigned resources,
   counts_.assign(resources, 0);
   mask_.resize(resources, false);
   unindexed_ = 0;
-  // 2x capacity of ring slack so tombstone compaction stays amortised O(1),
-  // 4x line-table slack so probes stay short at full occupancy.
   const std::size_t cap = capacity < 8 ? 8 : capacity;
-  ring_.assign(pow2_at_least(cap * 2), Slot{});
-  ring_mask_ = ring_.size() - 1;
-  head_ = tail_ = 0;
+  slab_.clear();
+  keys_.clear();
+  prev_.clear();
+  head_ = tail_ = free_ = kNoPos;
+  grow_slab(cap);
+  // 4x line-table slack so probes stay short at full occupancy.
   lines_.assign(pow2_at_least(cap * 4), LineCell{});
   line_mask_ = lines_.size() - 1;
   line_used_ = 0;
@@ -41,19 +41,37 @@ void TransactionQueue::configure(unsigned line_bytes, unsigned resources,
   push_count_ = 0;
 }
 
-void TransactionQueue::push_impl(const Transaction& tx, unsigned resource) {
-  if (tail_ - head_ == ring_.size()) {
-    if (live_ < ring_.size()) {
-      compact();
-    } else {
-      grow_ring();
-    }
+void TransactionQueue::grow_slab(std::size_t slots) {
+  const std::size_t old = slab_.size();
+  assert(slots >= old && slots < kFree);
+  slab_.resize(slots);
+  keys_.resize(slots);
+  prev_.resize(slots, kFree);
+  // Thread the new slots so the lowest index is popped first.
+  for (std::size_t i = slots; i-- > old;) {
+    keys_[i].next = free_;
+    free_ = static_cast<Pos>(i);
   }
-  Slot& s = ring_[tail_ & ring_mask_];
-  s.tx = tx;
-  s.live = true;
-  s.hint_stamp = kNoStamp;  // reused slot: drop any stale route hint
-  ++tail_;
+}
+
+void TransactionQueue::push_impl(const Transaction& tx, unsigned resource) {
+  if (free_ == kNoPos) grow_slab(slab_.size() * 2);
+  const Pos p = free_;
+  ScanKey& k = keys_[p];
+  free_ = k.next;
+
+  slab_[p] = tx;
+  k.next = kNoPos;
+  k.arrival = tx.arrival;
+  k.row = tx.dec.row;
+  k.hint_stamp = kNoStamp;  // reused slot: drop any stale route hint
+  prev_[p] = tail_;
+  if (tail_ == kNoPos) {
+    head_ = p;
+  } else {
+    keys_[tail_].next = p;
+  }
+  tail_ = p;
   ++live_;
   ++push_count_;
   if (has_pushed_ && tx.arrival < last_push_arrival_) monotone_ = false;
@@ -61,56 +79,41 @@ void TransactionQueue::push_impl(const Transaction& tx, unsigned resource) {
   last_push_arrival_ = tx.arrival;
   line_add(tx.addr / line_bytes_);
   if (resource != kNoResource && resource < counts_.size()) {
-    s.resource = resource;
+    k.resource = resource;
     if (counts_[resource]++ == 0) mask_.set(resource);
   } else {
-    s.resource = kNoResource;
+    k.resource = kNoResource;
     ++unindexed_;
   }
 }
 
 Transaction TransactionQueue::take(Pos p) {
-  assert(p >= head_ && p < tail_);
-  Slot& s = ring_[p & ring_mask_];
-  assert(s.live);
-  s.live = false;
+  assert(live(p));
+  ScanKey& k = keys_[p];
+  const Pos before = prev_[p];
+  const Pos after = k.next;
+  if (before == kNoPos) {
+    head_ = after;
+  } else {
+    keys_[before].next = after;
+  }
+  if (after == kNoPos) {
+    tail_ = before;
+  } else {
+    prev_[after] = before;
+  }
   --live_;
-  line_remove(s.tx.addr / line_bytes_);
-  if (s.resource != kNoResource) {
-    if (--counts_[s.resource] == 0) mask_.clear(s.resource);
+  const Transaction& tx = slab_[p];
+  line_remove(tx.addr / line_bytes_);
+  if (k.resource != kNoResource) {
+    if (--counts_[k.resource] == 0) mask_.clear(k.resource);
   } else {
     --unindexed_;
   }
-  // Keep head_ pointing at a live entry so first() is O(1).
-  while (head_ != tail_ && !ring_[head_ & ring_mask_].live) ++head_;
-  return s.tx;
-}
-
-void TransactionQueue::compact() {
-  Pos w = head_;
-  for (Pos r = head_; r != tail_; ++r) {
-    Slot& s = ring_[r & ring_mask_];
-    if (!s.live) continue;
-    if (w != r) {
-      ring_[w & ring_mask_] = s;
-      s.live = false;
-    }
-    ++w;
-  }
-  tail_ = w;
-}
-
-void TransactionQueue::grow_ring() {
-  std::vector<Slot> bigger(ring_.size() * 2);
-  std::size_t w = 0;
-  for (Pos r = head_; r != tail_; ++r) {
-    const Slot& s = ring_[r & ring_mask_];
-    if (s.live) bigger[w++] = s;
-  }
-  ring_.swap(bigger);
-  ring_mask_ = ring_.size() - 1;
-  head_ = 0;
-  tail_ = w;
+  prev_[p] = kFree;
+  k.next = free_;
+  free_ = p;
+  return tx;
 }
 
 bool TransactionQueue::contains_line(Addr addr, unsigned line_bytes) const {
@@ -118,7 +121,7 @@ bool TransactionQueue::contains_line(Addr addr, unsigned line_bytes) const {
   // Query at a granularity the index is not keyed for: scan instead.
   const Addr line = addr / line_bytes;
   for (Pos p = first(); p != kNoPos; p = next(p)) {
-    if (ring_[p & ring_mask_].tx.addr / line_bytes == line) return true;
+    if (slab_[p].addr / line_bytes == line) return true;
   }
   return false;
 }
@@ -126,7 +129,7 @@ bool TransactionQueue::contains_line(Addr addr, unsigned line_bytes) const {
 Tick TransactionQueue::oldest_arrival() const {
   Tick t = kNeverTick;
   for (Pos p = first(); p != kNoPos; p = next(p)) {
-    const Tick a = ring_[p & ring_mask_].tx.arrival;
+    const Tick a = keys_[p].arrival;
     if (a < t) t = a;
   }
   return t;

@@ -5,14 +5,19 @@
 // walks entries in age order. The representation is built for those two
 // paths:
 //
-//  - Storage is a power-of-two ring of slots addressed by a monotonically
-//    increasing position counter (`Pos`). push() appends at the tail;
-//    take() tombstones the slot in place, so removing from the middle
-//    never shifts other entries (age order is the position order, and a
-//    Pos handle stays valid until the next push). Dead slots are reclaimed
-//    in bulk: when the live span reaches the ring capacity, the live
-//    entries are compacted to the front in order, so a configured queue
-//    never allocates in steady state.
+//  - Storage is a slab of slots sized to the configured capacity. Live
+//    slots are threaded oldest-to-newest by a doubly-linked age list and
+//    free slots by a free list, so push() pops a free slot and links it
+//    at the tail, take() unlinks any entry in O(1), and next() is a single
+//    load. There are no dead slots to step over and nothing to compact.
+//    The slab grows (doubling) only when the queue holds more than its
+//    capacity; a slot index (`Pos`) stays valid until its entry is taken,
+//    across any number of other pushes, takes and growths.
+//  - Everything a scheduler scan reads per entry (the age-list link,
+//    arrival, the resource cached at push time, the row, and the cached
+//    dynamic route with its stamp) sits in a packed 32-byte key parallel
+//    to the slab, so a scan touches the full Transaction only when it must
+//    re-probe a dynamic route.
 //  - A linear-probe hash of line addresses (with per-line counts and
 //    backward-shift deletion) makes contains_line() O(1) instead of a
 //    scan over the queue.
@@ -42,20 +47,20 @@ namespace wompcm {
 
 class TransactionQueue {
  public:
-  // Stable handle for a queued entry: the position counter at push time.
-  // Valid until the entry is taken or the next push (which may compact).
-  using Pos = std::size_t;
-  static constexpr Pos kNoPos = static_cast<Pos>(-1);
+  // Stable handle for a queued entry: its slab slot. Valid until the entry
+  // is taken.
+  using Pos = std::uint32_t;
+  static constexpr Pos kNoPos = ~Pos{0};
 
   // Resource id for entries whose routing is unknown or dynamic.
   static constexpr unsigned kNoResource = ~0u;
 
   TransactionQueue();
 
-  // Sizes the indexes for a queue holding up to `capacity` entries over
-  // `resources` bank-shaped resources, with the line index keyed at
-  // `line_bytes` granularity. Allocates; must be called while empty.
-  // Exceeding `capacity` is allowed but may allocate on push.
+  // Sizes the slab and indexes for a queue holding up to `capacity`
+  // entries over `resources` bank-shaped resources, with the line index
+  // keyed at `line_bytes` granularity. Allocates; must be called while
+  // empty. Exceeding `capacity` is allowed but allocates on push.
   void configure(unsigned line_bytes, unsigned resources,
                  std::size_t capacity);
 
@@ -69,34 +74,32 @@ class TransactionQueue {
 
   // Age-order iteration over live entries:
   //   for (auto p = q.first(); p != TransactionQueue::kNoPos; p = q.next(p))
-  Pos first() const { return head_ == tail_ ? kNoPos : head_; }
-  Pos next(Pos p) const {
-    for (++p; p != tail_; ++p) {
-      if (ring_[p & ring_mask_].live) return p;
-    }
-    return kNoPos;
-  }
+  Pos first() const { return head_; }
+  Pos next(Pos p) const { return live_key(p).next; }
 
   const Transaction& at(Pos p) const {
-    assert(p >= head_ && p < tail_ && ring_[p & ring_mask_].live);
-    return ring_[p & ring_mask_].tx;
+    assert(live(p));
+    return slab_[p];
   }
 
+  // Scan keys of a live entry, read without touching the Transaction.
+  Tick arrival_at(Pos p) const { return live_key(p).arrival; }
+  unsigned row_at(Pos p) const { return live_key(p).row; }
   // Resource recorded at push time (kNoResource for dynamic routes).
-  unsigned resource_at(Pos p) const { return ring_[p & ring_mask_].resource; }
+  unsigned resource_at(Pos p) const { return live_key(p).resource; }
 
   // Cached route for a dynamically-routed entry: valid only while `version`
   // matches the stamp it was recorded under (see
   // Architecture::route_version). Returns kNoResource when nothing current
   // is cached, so schedulers fall back to recomputing the route.
   unsigned route_hint(Pos p, std::uint64_t version) const {
-    const Slot& s = ring_[p & ring_mask_];
-    return s.hint_stamp == version ? s.hint : kNoResource;
+    const ScanKey& k = live_key(p);
+    return k.hint_stamp == version ? k.hint : kNoResource;
   }
   void set_route_hint(Pos p, unsigned r, std::uint64_t version) {
-    Slot& s = ring_[p & ring_mask_];
-    s.hint = r;
-    s.hint_stamp = version;
+    assert(live(p));
+    keys_[p].hint = r;
+    keys_[p].hint_stamp = version;
   }
 
   Transaction take(Pos p);
@@ -126,22 +129,36 @@ class TransactionQueue {
  private:
   // Stamp value no live route_version can take (versions count up from 0).
   static constexpr std::uint64_t kNoStamp = ~std::uint64_t{0};
+  // prev_ value of a slot on the free list (kNoPos marks the list head).
+  static constexpr Pos kFree = kNoPos - 1;
 
-  struct Slot {
-    Transaction tx{};
-    unsigned resource = kNoResource;
-    bool live = false;
-    unsigned hint = kNoResource;           // cached dynamic route
-    std::uint64_t hint_stamp = kNoStamp;   // route_version it was cached at
+  // The per-entry fields a scheduler scan reads, packed apart from the
+  // Transaction. For a free slot, `next` links the free list instead.
+  struct ScanKey {
+    Pos next = kNoPos;                    // newer neighbour in age order
+    unsigned resource = kNoResource;      // cached at push time
+    Tick arrival = 0;
+    unsigned row = 0;
+    unsigned hint = kNoResource;          // cached dynamic route
+    std::uint64_t hint_stamp = kNoStamp;  // route_version it was cached at
   };
+  static_assert(sizeof(ScanKey) == 32, "scan key must stay packed");
+
   struct LineCell {
     Addr line = 0;
     std::uint32_t count = 0;  // 0 marks an empty cell
   };
 
+  bool live(Pos p) const { return p < prev_.size() && prev_[p] != kFree; }
+  const ScanKey& live_key(Pos p) const {
+    assert(live(p));
+    return keys_[p];
+  }
+
   void push_impl(const Transaction& tx, unsigned resource);
-  void compact();
-  void grow_ring();
+  // Resizes the slab to `slots` (>= its current size) and threads the new
+  // slots onto the free list.
+  void grow_slab(std::size_t slots);
 
   static std::size_t line_hash(Addr line) {
     std::uint64_t h = static_cast<std::uint64_t>(line) * 0x9E3779B97F4A7C15ull;
@@ -152,10 +169,14 @@ class TransactionQueue {
   bool line_find(Addr line) const;
   void grow_lines();
 
-  std::vector<Slot> ring_;  // power-of-two capacity
-  std::size_t ring_mask_ = 0;
-  Pos head_ = 0;  // position of the oldest live entry (always live)
-  Pos tail_ = 0;  // one past the newest entry (live or dead)
+  // Slot-parallel arrays: the entry, its scan key, and its older
+  // neighbour in age order (kFree while the slot is on the free list).
+  std::vector<Transaction> slab_;
+  std::vector<ScanKey> keys_;
+  std::vector<Pos> prev_;
+  Pos head_ = kNoPos;  // oldest live entry
+  Pos tail_ = kNoPos;  // newest live entry
+  Pos free_ = kNoPos;  // most recently freed slot
   std::size_t live_ = 0;
 
   std::vector<LineCell> lines_;  // linear-probe hash, power-of-two size

@@ -50,7 +50,7 @@ struct SchedulerConfig {
   bool valid(std::string* why = nullptr) const;
 };
 
-inline constexpr std::size_t kNoPick = TransactionQueue::kNoPos;
+inline constexpr TransactionQueue::Pos kNoPick = TransactionQueue::kNoPos;
 
 // Selects the queue position to issue: the oldest issuable row-hit if
 // `row_hit_first`, otherwise the oldest issuable entry within the scan
@@ -58,12 +58,13 @@ inline constexpr std::size_t kNoPick = TransactionQueue::kNoPos;
 // consulted for issuable entries. This is the reference scan; the
 // controller's indexed fast path must pick the same entry.
 template <typename CanIssue, typename IsRowHit>
-std::size_t pick_transaction(const TransactionQueue& q,
-                             const SchedulerConfig& cfg, CanIssue&& can_issue,
-                             IsRowHit&& is_row_hit) {
+TransactionQueue::Pos pick_transaction(const TransactionQueue& q,
+                                       const SchedulerConfig& cfg,
+                                       CanIssue&& can_issue,
+                                       IsRowHit&& is_row_hit) {
   const std::size_t n =
       q.size() < cfg.scan_limit ? q.size() : cfg.scan_limit;
-  std::size_t first_issuable = kNoPick;
+  TransactionQueue::Pos first_issuable = kNoPick;
   std::size_t seen = 0;
   for (auto p = q.first(); p != TransactionQueue::kNoPos && seen < n;
        p = q.next(p), ++seen) {

@@ -14,6 +14,7 @@
 #include "arch/arch.h"
 #include "common/rng.h"
 #include "controller/controller.h"
+#include "controller/queues.h"
 #include "wom/page_codec.h"
 #include "wom/registry.h"
 
@@ -203,6 +204,45 @@ TEST(ControllerAllocation, SteadyStateTransactionsAreAllocationFree) {
   const std::uint64_t after = g_allocations.load();
   EXPECT_EQ(after - before, 0u)
       << (after - before) << " allocations across 8 steady-state passes";
+}
+
+// The scheduler's queues at capacity with the oldest entry stuck (its bank
+// never frees up) while every other slot churns: push and take recycle
+// slab slots and line-index cells without touching the allocator.
+TEST(QueueAllocation, StuckHeadChurnAtCapacityIsAllocationFree) {
+  constexpr std::size_t kCapacity = 64;
+  TransactionQueue q;
+  q.configure(64, 16, kCapacity);
+  std::uint64_t id = 1;
+  auto push = [&] {
+    Transaction tx;
+    tx.id = id;
+    tx.addr = (id % 97) * 64;
+    tx.arrival = id;
+    if (id % 3 == 0) {
+      q.push(tx);
+    } else {
+      q.push(tx, static_cast<unsigned>(id % 16));
+    }
+    ++id;
+  };
+  for (std::size_t i = 0; i < kCapacity; ++i) push();
+
+  const std::uint64_t before = g_allocations.load();
+  for (int i = 0; i < 10000; ++i) {
+    // Take the second-oldest or the newest entry, alternating.
+    auto p = q.next(q.first());
+    if (i & 1) {
+      while (q.next(p) != TransactionQueue::kNoPos) p = q.next(p);
+    }
+    q.take(p);
+    push();
+  }
+  const std::uint64_t after = g_allocations.load();
+  EXPECT_EQ(after - before, 0u)
+      << (after - before) << " allocations across 10000 push/take cycles";
+  EXPECT_EQ(q.size(), kCapacity);
+  EXPECT_EQ(q.at(q.first()).id, 1u);
 }
 
 }  // namespace

@@ -2,6 +2,7 @@
 // re-initialization, the r_th threshold, and write pausing.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <memory>
 
 #include "arch/arch.h"
@@ -43,8 +44,11 @@ class RefreshTest : public ::testing::Test {
     return t;
   }
 
-  // Advances the controller through all events up to and including `until`.
-  Tick run_until(Tick until, Tick now = 0) {
+  // Advances the controller through all events up to and including `until`,
+  // resuming from the last instant ticked (or from `from`, if later): the
+  // controller clock never runs backwards across calls.
+  Tick run_until(Tick until, Tick from = 0) {
+    Tick now = std::max(last_tick_, from);
     ctrl_->tick(now);
     for (;;) {
       const Tick t = ctrl_->next_event_after(now);
@@ -52,6 +56,7 @@ class RefreshTest : public ::testing::Test {
       now = t;
       ctrl_->tick(now);
     }
+    last_tick_ = now;
     return now;
   }
 
@@ -59,6 +64,7 @@ class RefreshTest : public ::testing::Test {
   SimStats stats_;
   std::unique_ptr<Architecture> arch_;
   std::unique_ptr<MemoryController> ctrl_;
+  Tick last_tick_ = 0;
 };
 
 TEST_F(RefreshTest, RefreshesRowAtLimitDuringIdle) {
