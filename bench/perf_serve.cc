@@ -1,11 +1,11 @@
 // Perf harness for multi-stream serving. Builds N per-core benchmark
 // streams and runs them against a multi-channel platform three ways:
 // serially over the pre-merged mix (trace/mix.h), sharded over the same
-// mix (sim/sharded.h), and in service mode — N live SimService sessions
-// (sim/service.h) fed chunk by chunk through the streaming submit/step
-// API, under back-pressure. All three are verified bit-identical, and
-// the report shows accesses/sec versus streams x jobs plus each channel
-// shard's bus utilization.
+// mix (SimService with jobs > 1, sim/sharded.h), and in service mode — N
+// live SimService sessions (sim/service.h) fed chunk by chunk through the
+// streaming submit/step API, under back-pressure. All three are verified
+// bit-identical, and the report shows accesses/sec versus streams x jobs
+// plus each channel shard's bus utilization.
 //
 // Arguments: accesses=N per stream (default 10000), seed=S (42),
 // channels=C (4), jobs=J (4; the sharded/service runs also measure
@@ -28,7 +28,6 @@
 #include "common/thread_pool.h"
 #include "sim/experiment.h"
 #include "sim/service.h"
-#include "sim/sharded.h"
 #include "stats/metrics.h"
 #include "trace/mix.h"
 #include "trace/synthetic.h"
@@ -66,23 +65,17 @@ struct Measurement {
   SimResult result;
 };
 
-Measurement measure_serial(const SimConfig& cfg, unsigned streams,
-                           std::uint64_t accesses, std::uint64_t seed) {
+// Batch mode: the pre-merged mix through SimService::run_to_completion —
+// serial at jobs=1, sharded across channels at jobs>1.
+Measurement measure_batch(const SimConfig& cfg, unsigned streams,
+                          std::uint64_t accesses, std::uint64_t seed,
+                          unsigned jobs) {
   const auto mix = make_mix(streams, cfg.geom, accesses, seed);
   Measurement m;
   const std::uint64_t t0 = perf::now_ns();
-  m.result = Simulator(cfg).run(*mix);
-  m.wall_s = static_cast<double>(perf::now_ns() - t0) * 1e-9;
-  return m;
-}
-
-Measurement measure_sharded(const SimConfig& cfg, unsigned streams,
-                            std::uint64_t accesses, std::uint64_t seed,
-                            unsigned jobs) {
-  const auto mix = make_mix(streams, cfg.geom, accesses, seed);
-  Measurement m;
-  const std::uint64_t t0 = perf::now_ns();
-  m.result = run_single_sharded(cfg, *mix, jobs);
+  ServiceOptions opts;
+  opts.jobs = jobs;
+  m.result = SimService(cfg, opts).run_to_completion(*mix);
   m.wall_s = static_cast<double>(perf::now_ns() - t0) * 1e-9;
   return m;
 }
@@ -225,13 +218,13 @@ int main(int argc, char** argv) {
 
   bool first_row = true;
   for (const unsigned streams : stream_counts) {
-    const Measurement serial = measure_serial(cfg, streams, accesses, seed);
+    const Measurement serial = measure_batch(cfg, streams, accesses, seed, 1);
     std::printf("%8u %8s %8s %12.0f %12.3f %9s\n", streams, "batch", "1",
                 accesses_per_sec(serial), serial.wall_s, "1.00x");
 
     for (const unsigned j : job_counts) {
       const Measurement sharded =
-          measure_sharded(cfg, streams, accesses, seed, j);
+          measure_batch(cfg, streams, accesses, seed, j);
       const Measurement service =
           measure_service(cfg, streams, accesses, seed, j, chunk);
       std::string why;

@@ -71,8 +71,7 @@ int main(int argc, char** argv) {
     cfg.arch.composition = arch_preset(preset);
     cfg.warmup_accesses = cores * accesses / 5;
     auto trace = build_mix(mix, cfg.geom, accesses, seed);
-    Simulator sim(cfg);
-    const SimResult r = sim.run(*trace);
+    const SimResult r = SimService(cfg).run_to_completion(*trace);
     if (preset == presets[0]) {
       base_w = r.avg_write_ns();
       base_r = r.avg_read_ns();

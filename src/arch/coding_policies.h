@@ -5,10 +5,10 @@
 // per-access hooks — coding_dispatch.h switches on CodingKind and calls the
 // final class's member through a static_cast, which the compiler resolves
 // to a direct (inlinable) call. The virtual CodingPolicy interface remains
-// the contract for cold paths (construction, describe, refresh) and the
-// reference dispatch mode; make_coding_policy (coding_policy.h) is still
-// the only way to build one, and guarantees kind() matches the dynamic
-// type (kWomWide and kWomHidden are both WomCoding).
+// the contract for cold paths (construction, describe, refresh);
+// make_coding_policy (coding_policy.h) is still the only way to build one,
+// and guarantees kind() matches the dynamic type (kWomWide and kWomHidden
+// are both WomCoding).
 #pragma once
 
 #include <stdexcept>

@@ -5,14 +5,14 @@
 // and next-event queries, and is ticked by the service's deterministic
 // event loop. Two implementations exist:
 //
-//  - SerialBackend (backend.cc): one MemorySystem stepped inline — the
-//    exact substrate of the original serial Simulator loop.
-//  - ShardedBackend (sharded.h): per-channel controller lanes stepped by a
-//    gang of worker threads under the PR-6 time barrier.
+//  - MemorySystem (sim/memory_system.h): every channel controller stepped
+//    inline on the calling thread.
+//  - ShardedBackend (sim/sharded.h): per-channel controller lanes stepped
+//    by a gang of worker threads under a deterministic time barrier.
 //
 // Both produce bit-identical results under every scan mode, composition,
-// and fault seed; make_backend() applies the serial-fallback rule (shard
-// only for an explicit jobs > 1 on a multi-channel geometry).
+// and fault seed; make_backend() is the one place that chooses between
+// them.
 #pragma once
 
 #include <cstdint>
@@ -65,12 +65,15 @@ class SimBackend {
   // Codec nanoseconds accumulated on worker threads; valid after finish()
   // (zero for the serial backend, whose codec time lands in the calling
   // thread's counter).
-  virtual std::uint64_t worker_codec_ns() const { return 0; }
+  std::uint64_t worker_codec_ns() const { return worker_codec_ns_; }
+
+ protected:
+  std::uint64_t worker_codec_ns_ = 0;
 };
 
-// Builds the backend for `cfg`. Serial-fallback rule (see
-// RunOptions::jobs): sharded only when jobs > 1 AND cfg.geom.channels > 1;
-// jobs <= 1 or a one-channel geometry take the exact serial path.
+// Builds the backend for `cfg`. Serial-fallback rule: sharded only when
+// jobs > 1 AND cfg.geom.channels > 1; jobs <= 1 or a one-channel geometry
+// take the serial MemorySystem.
 std::unique_ptr<SimBackend> make_backend(const SimConfig& cfg, unsigned jobs);
 
 }  // namespace wompcm

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <fstream>
+#include <limits>
 #include <sstream>
 #include <stdexcept>
 
@@ -82,7 +83,10 @@ unsigned get_unsigned(const KeyValueConfig& kv, const std::string& key,
                       unsigned fallback) {
   if (!kv.has(key)) return fallback;
   const auto v = kv.get_int(key);
-  if (!v || *v < 0) bad(key, kv.get_string_or(key, ""));
+  // Range-check before narrowing: channels=4294967298 must not wrap to 2.
+  if (!v || *v < 0 || *v > std::numeric_limits<unsigned>::max()) {
+    bad(key, kv.get_string_or(key, ""));
+  }
   return static_cast<unsigned>(*v);
 }
 

@@ -1,17 +1,18 @@
 #include "sim/memory_system.h"
 
 #include "common/event_queue.h"
+#include "sim/simulator.h"
 
 namespace wompcm {
 
-MemorySystem::MemorySystem(const ControllerConfig& cfg, Architecture& arch,
-                           SimStats& stats)
-    : arch_(arch),
+MemorySystem::MemorySystem(const SimConfig& cfg)
+    : arch_(make_architecture(cfg.arch, cfg.geom, cfg.timing, cfg.fault)),
+      arch_name_(arch_->name()),
       dispatch_all_(cfg.sched.scan_mode == ScanMode::kReference) {
   channels_.reserve(cfg.geom.channels);
   for (unsigned c = 0; c < cfg.geom.channels; ++c) {
     channels_.push_back(
-        std::make_unique<MemoryController>(cfg, c, arch, stats));
+        std::make_unique<MemoryController>(cfg, c, *arch_, stats_));
   }
 }
 
@@ -58,20 +59,27 @@ Tick MemorySystem::last_completion() const {
   return t;
 }
 
-std::vector<MemorySystem::BankSnapshot> MemorySystem::banks() const {
-  std::vector<BankSnapshot> out;
-  const unsigned total = arch_.num_resources();
-  out.reserve(total);
-  for (unsigned r = 0; r < total; ++r) {
-    const MemoryController& c = *channels_[arch_.resource_channel(r)];
-    out.push_back(BankSnapshot{&c.bank(r), arch_.is_cache_resource(r)});
+void MemorySystem::fold_stream(std::uint32_t stream,
+                               SimStats::StreamSlice& into) const {
+  if (stream != 0 && stream <= stats_.streams.size()) {
+    into.merge(stats_.streams[stream - 1]);
   }
-  return out;
 }
 
-void MemorySystem::publish_metrics(MetricsRegistry& reg) const {
+void MemorySystem::finish(MetricsRegistry& reg, SimResult& result) {
   reg.set_counter("sim.end_time", last_completion());
   for (const auto& c : channels_) c->publish_metrics(reg);
+  arch_->publish_metrics(reg, last_completion());
+  result.stats.merge_from(stats_);
+  result.stats.counters.merge(arch_->counters());
+  const unsigned total = arch_->num_resources();
+  result.banks.reserve(total);
+  for (unsigned r = 0; r < total; ++r) {
+    const Bank& b = channels_[arch_->resource_channel(r)]->bank(r);
+    result.banks.push_back(SimResult::BankUtilization{
+        b.busy_time(), b.ops(), b.row_hits(), b.pauses(),
+        arch_->is_cache_resource(r)});
+  }
 }
 
 }  // namespace wompcm

@@ -1,73 +1,68 @@
-// MemorySystem: the facade over the per-channel memory controllers.
+// MemorySystem: the serial execution backend over the per-channel memory
+// controllers.
 //
 // Layering (trace side down):
 //
-//   trace -> Simulator -> MemorySystem -> MemoryController (one per channel)
-//                                           -> banks / bus / refresh / arch
+//   trace -> SimService -> MemorySystem -> MemoryController (one per channel)
+//                                            -> banks / bus / refresh / arch
 //
-// The facade owns N per-channel MemoryController instances sharing one
-// Architecture and one SimStats sink. It routes transactions by their
-// decoded channel coordinate, answers back-pressure per channel (a
-// saturated channel never stalls an idle sibling), folds the per-channel
-// event streams into one next_event_after(), and publishes/collects the
-// unified end-of-run metrics.
+// The memory system owns one Architecture, one SimStats sink, and N
+// per-channel MemoryController instances sharing both, all stepped inline
+// on the calling thread. It routes transactions by their decoded channel
+// coordinate, answers back-pressure per channel (a saturated channel never
+// stalls an idle sibling), folds the per-channel event streams into one
+// next_event_after(), and publishes the unified end-of-run metrics.
 #pragma once
 
 #include <memory>
+#include <string>
 #include <vector>
 
 #include "arch/arch.h"
 #include "controller/controller.h"
-#include "pcm/bank.h"
+#include "sim/backend.h"
 #include "stats/metrics.h"
 #include "stats/stats.h"
 
 namespace wompcm {
 
-class MemorySystem {
+class MemorySystem final : public SimBackend {
  public:
-  // One controller per cfg.geom.channels, each built from `cfg`.
-  MemorySystem(const ControllerConfig& cfg, Architecture& arch,
-               SimStats& stats);
+  // Builds the architecture for `cfg` and one controller per
+  // cfg.geom.channels, each built from `cfg`.
+  explicit MemorySystem(const SimConfig& cfg);
 
-  unsigned num_channels() const {
+  const std::string& arch_name() const override { return arch_name_; }
+  unsigned num_channels() const override {
     return static_cast<unsigned>(channels_.size());
   }
 
-  // Frontend back-pressure for the channel this address decodes to.
-  bool can_accept(const DecodedAddr& dec) const;
-
-  // Routes a demand transaction to its channel's controller.
-  void enqueue(const Transaction& tx);
-
-  // Earliest future instant any channel could make progress (kNeverTick
-  // when the whole system is quiescent).
-  Tick next_event_after(Tick now);
-
+  bool can_accept(const DecodedAddr& dec) const override;
+  void enqueue(const Transaction& tx) override;
+  Tick next_event_after(Tick now) override;
   // Ticks the channel controllers with work due at `now` (every controller
   // in reference scan mode; monotone across calls).
-  void tick(Tick now);
+  void tick(Tick now) override;
+  bool drained() const override;
+  Tick last_completion() const override;
 
-  bool drained() const;
-  Tick last_completion() const;
+  void fold_stream(std::uint32_t stream,
+                   SimStats::StreamSlice& into) const override;
+
+  // Publishes system totals, every channel's breakdown and the
+  // architecture's scalars into `reg`; fills result.stats and result.banks
+  // (global-resource order: main banks first, then any cache arrays).
+  void finish(MetricsRegistry& reg, SimResult& result) override;
 
   MemoryController& channel(unsigned c) { return *channels_[c]; }
   const MemoryController& channel(unsigned c) const { return *channels_[c]; }
-
-  // Per bank-like resource snapshot, in global-resource order (main banks
-  // first, then any cache arrays) — identical ordering to the pre-facade
-  // single controller.
-  struct BankSnapshot {
-    const Bank* bank = nullptr;
-    bool is_cache = false;
-  };
-  std::vector<BankSnapshot> banks() const;
-
-  // Publishes system totals and every channel's breakdown into `reg`.
-  void publish_metrics(MetricsRegistry& reg) const;
+  const Architecture& arch() const { return *arch_; }
+  const SimStats& stats() const { return stats_; }
 
  private:
-  Architecture& arch_;
+  std::unique_ptr<Architecture> arch_;
+  std::string arch_name_;
+  SimStats stats_;
   // Reference scan mode dispatches every tick to every channel instead of
   // only the channels with a due event (see ScanMode).
   bool dispatch_all_ = false;

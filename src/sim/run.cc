@@ -1,11 +1,11 @@
 #include "sim/run.h"
 
+#include <future>
 #include <stdexcept>
 #include <utility>
 
 #include "common/thread_pool.h"
-#include "sim/parallel_sweep.h"
-#include "sim/sharded.h"
+#include "sim/service.h"
 #include "trace/binary_source.h"
 #include "trace/synthetic.h"
 
@@ -76,22 +76,25 @@ std::unique_ptr<TraceSource> TraceSpec::open(const MemoryGeometry& geom,
 
 namespace {
 
-// Folds the per-run option overrides into the config they override.
-SimConfig resolved_config(const RunRequest& req) {
-  SimConfig cfg = req.config;
-  if (req.options.scan_mode.has_value()) {
-    cfg.sched.scan_mode = *req.options.scan_mode;
-  }
-  if (req.options.warmup.has_value()) {
-    cfg.warmup_accesses = *req.options.warmup;
-  }
-  return cfg;
+// One (architecture, benchmark) cell of a sweep: an independent run of
+// `base` with the architecture swapped in. Every cell owns its own
+// service, trace source, and name-derived seed, so cells can run in any
+// order on any worker and still reproduce the serial sweep bit for bit.
+SimResult run_cell(const SimConfig& base, const ArchConfig& arch,
+                   const WorkloadProfile& profile, std::uint64_t accesses,
+                   std::uint64_t seed) {
+  RunRequest req;
+  req.config = base;
+  req.config.arch = arch;
+  req.trace = TraceSpec::profile(profile, accesses);
+  req.options.seed = seed;
+  return run(req);
 }
 
 }  // namespace
 
 SimResult run(const RunRequest& req) {
-  SimConfig cfg = resolved_config(req);
+  SimConfig cfg = req.config;
   const std::uint64_t accesses = req.trace.accesses();
   if (accesses > 0) {
     if (!cfg.warmup_accesses.has_value()) {
@@ -110,13 +113,9 @@ SimResult run(const RunRequest& req) {
   }
   const std::unique_ptr<TraceSource> trace =
       req.trace.open(cfg.geom, req.options.seed);
-  // Serial-fallback rule (see RunOptions::jobs): shard only on an explicit
-  // jobs > 1 with a multi-channel geometry; results are bit-identical.
-  if (req.options.jobs.jobs > 1 && cfg.geom.channels > 1) {
-    return run_single_sharded(cfg, *trace, req.options.jobs.jobs);
-  }
-  Simulator sim(cfg);
-  return sim.run(*trace);
+  ServiceOptions opts;
+  opts.jobs = req.options.jobs.jobs;
+  return SimService(cfg, opts).run_to_completion(*trace);
 }
 
 std::vector<SweepRow> run_sweep(const RunRequest& base,
@@ -127,9 +126,46 @@ std::vector<SweepRow> run_sweep(const RunRequest& base,
         "run_sweep: the base trace must be synthetic (it only supplies the "
         "per-benchmark access count; the profile list names the traces)");
   }
-  return ParallelSweepRunner(base.options.jobs)
-      .run(resolved_config(base), archs, profiles, base.trace.accesses(),
-           base.options.seed);
+  const SimConfig& cfg = base.config;
+  const std::uint64_t accesses = base.trace.accesses();
+  const std::uint64_t seed = base.options.seed;
+  const unsigned jobs = base.options.jobs.resolved_jobs();
+
+  std::vector<SweepRow> rows(profiles.size());
+  for (std::size_t i = 0; i < profiles.size(); ++i) {
+    rows[i].benchmark = profiles[i].name;
+    rows[i].results.resize(archs.size());
+  }
+
+  if (jobs <= 1) {
+    for (std::size_t i = 0; i < profiles.size(); ++i) {
+      for (std::size_t j = 0; j < archs.size(); ++j) {
+        rows[i].results[j] =
+            run_cell(cfg, archs[j], profiles[i], accesses, seed);
+      }
+    }
+    return rows;
+  }
+
+  // Row/column order matches the serial sweep regardless of task
+  // completion order.
+  ThreadPool pool(jobs);
+  std::vector<std::future<SimResult>> cells;
+  cells.reserve(profiles.size() * archs.size());
+  for (std::size_t i = 0; i < profiles.size(); ++i) {
+    for (std::size_t j = 0; j < archs.size(); ++j) {
+      cells.push_back(pool.submit([&cfg, &archs, &profiles, accesses, seed, i,
+                                   j] {
+        return run_cell(cfg, archs[j], profiles[i], accesses, seed);
+      }));
+    }
+  }
+  for (std::size_t i = 0; i < profiles.size(); ++i) {
+    for (std::size_t j = 0; j < archs.size(); ++j) {
+      rows[i].results[j] = cells[i * archs.size() + j].get();
+    }
+  }
+  return rows;
 }
 
 }  // namespace wompcm

@@ -6,14 +6,15 @@
 //   RunRequest req;
 //   req.config = paper_config();             // platform + architecture
 //   req.trace = TraceSpec::benchmark("401.bzip2", 200'000);
-//   req.options.seed = 42;                   // + warmup / jobs / scan_mode
+//   req.options.seed = 42;                   // + jobs
 //   SimResult r = run(req);
 //
 // The request is a plain value: it can be copied, stored, and replayed —
 // two runs of an identical request produce identical SimResults. run()
-// itself is a thin client of SimService (sim/service.h): it opens one
-// session, feeds the whole trace through the submit/step cycle, and
-// drains; interactive clients use the service directly.
+// itself is a thin client of SimService (sim/service.h): it opens the
+// trace and hands it to SimService::run_to_completion; interactive
+// clients use the service directly. Warmup and scan mode are config
+// fields (SimConfig::warmup_accesses, SimConfig::sched.scan_mode).
 #pragma once
 
 #include <cstdint>
@@ -90,19 +91,14 @@ class TraceSpec {
 };
 
 struct RunOptions {
-  // Overrides SimConfig::warmup_accesses when set (the config keeps "auto").
-  std::optional<std::uint64_t> warmup;
-  // Scheduler scan mode override (indexed/reference are bit-identical; the
-  // override exists for cross-checking exactly that).
-  std::optional<ScanMode> scan_mode;
   // Worker policy, for both run_sweep() (cell distribution) and single
-  // runs (channel sharding, sim/sharded.h). Serial-fallback rule: a single
-  // run shards only when jobs is explicitly > 1 AND the config has more
-  // than one channel; jobs = 1, jobs = 0 ("automatic"), or a one-channel
-  // geometry take the exact legacy serial path. Automatic stays serial on
-  // purpose: run() is also called per cell inside parallel sweeps, and
-  // auto-sharding there would nest channel workers inside sweep workers.
-  // Sharded and serial results are bit-identical either way.
+  // runs (channel sharding, sim/sharded.h). A single run passes jobs to
+  // SimService, whose backend shards only on an explicit jobs > 1 with a
+  // multi-channel geometry (make_backend(), sim/backend.h); jobs = 0
+  // ("automatic") stays serial on purpose: run() is also called per cell
+  // inside parallel sweeps, and auto-sharding there would nest channel
+  // workers inside sweep workers. Sharded and serial results are
+  // bit-identical either way.
   ParallelPolicy jobs{};
   // Base trace seed (mixed per benchmark, see TraceSpec::mixed_seed).
   std::uint64_t seed = 42;

@@ -10,9 +10,9 @@
 namespace wompcm {
 namespace {
 
-// Rejects the config values no run can make progress under. Every entry
-// point (run(), Simulator, the sharded backend, womd) builds a SimService,
-// so checking here covers them all.
+// Rejects the config values no run can make progress under. Every run
+// (run(), run_sweep(), womd, perf_serve, either backend) builds a
+// SimService, so checking here covers them all.
 const SimConfig& checked(const SimConfig& cfg) {
   // A zero-capacity queue never accepts a transaction: the loop would spin.
   if (cfg.queue_capacity == 0) {

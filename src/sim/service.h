@@ -65,9 +65,9 @@ class SimBackend;
 using SessionId = std::uint32_t;
 
 struct ServiceOptions {
-  // Worker policy for the backing memory system. Serial-fallback rule
-  // (sim/run.h): sharded execution only for jobs > 1 on a multi-channel
-  // geometry; results are bit-identical either way.
+  // Worker policy for the backing memory system, passed to make_backend()
+  // (sim/backend.h), which owns the serial-fallback rule; results are
+  // bit-identical either way.
   unsigned jobs = 1;
 };
 
@@ -173,11 +173,9 @@ class SimService {
   unsigned open_sessions() const;
 
   // The batch entry: one internal session, the whole trace fed through the
-  // submit/step/close/drain cycle. Exactly the classic
-  // Simulator(cfg).run(trace) — same injected ids, same instants, same
-  // books (the internal session is untagged and publishes no stream
-  // metrics, keeping batch registries byte-identical to the pre-service
-  // driver).
+  // submit/step/close/drain cycle, injection_block records at a time. The
+  // internal session is untagged and publishes no stream metrics, so a
+  // batch registry holds only the system books.
   SimResult run_to_completion(TraceSource& trace);
 
  private:

@@ -8,7 +8,6 @@
 
 #include "common/event_queue.h"
 #include "common/perf.h"
-#include "sim/service.h"
 
 namespace wompcm {
 
@@ -228,19 +227,6 @@ void ShardedBackend::finish(MetricsRegistry& reg, SimResult& result) {
         b.busy_time(), b.ops(), b.row_hits(), b.pauses(),
         arch0.is_cache_resource(r)});
   }
-}
-
-SimResult run_single_sharded(const SimConfig& cfg, TraceSource& trace,
-                             unsigned jobs) {
-  if (jobs < 2 || cfg.geom.channels < 2) {
-    throw std::invalid_argument(
-        "run_single_sharded: needs jobs >= 2 and channels >= 2 (callers "
-        "fall back to the serial path otherwise)");
-  }
-  ServiceOptions opts;
-  opts.jobs = jobs;
-  SimService service(cfg, opts);
-  return service.run_to_completion(trace);
 }
 
 }  // namespace wompcm

@@ -27,8 +27,8 @@
 // same gang for its whole lifetime — and are retired by finish() (or the
 // destructor, if a run is abandoned).
 //
-// Callers gate on jobs > 1 && channels > 1 (sim/run.h documents the
-// serial-fallback rule); with a single channel there is nothing to shard.
+// Built only by make_backend() (sim/backend.h), which owns the
+// serial-fallback rule; with a single channel there is nothing to shard.
 #pragma once
 
 #include <atomic>
@@ -42,7 +42,6 @@
 #include "controller/controller.h"
 #include "sim/backend.h"
 #include "sim/simulator.h"
-#include "trace/trace.h"
 
 namespace wompcm {
 
@@ -69,7 +68,6 @@ class ShardedBackend final : public SimBackend {
                    SimStats::StreamSlice& into) const override;
 
   void finish(MetricsRegistry& reg, SimResult& result) override;
-  std::uint64_t worker_codec_ns() const override { return worker_codec_ns_; }
 
  private:
   // One channel's shard: a private controller, architecture replica, and
@@ -107,15 +105,7 @@ class ShardedBackend final : public SimBackend {
   Barrier bar_;
   std::unique_ptr<ThreadPool> pool_;
   std::vector<std::future<std::uint64_t>> worker_codec_;
-  std::uint64_t worker_codec_ns_ = 0;
   bool retired_ = false;
 };
-
-// Runs `trace` against `cfg` with min(jobs, cfg.geom.channels) executors:
-// a batch SimService run over a ShardedBackend. Results are bit-identical
-// to Simulator(cfg).run(trace) under every scan mode, composition, and
-// fault seed. Requires jobs >= 2 and cfg.geom.channels >= 2.
-SimResult run_single_sharded(const SimConfig& cfg, TraceSource& trace,
-                             unsigned jobs);
 
 }  // namespace wompcm

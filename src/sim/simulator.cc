@@ -1,19 +1,6 @@
 #include "sim/simulator.h"
 
-#include "sim/service.h"
-
 namespace wompcm {
-
-Simulator::Simulator(const SimConfig& cfg) : cfg_(cfg) {}
-
-SimResult Simulator::run(TraceSource& trace) {
-  // A batch run is one service session drained to completion: SimService
-  // (sim/service.h) owns the event loop, back-pressure, and end-of-run
-  // publishing; the serial backend supplies the exact pre-service memory
-  // system wiring.
-  SimService service(cfg_);
-  return service.run_to_completion(trace);
-}
 
 void SimResult::collect(const MetricsRegistry& reg) {
   metrics = reg;

@@ -1,16 +1,10 @@
-// Trace-driven simulation driver.
+// A run's configuration and result: SimConfig and SimResult.
 //
-// Wires a trace source and the layered memory system into one run:
-//
-//   trace -> Simulator -> MemorySystem -> per-channel MemoryController
-//                                           -> banks / bus / refresh / arch
-//
-// The Simulator handles frontend back-pressure (a full channel queue defers
-// injection, like a stalled CPU would; trace order is preserved, so a
-// stalled head-of-trace access blocks later ones just as a core's load
-// queue would) and end-of-trace draining. End-of-run scalars flow through
-// the unified metrics registry: every layer publishes into it and
-// SimResult::collect() reads it back in one place.
+// Every run is driven by SimService (sim/service.h): run() (sim/run.h)
+// feeds one trace through it in batch, interactive clients open sessions
+// themselves. End-of-run scalars flow through the unified metrics
+// registry: every layer publishes into it and SimResult::collect() reads
+// it back in one place.
 #pragma once
 
 #include <cstdint>
@@ -19,9 +13,9 @@
 #include <vector>
 
 #include "arch/arch.h"
-#include "sim/memory_system.h"
+#include "controller/controller.h"
 #include "stats/metrics.h"
-#include "trace/trace.h"
+#include "stats/stats.h"
 
 namespace wompcm {
 
@@ -34,16 +28,17 @@ struct SimConfig : ControllerConfig {
   // Seeded fault injection (pcm/fault_model.h). Disabled by default; a
   // disabled config leaves the run bit-identical to a faultless build.
   FaultConfig fault;
-  // Records fetched + decoded per trace-injection batch (sim/injector.h).
-  // Purely a host-side throughput knob: any value >= 1 produces the
-  // bit-identical injection sequence, larger blocks just amortize more of
-  // the per-record front-end overhead (virtual fetch, address decode,
-  // phase timing). Must be >= 1 (SimService rejects 0).
+  // Records fetched + decoded per trace-injection batch
+  // (SimService::run_to_completion). Purely a host-side throughput knob:
+  // any value >= 1 produces the bit-identical injection sequence, larger
+  // blocks just amortize more of the per-record front-end overhead
+  // (virtual fetch, address decode, phase timing). Must be >= 1
+  // (SimService rejects 0).
   unsigned injection_block = 64;
   // Number of leading trace accesses to simulate without recording latency
   // stats (steady-state measurement, like a warmed trace window). nullopt
   // means "auto": run() (sim/run.h) resolves it to 20% of the trace
-  // length; a raw Simulator or SimService treats it as zero.
+  // length; a SimService driven directly treats it as zero.
   std::optional<std::uint64_t> warmup_accesses;
 };
 
@@ -134,19 +129,6 @@ struct SimResult {
   // registry itself in `metrics`). The single aggregation point: layers
   // publish, collect() reads — no field-by-field copying in the driver.
   void collect(const MetricsRegistry& reg);
-};
-
-class Simulator {
- public:
-  explicit Simulator(const SimConfig& cfg);
-
-  // Runs the trace to completion (injection + drain) and returns the
-  // aggregated result. The simulator may be reused for further runs; each
-  // run builds a fresh architecture and memory system.
-  SimResult run(TraceSource& trace);
-
- private:
-  SimConfig cfg_;
 };
 
 }  // namespace wompcm

@@ -32,9 +32,9 @@ class TraceSource {
   // (0 at end of trace). Exactly equivalent to `max` sequential next()
   // calls — same records, same order — so callers may mix the two freely.
   // The default loops over next(); sources with cheap in-memory access
-  // override it so the injection front end (sim/injector.h) pays the
-  // virtual call and refill bookkeeping once per block instead of once per
-  // record.
+  // override it so the batch front end (SimService::run_to_completion)
+  // pays the virtual call and refill bookkeeping once per block instead of
+  // once per record.
   virtual std::size_t next_block(TraceRecord* out, std::size_t max) {
     std::size_t n = 0;
     while (n < max) {

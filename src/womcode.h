@@ -31,7 +31,6 @@
 #include "common/config.h"
 #include "sim/config_io.h"
 #include "sim/experiment.h"
-#include "sim/parallel_sweep.h"
 #include "sim/run.h"
 #include "sim/service.h"
 #include "sim/simulator.h"

@@ -330,14 +330,13 @@ TEST(FaultDeterminism, SameSeedSameFaults) {
 }
 
 TEST(FaultDeterminism, ScanModesAgreeUnderFaults) {
-  SimConfig cfg = worn_config("refresh");
+  SimConfig indexed = worn_config("refresh");
+  indexed.sched.scan_mode = ScanMode::kIndexed;
+  SimConfig reference = indexed;
+  reference.sched.scan_mode = ScanMode::kReference;
   const auto trace = TraceSpec::profile(hot_profile(), 6000);
-  RunOptions indexed = RunOptions::with_seed(42);
-  indexed.scan_mode = ScanMode::kIndexed;
-  RunOptions reference = RunOptions::with_seed(42);
-  reference.scan_mode = ScanMode::kReference;
-  const SimResult a = run({cfg, trace, indexed});
-  const SimResult b = run({cfg, trace, reference});
+  const SimResult a = run({indexed, trace, RunOptions::with_seed(42)});
+  const SimResult b = run({reference, trace, RunOptions::with_seed(42)});
   expect_same_outcome(a, b);
   EXPECT_GT(a.fault_injected, 0u);  // the agreement is not vacuous
 }

@@ -1,11 +1,11 @@
-// Multi-channel coverage through the MemorySystem facade: independent data
-// buses, per-channel back-pressure and refresh scheduling, cross-channel
-// independence, and end-to-end runs on a 2-channel geometry.
+// Multi-channel coverage through the serial MemorySystem backend:
+// independent data buses, per-channel back-pressure and refresh
+// scheduling, cross-channel independence, and end-to-end runs on a
+// 2-channel geometry.
 #include <gtest/gtest.h>
 
 #include <memory>
 
-#include "arch/arch.h"
 #include "sim/experiment.h"
 #include "sim/memory_system.h"
 
@@ -27,13 +27,10 @@ class MultiChannelTest : public ::testing::Test {
   void SetUp() override { build(); }
 
   void build(const char* preset = "pcm") {
-    cfg_ = ControllerConfig{};
+    cfg_ = SimConfig{};
     cfg_.geom = two_channel_geom();
-    stats_ = SimStats{};
-    ArchConfig ac;
-    ac.composition = arch_preset(preset);
-    arch_ = make_architecture(ac, cfg_.geom, cfg_.timing);
-    mem_ = std::make_unique<MemorySystem>(cfg_, *arch_, stats_);
+    cfg_.arch.composition = arch_preset(preset);
+    mem_ = std::make_unique<MemorySystem>(cfg_);
   }
 
   Transaction tx(std::uint64_t id, unsigned channel, unsigned rank,
@@ -57,9 +54,16 @@ class MultiChannelTest : public ::testing::Test {
     }
   }
 
-  ControllerConfig cfg_;
-  SimStats stats_;
-  std::unique_ptr<Architecture> arch_;
+  // End-of-run books: the registry and the per-resource bank snapshot.
+  SimResult finish(MetricsRegistry& reg) {
+    SimResult r;
+    mem_->finish(reg, r);
+    return r;
+  }
+
+  const SimStats& stats() const { return mem_->stats(); }
+
+  SimConfig cfg_;
   std::unique_ptr<MemorySystem> mem_;
 };
 
@@ -69,17 +73,17 @@ TEST_F(MultiChannelTest, BusesAreIndependent) {
   mem_->enqueue(tx(1, 0, 0, 0, 1, AccessType::kRead, 0));
   mem_->enqueue(tx(2, 1, 0, 0, 1, AccessType::kRead, 0));
   run_to_drain();
-  ASSERT_EQ(stats_.demand_read_latency.count(), 2u);
-  EXPECT_EQ(stats_.demand_read_latency.min(), 44u);
-  EXPECT_EQ(stats_.demand_read_latency.max(), 44u);
+  ASSERT_EQ(stats().demand_read_latency.count(), 2u);
+  EXPECT_EQ(stats().demand_read_latency.min(), 44u);
+  EXPECT_EQ(stats().demand_read_latency.max(), 44u);
 }
 
 TEST_F(MultiChannelTest, SameChannelStillSerializesOnTheBus) {
   mem_->enqueue(tx(1, 0, 0, 0, 1, AccessType::kRead, 0));
   mem_->enqueue(tx(2, 0, 1, 1, 1, AccessType::kRead, 0));
   run_to_drain();
-  EXPECT_EQ(stats_.demand_read_latency.min(), 44u);
-  EXPECT_EQ(stats_.demand_read_latency.max(), 48u);  // +4 ns bus slot
+  EXPECT_EQ(stats().demand_read_latency.min(), 44u);
+  EXPECT_EQ(stats().demand_read_latency.max(), 48u);  // +4 ns bus slot
 }
 
 TEST_F(MultiChannelTest, ChannelsAreDistinctResources) {
@@ -96,14 +100,15 @@ TEST_F(MultiChannelTest, ControllersOwnOnlyTheirChannelsBanks) {
   EXPECT_EQ(mem_->num_channels(), 2u);
   EXPECT_EQ(mem_->channel(0).banks().size(), 4u);
   EXPECT_EQ(mem_->channel(1).banks().size(), 4u);
-  // The facade re-assembles them in global-resource order.
-  EXPECT_EQ(mem_->banks().size(), 8u);
+  // The end-of-run snapshot re-assembles them in global-resource order.
+  MetricsRegistry reg;
+  EXPECT_EQ(finish(reg).banks.size(), 8u);
 }
 
 TEST_F(MultiChannelTest, SaturatedChannelDoesNotBackpressureIdleChannel) {
   // Fill channel 0 to its per-channel capacity with same-bank writes.
   cfg_.queue_capacity = 4;
-  mem_ = std::make_unique<MemorySystem>(cfg_, *arch_, stats_);
+  mem_ = std::make_unique<MemorySystem>(cfg_);
   for (std::uint64_t i = 0; i < 4; ++i) {
     ASSERT_TRUE(mem_->can_accept(DecodedAddr{0, 0, 0, 1, 0}));
     mem_->enqueue(tx(i + 1, 0, 0, 0, 1, AccessType::kWrite, 0));
@@ -116,8 +121,8 @@ TEST_F(MultiChannelTest, SaturatedChannelDoesNotBackpressureIdleChannel) {
   // latency, undelayed by the saturated sibling.
   mem_->enqueue(tx(100, 1, 0, 0, 1, AccessType::kRead, 0));
   run_to_drain();
-  ASSERT_EQ(stats_.demand_read_latency.count(), 1u);
-  EXPECT_EQ(stats_.demand_read_latency.min(), 44u);  // 27 + 13 + 4, no queue
+  ASSERT_EQ(stats().demand_read_latency.count(), 1u);
+  EXPECT_EQ(stats().demand_read_latency.min(), 44u);  // 27 + 13 + 4, no queue
 }
 
 TEST_F(MultiChannelTest, PerChannelBusBusyTimesSumToGlobalFigure) {
@@ -133,8 +138,9 @@ TEST_F(MultiChannelTest, PerChannelBusBusyTimesSumToGlobalFigure) {
                      10 * i));
   }
   run_to_drain();
+  MetricsRegistry reg;
   std::uint64_t ops = 0;
-  for (const auto& s : mem_->banks()) ops += s.bank->ops();
+  for (const auto& b : finish(reg).banks) ops += b.ops;
   const Tick global_figure = ops * cfg_.timing.burst_ns();
   EXPECT_GT(global_figure, 0u);
   EXPECT_EQ(mem_->channel(0).bus_busy_time() + mem_->channel(1).bus_busy_time(),
@@ -149,7 +155,7 @@ TEST_F(MultiChannelTest, PerChannelMetricsPublished) {
   mem_->enqueue(tx(2, 1, 0, 0, 1, AccessType::kRead, 0));
   run_to_drain();
   MetricsRegistry reg;
-  mem_->publish_metrics(reg);
+  finish(reg);
   EXPECT_EQ(reg.counter("ch0.bus_busy_ns"), 4u);
   EXPECT_EQ(reg.counter("ch1.bus_busy_ns"), 4u);
   EXPECT_EQ(reg.counter("bus.busy_ns"), 8u);
@@ -167,7 +173,7 @@ TEST_F(MultiChannelTest, RefreshCoversBothChannels) {
   }
   run_to_drain(20000);
   // Each channel's refresh engine reaches its own pending row.
-  EXPECT_EQ(arch_->counters().get("refresh.rows"), 2u);
+  EXPECT_EQ(mem_->arch().counters().get("refresh.rows"), 2u);
   EXPECT_GE(mem_->channel(0).refresh_engine().commands(), 1u);
   EXPECT_GE(mem_->channel(1).refresh_engine().commands(), 1u);
 }

@@ -6,7 +6,7 @@
 #include <vector>
 
 #include "sim/experiment.h"
-#include "sim/parallel_sweep.h"
+#include "sim/run.h"
 
 namespace wompcm {
 namespace {
@@ -94,10 +94,12 @@ TEST(ParallelSweep, DefaultPolicyIsAutomatic) {
 TEST(ParallelSweep, RunnerPreservesRowAndColumnOrder) {
   const auto archs = paper_architectures();
   const auto profiles = test_profiles();
-  const ParallelSweepRunner runner(ParallelPolicy::with_jobs(3));
-  EXPECT_EQ(runner.jobs(), 3u);
-  const auto rows =
-      runner.run(paper_config(), archs, profiles, 1500, 7);
+  RunRequest req;
+  req.config = paper_config();
+  req.trace = TraceSpec::profile(WorkloadProfile{}, 1500);
+  req.options.seed = 7;
+  req.options.jobs = ParallelPolicy::with_jobs(3);
+  const auto rows = run_sweep(req, archs, profiles);
   ASSERT_EQ(rows.size(), profiles.size());
   for (std::size_t i = 0; i < rows.size(); ++i) {
     EXPECT_EQ(rows[i].benchmark, profiles[i].name);

@@ -1,5 +1,5 @@
 // The unified run-entry API (sim/run.h): RunRequest/TraceSpec semantics,
-// equivalence with the core engine (Simulator / per-cell runs), and the
+// equivalence with the core engine (SimService / per-cell runs), and the
 // womcode.h umbrella header (this file deliberately includes only it).
 #include <gtest/gtest.h>
 
@@ -62,14 +62,13 @@ TEST(TraceSpec, MixedSeedFoldsTheName) {
 
 TEST(RunApi, MatchesDirectSimulatorBitForBit) {
   // run() is trace opening + seed mixing + warmup resolution around the
-  // core engine: with warmup pinned, it must reproduce a raw Simulator
-  // over the identically-seeded source bit for bit.
+  // core engine: with warmup pinned, it must reproduce a batch SimService
+  // run over the identically-seeded source bit for bit.
   SimConfig cfg = small_config();
   cfg.warmup_accesses = 800;
   const auto spec = TraceSpec::profile(*find_profile("456.hmmer"), 4000);
   const auto src = spec.open(cfg.geom, /*seed=*/9);  // mixes internally
-  Simulator sim(cfg);
-  const SimResult direct = sim.run(*src);
+  const SimResult direct = SimService(cfg).run_to_completion(*src);
   const SimResult unified = run({cfg, spec, RunOptions::with_seed(9)});
   expect_identical(direct, unified);
 }
@@ -97,11 +96,11 @@ TEST(RunApi, UnknownBenchmarkThrowsWithTheName) {
 TEST(RunApi, WarmupOptionOverridesConfig) {
   SimConfig cfg = small_config();
   cfg.warmup_accesses = 0;
+  SimConfig warm = cfg;
+  warm.warmup_accesses = 2000;
   const auto trace = TraceSpec::benchmark("qsort", 4000);
-  RunOptions warm = RunOptions::with_seed(5);
-  warm.warmup = 2000;
   const SimResult none = run({cfg, trace, RunOptions::with_seed(5)});
-  const SimResult half = run({cfg, trace, warm});
+  const SimResult half = run({warm, trace, RunOptions::with_seed(5)});
   // Warmup discards latency samples but not simulated work.
   EXPECT_EQ(none.end_time, half.end_time);
   EXPECT_GT(none.stats.demand_write_latency.count(),
@@ -109,22 +108,23 @@ TEST(RunApi, WarmupOptionOverridesConfig) {
 }
 
 TEST(RunApi, OversizedWarmupThrows) {
-  RunOptions opts = RunOptions::with_seed(5);
-  opts.warmup = 100;
-  EXPECT_THROW(
-      run({small_config(), TraceSpec::benchmark("qsort", 100), opts}),
-      std::invalid_argument);
+  SimConfig cfg = small_config();
+  cfg.warmup_accesses = 100;
+  EXPECT_THROW(run({cfg, TraceSpec::benchmark("qsort", 100),
+                    RunOptions::with_seed(5)}),
+               std::invalid_argument);
 }
 
 TEST(RunApi, ScanModeOverrideIsObservationallyIdentical) {
-  SimConfig cfg = small_config();
-  cfg.arch.composition = arch_preset("refresh");
+  SimConfig indexed = small_config();
+  indexed.arch.composition = arch_preset("refresh");
+  indexed.sched.scan_mode = ScanMode::kIndexed;
+  SimConfig reference = indexed;
+  reference.sched.scan_mode = ScanMode::kReference;
   const auto trace = TraceSpec::benchmark("464.h264ref", 4000);
-  RunOptions indexed = RunOptions::with_seed(3);
-  indexed.scan_mode = ScanMode::kIndexed;
-  RunOptions reference = RunOptions::with_seed(3);
-  reference.scan_mode = ScanMode::kReference;
-  expect_identical(run({cfg, trace, indexed}), run({cfg, trace, reference}));
+  const RunOptions opts = RunOptions::with_seed(3);
+  expect_identical(run({indexed, trace, opts}),
+                   run({reference, trace, opts}));
 }
 
 TEST(RunApi, FileSpecReplaysTheRecordedStream) {

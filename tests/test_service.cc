@@ -242,7 +242,7 @@ TEST(ServiceDeterminism, MatchesBatchRunOverSameRecords) {
   const auto recs = burst_records(300, 9);
   const SimConfig cfg = small_config();
   VectorTraceSource src(recs);
-  const SimResult batch = Simulator(cfg).run(src);
+  const SimResult batch = SimService(cfg).run_to_completion(src);
   expect_identical(batch, drive_one(cfg, recs, 17));
 }
 
@@ -356,7 +356,7 @@ TEST_P(ServiceEquivalence, KSessionsMatchPreMergedBatch) {
   std::vector<std::unique_ptr<TraceSource>> parts;
   for (unsigned s = 0; s < kStreams; ++s) parts.push_back(stream_source(s));
   MixTraceSource mix(std::move(parts));
-  const SimResult batch = Simulator(cfg).run(mix);
+  const SimResult batch = SimService(cfg).run_to_completion(mix);
 
   // Service run: one live session per stream, chunked submits under
   // back-pressure, arrivals merged by the service itself.

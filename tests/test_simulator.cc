@@ -1,7 +1,8 @@
-// End-to-end tests of the Simulator driver on a small geometry.
+// End-to-end tests of the batch driver (SimService::run_to_completion) on
+// a small geometry.
 #include <gtest/gtest.h>
 
-#include "sim/simulator.h"
+#include "sim/service.h"
 #include "trace/synthetic.h"
 
 namespace wompcm {
@@ -31,8 +32,7 @@ std::vector<TraceRecord> simple_trace() {
 TEST(Simulator, CountsInjections) {
   SimConfig cfg = small_config();
   VectorTraceSource trace(simple_trace());
-  Simulator sim(cfg);
-  const SimResult r = sim.run(trace);
+  const SimResult r = SimService(cfg).run_to_completion(trace);
   EXPECT_EQ(r.injected_reads, 2u);
   EXPECT_EQ(r.injected_writes, 2u);
   EXPECT_EQ(r.stats.demand_read_latency.count(), 2u);
@@ -44,8 +44,7 @@ TEST(Simulator, CountsInjections) {
 TEST(Simulator, EmptyTrace) {
   SimConfig cfg = small_config();
   VectorTraceSource trace({});
-  Simulator sim(cfg);
-  const SimResult r = sim.run(trace);
+  const SimResult r = SimService(cfg).run_to_completion(trace);
   EXPECT_EQ(r.injected_reads + r.injected_writes, 0u);
   EXPECT_EQ(r.end_time, 0u);
 }
@@ -54,8 +53,7 @@ TEST(Simulator, WarmupExcludesLeadingAccesses) {
   SimConfig cfg = small_config();
   cfg.warmup_accesses = 2;
   VectorTraceSource trace(simple_trace());
-  Simulator sim(cfg);
-  const SimResult r = sim.run(trace);
+  const SimResult r = SimService(cfg).run_to_completion(trace);
   // All four still injected and simulated, but only two recorded.
   EXPECT_EQ(r.injected_reads + r.injected_writes, 4u);
   EXPECT_EQ(r.stats.demand_read_latency.count() +
@@ -73,8 +71,7 @@ TEST(Simulator, BackPressureDefersInjections) {
                        static_cast<Addr>((i % 8) * 64)});
   }
   VectorTraceSource trace(records);
-  Simulator sim(cfg);
-  const SimResult r = sim.run(trace);
+  const SimResult r = SimService(cfg).run_to_completion(trace);
   EXPECT_EQ(r.injected_writes, 16u);
   EXPECT_GT(r.deferred_injections, 0u);
 }
@@ -83,8 +80,7 @@ TEST(Simulator, ArchitecturePropagation) {
   SimConfig cfg = small_config();
   cfg.arch.composition = arch_preset("wcpcm");
   VectorTraceSource trace(simple_trace());
-  Simulator sim(cfg);
-  const SimResult r = sim.run(trace);
+  const SimResult r = SimService(cfg).run_to_completion(trace);
   EXPECT_EQ(r.arch_name, "wcpcm[rs23-inv]");
   EXPECT_NEAR(r.capacity_overhead, 1.5 / 2.0, 1e-9);
 }
@@ -99,8 +95,7 @@ TEST(Simulator, RefreshCountersSurface) {
       {100000, AccessType::kRead, 64},
   };
   VectorTraceSource trace(records);
-  Simulator sim(cfg);
-  const SimResult r = sim.run(trace);
+  const SimResult r = SimService(cfg).run_to_completion(trace);
   EXPECT_GE(r.refresh_commands, 1u);
   EXPECT_GE(r.refresh_rows, 1u);
 }
@@ -108,8 +103,7 @@ TEST(Simulator, RefreshCountersSurface) {
 TEST(Simulator, EnergySurfacesInResult) {
   SimConfig cfg = small_config();
   VectorTraceSource trace(simple_trace());
-  Simulator sim(cfg);
-  const SimResult r = sim.run(trace);
+  const SimResult r = SimService(cfg).run_to_completion(trace);
   EXPECT_GT(r.energy_write_pj, 0.0);
   EXPECT_GT(r.energy_read_pj, 0.0);
   EXPECT_DOUBLE_EQ(r.energy_refresh_pj, 0.0);
@@ -123,8 +117,7 @@ TEST(Simulator, DeterministicAcrossRuns) {
   double first_write = -1, first_read = -1;
   for (int i = 0; i < 2; ++i) {
     SyntheticTraceSource trace(p, cfg.geom, 99, 3000);
-    Simulator sim(cfg);
-    const SimResult r = sim.run(trace);
+    const SimResult r = SimService(cfg).run_to_completion(trace);
     if (i == 0) {
       first_write = r.avg_write_ns();
       first_read = r.avg_read_ns();
@@ -144,8 +137,7 @@ TEST(Simulator, WcpcmGeneratesInternalWrites) {
   const Addr b = mapper.encode(DecodedAddr{0, 0, 1, 5, 0});
   VectorTraceSource trace({{0, AccessType::kWrite, a},
                            {500, AccessType::kWrite, b}});
-  Simulator sim(cfg);
-  const SimResult r = sim.run(trace);
+  const SimResult r = SimService(cfg).run_to_completion(trace);
   EXPECT_EQ(r.stats.counters.get("ctrl.internal_writes"), 1u);
   EXPECT_EQ(r.stats.internal_write_latency.count(), 1u);
   EXPECT_EQ(r.stats.counters.get("wcpcm.victims"), 1u);

@@ -23,9 +23,12 @@
 //                      (channels=2 arch=wcpcm fault.enabled=true ...)
 //   --list-codes       print the registered code families (k/n/t/rate/
 //                      overhead/wear/LUT) and exit
+#include <climits>
+#include <cstdint>
 #include <cstdio>
 #include <exception>
 #include <memory>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -53,6 +56,26 @@ std::vector<std::string> split_list(const std::string& csv) {
     at = comma + 1;
   }
   return out;
+}
+
+// Reads the integer harness key `key` (`fallback` when absent). A value
+// that is not an integer in [lo, hi] is rejected with an error naming the
+// key and the value: a plain cast would wrap accesses=-5 to ~2^64 records,
+// and chunk=0 would never reach end of stream.
+std::int64_t int_arg(const KeyValueConfig& args, const std::string& key,
+                     std::int64_t fallback, std::int64_t lo,
+                     std::int64_t hi) {
+  if (!args.has(key)) return fallback;
+  const auto v = args.get_int(key);
+  if (!v || *v < lo || *v > hi) {
+    std::string range = ">= " + std::to_string(lo);
+    if (hi != INT64_MAX) range = "in [" + std::to_string(lo) + ", " +
+                                 std::to_string(hi) + "]";
+    throw std::invalid_argument("bad value for " + key + ": " +
+                                args.get_string_or(key, "") + " (must be " +
+                                range + ")");
+  }
+  return *v;
 }
 
 // Stream name shown in the report: the trace file's basename, or the
@@ -107,14 +130,17 @@ int main(int argc, char** argv) {
       split_list(args.get_string_or("traces", ""));
   const std::vector<std::string> profiles =
       split_list(args.get_string_or("profiles", ""));
-  const auto accesses =
-      static_cast<std::uint64_t>(args.get_int_or("accesses", 100000));
-  const auto seed = static_cast<std::uint64_t>(args.get_int_or("seed", 42));
-  const auto jobs = static_cast<unsigned>(args.get_int_or("jobs", 1));
-  const auto chunk = static_cast<std::size_t>(args.get_int_or("chunk", 256));
   if (traces.empty() && profiles.empty()) return usage();
 
   try {
+    const auto accesses = static_cast<std::uint64_t>(
+        int_arg(args, "accesses", 100000, 0, INT64_MAX));
+    const auto seed =
+        static_cast<std::uint64_t>(int_arg(args, "seed", 42, 0, INT64_MAX));
+    const auto jobs =
+        static_cast<unsigned>(int_arg(args, "jobs", 1, 0, UINT_MAX));
+    const auto chunk =
+        static_cast<std::size_t>(int_arg(args, "chunk", 256, 1, INT64_MAX));
     SimConfig cfg = paper_config();
     if (args.has("config")) {
       cfg = load_config_file(cfg, args.get_string_or("config", ""));
