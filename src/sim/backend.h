@@ -33,7 +33,7 @@ class SimBackend {
  public:
   virtual ~SimBackend() = default;
 
-  virtual const std::string& arch_name() const = 0;
+  virtual std::string arch_name() const = 0;
   virtual unsigned num_channels() const = 0;
 
   // Frontend back-pressure for the channel this address decodes to.

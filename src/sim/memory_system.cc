@@ -7,7 +7,6 @@ namespace wompcm {
 
 MemorySystem::MemorySystem(const SimConfig& cfg)
     : arch_(make_architecture(cfg.arch, cfg.geom, cfg.timing, cfg.fault)),
-      arch_name_(arch_->name()),
       dispatch_all_(cfg.sched.scan_mode == ScanMode::kReference) {
   channels_.reserve(cfg.geom.channels);
   for (unsigned c = 0; c < cfg.geom.channels; ++c) {

@@ -32,7 +32,7 @@ class MemorySystem final : public SimBackend {
   // cfg.geom.channels, each built from `cfg`.
   explicit MemorySystem(const SimConfig& cfg);
 
-  const std::string& arch_name() const override { return arch_name_; }
+  std::string arch_name() const override { return arch_->name(); }
   unsigned num_channels() const override {
     return static_cast<unsigned>(channels_.size());
   }
@@ -61,7 +61,6 @@ class MemorySystem final : public SimBackend {
 
  private:
   std::unique_ptr<Architecture> arch_;
-  std::string arch_name_;
   SimStats stats_;
   // Reference scan mode dispatches every tick to every channel instead of
   // only the channels with a due event (see ScanMode).

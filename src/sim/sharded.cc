@@ -84,7 +84,6 @@ ShardedBackend::ShardedBackend(const SimConfig& cfg, unsigned jobs) {
         std::make_unique<MemoryController>(cfg, c, *lane->arch, lane->stats);
     lanes_.push_back(std::move(lane));
   }
-  arch_name_ = lanes_[0]->arch->name();
 
   // Lane c belongs to executor c % executors; the coordinator (the thread
   // calling tick()) is executor 0, workers are 1..executors-1.

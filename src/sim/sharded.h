@@ -52,7 +52,9 @@ class ShardedBackend final : public SimBackend {
   ShardedBackend(const SimConfig& cfg, unsigned jobs);
   ~ShardedBackend() override;
 
-  const std::string& arch_name() const override { return arch_name_; }
+  std::string arch_name() const override {
+    return lanes_[0]->arch->name();
+  }
   unsigned num_channels() const override {
     return static_cast<unsigned>(lanes_.size());
   }
@@ -98,7 +100,6 @@ class ShardedBackend final : public SimBackend {
   static void wait_for_done(const Barrier& bar, unsigned workers);
   void retire_workers();
 
-  std::string arch_name_;
   bool dispatch_all_ = false;  // reference scan mode ticks every channel
   unsigned executors_ = 0;     // coordinator + workers
   std::vector<std::unique_ptr<Lane>> lanes_;
