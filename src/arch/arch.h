@@ -1,12 +1,14 @@
-// Architecture interface: the policy layer the memory controller consults.
+// Architecture: the policy layer the memory controller consults.
 //
 // The controller owns the timing machinery (queues, banks, bus, refresh
-// engine); an Architecture decides *where* an access goes (which bank-like
+// engine); the Architecture decides *where* an access goes (which bank-like
 // resource), *how long* its array phase takes (the WOM fast path vs the
 // alpha-write), and what side work it creates (WCPCM victim write-backs).
+// It is one concrete class, built complete from an ArchConfig whose
+// Composition names the policies it wires together.
 //
 // Resource indexing: main banks occupy flat indices
-// [0, channels*ranks*banks_per_rank); architectures with per-rank WOM-cache
+// [0, channels*ranks*banks_per_rank); compositions with per-rank WOM-cache
 // arrays (WCPCM) append one resource per rank after the main banks.
 #pragma once
 
@@ -29,6 +31,11 @@
 #include "stats/stats.h"
 
 namespace wompcm {
+
+class CacheLayer;
+class CodingPolicy;
+class RatRefreshPolicy;
+class WomCode;
 
 // An internal write the controller must enqueue on behalf of the
 // architecture (e.g. a WOM-cache victim flushed to PCM main memory).
@@ -130,7 +137,7 @@ Composition validate_composition(Composition c);
 
 struct ArchConfig {
   // The architecture; the default is conventional PCM (preset pcm).
-  // make_architecture() validates it.
+  // The Architecture constructor validates it.
   Composition composition;
   // WOM-code used by every WOM-coded region; must be an inverted code.
   std::string code = "rs23-inv";
@@ -139,61 +146,75 @@ struct ArchConfig {
   // sectioned families (polar / ts-constrained) to their family default.
   std::string main_code;
   std::string cache_code;
-  // Row-address-table capacity per refresh unit (Section 3.2 uses 5).
+  // Row-address-table capacity per refresh unit (Section 3.2 uses 5);
+  // must be >= 1.
   unsigned rat_entries = 5;
   // Flip-N-Write: probability that a write needs no SET pulse at all.
   double fnw_fast_fraction = 0.0;
   std::uint64_t seed = 1;
   // Optional Start-Gap wear leveling on the main-memory rows (endurance
   // extension; the paper leaves endurance open). One gap move per
-  // `start_gap_interval` writes per bank. Rejected with a cache front end:
-  // the cache index is the row address, so remapping main rows would
-  // desynchronize the tags.
+  // `start_gap_interval` (>= 1) writes per bank. Rejected with a cache
+  // front end: the cache index is the row address, so remapping main rows
+  // would desynchronize the tags.
   bool start_gap = false;
   unsigned start_gap_interval = 128;
 };
 
+// The architecture: one composition of orthogonal policies. It wires a
+// main-memory CodingPolicy, an optional per-rank WOM-cache CacheLayer (with
+// its own CodingPolicy) and per-region RatRefreshPolicy instances, and owns
+// what every composition shares: routing, Start-Gap, the fault pipeline and
+// the accounting books.
 class Architecture {
  public:
-  Architecture(const MemoryGeometry& geom, const PcmTiming& timing);
-  virtual ~Architecture() = default;
+  // Builds the complete architecture, in this order: validates the geometry,
+  // the timing, Start-Gap (rejected with a cache front end), cfg.rat_entries
+  // and cfg.start_gap_interval (both >= 1); validates cfg.composition and
+  // resolves the code of each WOM-coded region (unknown / non-inverted codes
+  // throw); enables Start-Gap when cfg.start_gap; installs the fault model
+  // (pcm/fault_model.h; a disabled config keeps the off-path bit-identical
+  // to a build without faults). Throws std::invalid_argument naming the
+  // problem.
+  Architecture(const MemoryGeometry& geom, const PcmTiming& timing,
+               const ArchConfig& cfg, const FaultConfig& fault = {});
+  ~Architecture();
 
-  virtual std::string name() const = 0;
+  std::string name() const;
 
   // Total bank-like resources (main banks + any per-rank cache arrays).
-  virtual unsigned num_resources() const;
+  unsigned num_resources() const;
 
   // Resource an access will occupy. Pure routing: must not mutate state.
-  virtual unsigned route(const DecodedAddr& dec, AccessType type,
-                         bool internal) const;
+  unsigned route(const DecodedAddr& dec, AccessType type, bool internal) const;
 
   // True when route() for demand reads can change while the read waits in
-  // a queue (WCPCM probes mutable cache tags). Controllers must not cache
-  // the routing of such reads at enqueue time; every other access class is
-  // required to route identically for the lifetime of the transaction.
-  virtual bool read_route_dynamic() const { return false; }
+  // a queue: with a cache front end, demand reads probe the mutable cache
+  // tags. Controllers must not cache the routing of such reads at enqueue
+  // time; every other access class is required to route identically for
+  // the lifetime of the transaction.
+  bool read_route_dynamic() const { return cache_ != nullptr; }
 
   // Monotone stamp that advances whenever route() could start returning a
   // different resource for some queued demand read (tag state mutated).
   // While the stamp is unchanged, schedulers may reuse a dynamic read's
   // previously computed route instead of re-probing every scan.
-  virtual std::uint64_t route_version() const { return 0; }
+  std::uint64_t route_version() const;
 
   // Channel that owns a bank-like resource. Resources never span channels;
   // per-channel controllers use this to claim exactly their own banks.
-  virtual unsigned resource_channel(unsigned resource) const;
+  unsigned resource_channel(unsigned resource) const;
 
-  // True for auxiliary cache arrays (e.g. the per-rank WOM-cache), false
-  // for main-memory banks. Drives the per-class utilization/row-hit split.
-  virtual bool is_cache_resource(unsigned resource) const {
-    (void)resource;
-    return false;
+  // True for the per-rank WOM-cache arrays, false for main-memory banks.
+  // Drives the per-class utilization/row-hit split.
+  bool is_cache_resource(unsigned resource) const {
+    return cache_ != nullptr && resource >= main_banks();
   }
 
   // Commits the access at issue time (updates WOM generations, cache tags,
   // energy) and returns its plan. Called exactly once per issued access.
-  virtual IssuePlan plan(const DecodedAddr& dec, AccessType type,
-                         bool internal, Tick now) = 0;
+  IssuePlan plan(const DecodedAddr& dec, AccessType type, bool internal,
+                 Tick now);
 
   // ---- PCM-refresh hooks (Section 3.2) ----
 
@@ -203,25 +224,26 @@ class Architecture {
     unsigned rows = 0;                // rows re-initialized
   };
 
-  virtual bool refresh_enabled() const { return false; }
+  bool refresh_enabled() const {
+    return main_rat_ != nullptr || cache_rat_ != nullptr;
+  }
   // Fraction of this rank's refreshable units that have at least one row
   // pending re-initialization (compared against r_th by the engine).
-  virtual double refresh_pending_fraction(unsigned channel,
-                                          unsigned rank) const;
+  double refresh_pending_fraction(unsigned channel, unsigned rank) const;
   // Executes one burst-mode refresh command against the units of
   // (channel, rank) for which `unit_ready` is true (idle banks: demand on
   // the other banks proceeds untouched, which is what write pausing buys).
   // Pops pending rows from the row address tables and re-initializes them.
-  virtual RefreshWork perform_refresh(
-      unsigned channel, unsigned rank,
-      const std::function<bool(unsigned)>& unit_ready);
+  RefreshWork perform_refresh(unsigned channel, unsigned rank,
+                              const std::function<bool(unsigned)>& unit_ready);
   // Resources a refresh of (channel, rank) may touch.
-  virtual std::vector<unsigned> refresh_resources(unsigned channel,
-                                                  unsigned rank) const;
+  std::vector<unsigned> refresh_resources(unsigned channel,
+                                          unsigned rank) const;
 
-  // Capacity overhead of the architecture relative to uncoded PCM
-  // (e.g. 0.5 for full <2^2>^2/3 WOM-code PCM, 1.5/32 for WCPCM).
-  virtual double capacity_overhead() const { return 0.0; }
+  // Capacity overhead relative to uncoded PCM (e.g. 0.5 for full
+  // <2^2>^2/3 WOM-code PCM, 1.5/32 for WCPCM): the main coding's expansion
+  // plus, with a cache, one coded bank's worth of rows per rank.
+  double capacity_overhead() const;
 
   const CounterSet& counters() const { return counters_; }
   const EnergyCounters& energy() const { return energy_; }
@@ -242,39 +264,42 @@ class Architecture {
   // donor must be built from the same configuration.
   void merge_accounting_from(const Architecture& o);
 
-  // Enables Start-Gap wear leveling on the main-memory banks. Must be
-  // called before the first plan().
-  void enable_start_gap(unsigned interval);
   bool start_gap_enabled() const { return !start_gap_.empty(); }
-
-  // Installs the fault-injection model (pcm/fault_model.h). A disabled
-  // config is a no-op, keeping the off-path bit-identical to a build
-  // without faults. Must be called before the first plan();
-  // make_architecture() does it. Throws std::invalid_argument on a bad
-  // fault config.
-  void configure_faults(const FaultConfig& fault);
   bool faults_enabled() const { return fault_ != nullptr; }
   // Test/diagnostic access; null while faults are off.
   const SpareRowRemapper* remapper() const { return remap_.get(); }
   const FaultModel* fault_model() const { return fault_.get(); }
 
- protected:
+  // The symbol code behind the WOM-coded regions (main memory's first);
+  // null when none exists or the regions run a native block family.
+  const WomCode* code() const;
+  // Test access: pending rows in one main bank's RAT.
+  std::size_t rat_size(unsigned flat_bank_idx) const;
+  double write_hit_rate() const;
+
+ private:
   unsigned main_banks() const { return mapper_.num_flat_banks(); }
   unsigned flat_bank(const DecodedAddr& dec) const {
     return mapper_.flat_bank(dec);
   }
-  std::uint64_t row_key(const DecodedAddr& dec) const {
-    return static_cast<std::uint64_t>(flat_bank(dec)) * geom_.rows_per_bank +
-           dec.row;
-  }
   std::uint64_t row_key_for(unsigned bank, unsigned row) const {
     // Physical rows may include the Start-Gap spare (== rows_per_bank) and,
     // with faults enabled, the bank's fault spares — the stride widens to
-    // cover them (see configure_faults), so keys never collide across
-    // banks. With faults off the stride is rows_per_bank + 1, unchanged.
+    // cover them (see the constructor), so keys never collide across banks.
+    // With faults off the stride is rows_per_bank + 1, unchanged.
     return static_cast<std::uint64_t>(bank) * row_key_stride_ + row;
   }
   std::uint64_t line_bits() const { return geom_.line_bytes() * 8ull; }
+  unsigned cache_resource(unsigned channel, unsigned rank) const;
+  // Wear/fault row key for a cache row, disjoint from main-memory keys
+  // (cache arrays are keyed as banks appended after the main banks).
+  std::uint64_t cache_wear_key(unsigned cache_idx, unsigned row) const {
+    return row_key_for(main_banks() + cache_idx, row);
+  }
+
+  IssuePlan plan_main_write(const DecodedAddr& dec, bool internal,
+                            IssuePlan p);
+  IssuePlan plan_cache_write(const DecodedAddr& dec, IssuePlan p);
 
   // Physical row backing this access. With Start-Gap enabled, writes may
   // trigger a gap move whose row-copy cost is charged to `plan->post_ns`.
@@ -341,20 +366,30 @@ class Architecture {
   std::unique_ptr<SpareRowRemapper> remap_;  // null = no spare pool
   std::vector<FaultTally> fault_by_channel_;
   unsigned row_key_stride_;  // rows_per_bank + 1 (+ fault spares)
-};
 
-// Factory. Throws std::invalid_argument on bad configuration (invalid
-// composition, unknown code name, non-inverted code for a WOM architecture,
-// start_gap with a cache front end, ...).
-std::unique_ptr<Architecture> make_architecture(const ArchConfig& cfg,
-                                                const MemoryGeometry& geom,
-                                                const PcmTiming& timing);
-// As above, plus fault injection (configure_faults is called before the
-// architecture is returned; a disabled FaultConfig is exactly the 3-arg
-// overload).
-std::unique_ptr<Architecture> make_architecture(const ArchConfig& cfg,
-                                                const MemoryGeometry& geom,
-                                                const PcmTiming& timing,
-                                                const FaultConfig& fault);
+  Composition comp_;
+  // Channel of the access currently being planned (or rank being
+  // refreshed). Set at the top of plan()/perform_refresh() and aliased by
+  // the coding policies' RegionContext::channel, it keys every per-channel
+  // stream — energy buckets, the FNW draw RNGs — so per-channel accounting
+  // stays exact whether channels run interleaved (serial) or each on its
+  // own worker against its own replica (sharded).
+  unsigned active_channel_ = 0;
+  std::unique_ptr<CodingPolicy> main_coding_;
+  std::unique_ptr<CacheLayer> cache_;             // null = no front end
+  std::unique_ptr<RatRefreshPolicy> main_rat_;    // null = not attached
+  std::unique_ptr<RatRefreshPolicy> cache_rat_;   // null = not attached
+
+  // Lazily-bound counter slots for the per-access hot path (see bump).
+  std::uint64_t* ctr_reads_ = nullptr;
+  std::uint64_t* ctr_write_hits_ = nullptr;
+  std::uint64_t* ctr_write_misses_ = nullptr;
+  std::uint64_t* ctr_victims_ = nullptr;
+  std::uint64_t* ctr_read_hits_ = nullptr;
+  std::uint64_t* ctr_read_misses_ = nullptr;
+  std::uint64_t* ctr_dead_rows_ = nullptr;
+  std::uint64_t* ctr_bypass_writes_ = nullptr;
+  std::uint64_t* ctr_refresh_rows_ = nullptr;
+};
 
 }  // namespace wompcm

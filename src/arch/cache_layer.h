@@ -8,8 +8,8 @@
 // design space as the DRAM front tier. The layer additionally owns the
 // per-line valid bitmaps (the cache row only holds the lines written since
 // the install) and the cache's CodingPolicy; the access protocol (victim
-// spawning, bypass, fault pipeline, refresh scheduling) stays in
-// ComposedArchitecture.
+// spawning, bypass, fault pipeline, refresh scheduling) stays in the
+// Architecture.
 #pragma once
 
 #include <cstdint>

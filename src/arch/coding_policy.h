@@ -4,7 +4,7 @@
 // A CodingPolicy owns the region's generation tracking, write classing and
 // program-latency selection, plus the per-write counter/energy/wear
 // accounting. It deliberately does NOT own routing, fault injection or
-// refresh scheduling — those stay in ComposedArchitecture so one fault
+// refresh scheduling — those stay in the Architecture so one fault
 // pipeline and one refresh engine serve every composition. The write path
 // is split around the fault pipeline:
 //
@@ -14,7 +14,7 @@
 //   finish_write()  counters, energy, wear, organization extras
 //
 // so demotion and remapping are charged at the rates the cells actually
-// saw, exactly as in the monolithic architecture classes this replaces.
+// saw.
 #pragma once
 
 #include <cstdint>
@@ -28,8 +28,8 @@
 namespace wompcm {
 
 // The accounting surface a policy publishes into. The pointers alias the
-// owning ComposedArchitecture's own state, so both regions of a composition
-// write one set of books (as the legacy classes did).
+// owning Architecture's own state, so both regions of a composition write
+// one set of books.
 struct RegionContext {
   const PcmTiming* timing = nullptr;
   CounterSet* counters = nullptr;
@@ -91,8 +91,7 @@ class CodingPolicy {
 
   // Read-path energy (the caller owns the read counters) and organization
   // extras (the hidden-page dependent second access), split so the fault
-  // pipeline's read hook runs between them exactly as it did in the
-  // monolithic classes.
+  // pipeline's read hook runs between them.
   virtual void read_energy(IssuePlan* p) = 0;
   virtual void read_extras(IssuePlan* p) { (void)p; }
 

@@ -1,15 +1,15 @@
 #include "arch/refresh_policy.h"
 
 #include <algorithm>
+#include <cassert>
 
 namespace wompcm {
 
 RatRefreshPolicy::RatRefreshPolicy(unsigned units, unsigned entries,
                                    ServeOrder order, CounterSet* counters)
-    : entries_(entries == 0 ? 1 : entries),
-      order_(order),
-      rat_(units),
-      counters_(counters) {}
+    : entries_(entries), order_(order), rat_(units), counters_(counters) {
+  assert(entries_ >= 1);
+}
 
 void RatRefreshPolicy::touch(unsigned unit, std::uint64_t entry) {
   auto& q = rat_[unit];

@@ -28,8 +28,8 @@ class RatRefreshPolicy final {
     kOldestFirst,  // pop from the front (the WOM-cache's table, Section 4)
   };
 
-  // `counters` outlives the policy; rat.insert / rat.evict / rat.stale_pop
-  // are accounted there.
+  // Each unit's table holds `entries` (>= 1) rows. `counters` outlives the
+  // policy; rat.insert / rat.evict / rat.stale_pop are accounted there.
   RatRefreshPolicy(unsigned units, unsigned entries, ServeOrder order,
                    CounterSet* counters);
 

@@ -5,8 +5,8 @@
 namespace wompcm {
 
 StartGapRemapper::StartGapRemapper(unsigned rows, unsigned interval)
-    : rows_(rows), interval_(interval == 0 ? 1 : interval), gap_(rows) {
-  assert(rows_ >= 1);
+    : rows_(rows), interval_(interval), gap_(rows) {
+  assert(rows_ >= 1 && interval_ >= 1);
 }
 
 unsigned StartGapRemapper::remap(unsigned logical_row) const {

@@ -20,7 +20,7 @@ namespace wompcm {
 
 class StartGapRemapper {
  public:
-  // `rows` logical rows; a gap move happens every `interval` writes.
+  // `rows` logical rows; a gap move happens every `interval` (>= 1) writes.
   StartGapRemapper(unsigned rows, unsigned interval);
 
   // Physical row currently backing `logical_row` (< rows). The result is in

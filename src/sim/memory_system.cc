@@ -6,12 +6,12 @@
 namespace wompcm {
 
 MemorySystem::MemorySystem(const SimConfig& cfg)
-    : arch_(make_architecture(cfg.arch, cfg.geom, cfg.timing, cfg.fault)),
+    : arch_(cfg.geom, cfg.timing, cfg.arch, cfg.fault),
       dispatch_all_(cfg.sched.scan_mode == ScanMode::kReference) {
   channels_.reserve(cfg.geom.channels);
   for (unsigned c = 0; c < cfg.geom.channels; ++c) {
     channels_.push_back(
-        std::make_unique<MemoryController>(cfg, c, *arch_, stats_));
+        std::make_unique<MemoryController>(cfg, c, arch_, stats_));
   }
 }
 
@@ -68,16 +68,16 @@ void MemorySystem::fold_stream(std::uint32_t stream,
 void MemorySystem::finish(MetricsRegistry& reg, SimResult& result) {
   reg.set_counter("sim.end_time", last_completion());
   for (const auto& c : channels_) c->publish_metrics(reg);
-  arch_->publish_metrics(reg, last_completion());
+  arch_.publish_metrics(reg, last_completion());
   result.stats.merge_from(stats_);
-  result.stats.counters.merge(arch_->counters());
-  const unsigned total = arch_->num_resources();
+  result.stats.counters.merge(arch_.counters());
+  const unsigned total = arch_.num_resources();
   result.banks.reserve(total);
   for (unsigned r = 0; r < total; ++r) {
-    const Bank& b = channels_[arch_->resource_channel(r)]->bank(r);
+    const Bank& b = channels_[arch_.resource_channel(r)]->bank(r);
     result.banks.push_back(SimResult::BankUtilization{
         b.busy_time(), b.ops(), b.row_hits(), b.pauses(),
-        arch_->is_cache_resource(r)});
+        arch_.is_cache_resource(r)});
   }
 }
 

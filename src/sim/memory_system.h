@@ -32,7 +32,7 @@ class MemorySystem final : public SimBackend {
   // cfg.geom.channels, each built from `cfg`.
   explicit MemorySystem(const SimConfig& cfg);
 
-  std::string arch_name() const override { return arch_->name(); }
+  std::string arch_name() const override { return arch_.name(); }
   unsigned num_channels() const override {
     return static_cast<unsigned>(channels_.size());
   }
@@ -56,11 +56,11 @@ class MemorySystem final : public SimBackend {
 
   MemoryController& channel(unsigned c) { return *channels_[c]; }
   const MemoryController& channel(unsigned c) const { return *channels_[c]; }
-  const Architecture& arch() const { return *arch_; }
+  const Architecture& arch() const { return arch_; }
   const SimStats& stats() const { return stats_; }
 
  private:
-  std::unique_ptr<Architecture> arch_;
+  Architecture arch_;
   SimStats stats_;
   // Reference scan mode dispatches every tick to every channel instead of
   // only the channels with a due event (see ScanMode).

@@ -78,10 +78,9 @@ ShardedBackend::ShardedBackend(const SimConfig& cfg, unsigned jobs) {
   // books equals the one shared instance the serial backend keeps.
   lanes_.reserve(channels);
   for (unsigned c = 0; c < channels; ++c) {
-    auto lane = std::make_unique<Lane>();
-    lane->arch = make_architecture(cfg.arch, cfg.geom, cfg.timing, cfg.fault);
+    auto lane = std::make_unique<Lane>(cfg);
     lane->ctl =
-        std::make_unique<MemoryController>(cfg, c, *lane->arch, lane->stats);
+        std::make_unique<MemoryController>(cfg, c, lane->arch, lane->stats);
     lanes_.push_back(std::move(lane));
   }
 
@@ -211,14 +210,14 @@ void ShardedBackend::finish(MetricsRegistry& reg, SimResult& result) {
   reg.set_counter("sim.end_time", last_completion());
   for (const auto& lane : lanes_) lane->ctl->publish_metrics(reg);
   for (unsigned c = 1; c < channels; ++c) {
-    lanes_[0]->arch->merge_accounting_from(*lanes_[c]->arch);
+    lanes_[0]->arch.merge_accounting_from(lanes_[c]->arch);
   }
-  lanes_[0]->arch->publish_metrics(reg, last_completion());
+  lanes_[0]->arch.publish_metrics(reg, last_completion());
 
   for (const auto& lane : lanes_) result.stats.merge_from(lane->stats);
-  result.stats.counters.merge(lanes_[0]->arch->counters());
+  result.stats.counters.merge(lanes_[0]->arch.counters());
 
-  const Architecture& arch0 = *lanes_[0]->arch;
+  const Architecture& arch0 = lanes_[0]->arch;
   result.banks.reserve(arch0.num_resources());
   for (unsigned r = 0; r < arch0.num_resources(); ++r) {
     const Bank& b = lanes_[arch0.resource_channel(r)]->ctl->bank(r);

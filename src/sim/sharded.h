@@ -53,7 +53,7 @@ class ShardedBackend final : public SimBackend {
   ~ShardedBackend() override;
 
   std::string arch_name() const override {
-    return lanes_[0]->arch->name();
+    return lanes_[0]->arch.name();
   }
   unsigned num_channels() const override {
     return static_cast<unsigned>(lanes_.size());
@@ -76,7 +76,9 @@ class ShardedBackend final : public SimBackend {
   // stats sink. Replica c only ever services channel c, so the lanes share
   // no mutable state — the barrier below is the only synchronization.
   struct Lane {
-    std::unique_ptr<Architecture> arch;
+    explicit Lane(const SimConfig& cfg)
+        : arch(cfg.geom, cfg.timing, cfg.arch, cfg.fault) {}
+    Architecture arch;
     SimStats stats;
     std::unique_ptr<MemoryController> ctl;
   };

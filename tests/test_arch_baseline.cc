@@ -2,8 +2,9 @@
 // Flip-N-Write coding policies (through their canonical compositions).
 #include <gtest/gtest.h>
 
+#include <memory>
+
 #include "arch/arch.h"
-#include "arch/composed.h"
 
 namespace wompcm {
 namespace {
@@ -33,7 +34,7 @@ ArchConfig fnw_cfg(double fast_fraction, std::uint64_t seed) {
 }
 
 TEST(BaselinePcm, EveryWriteIsSlowEveryTime) {
-  ComposedArchitecture arch(small_geom(), PcmTiming{}, baseline_cfg());
+  Architecture arch(small_geom(), PcmTiming{}, baseline_cfg());
   EXPECT_EQ(arch.name(), "pcm");
   DecodedAddr d{0, 1, 2, 3, 4};
   for (int i = 0; i < 5; ++i) {
@@ -48,7 +49,7 @@ TEST(BaselinePcm, EveryWriteIsSlowEveryTime) {
 }
 
 TEST(BaselinePcm, ReadsHaveNoProgramPhase) {
-  ComposedArchitecture arch(small_geom(), PcmTiming{}, baseline_cfg());
+  Architecture arch(small_geom(), PcmTiming{}, baseline_cfg());
   DecodedAddr d{0, 0, 0, 7, 0};
   const IssuePlan p = arch.plan(d, AccessType::kRead, false, 0);
   EXPECT_EQ(p.program_ns, 0u);
@@ -58,7 +59,7 @@ TEST(BaselinePcm, ReadsHaveNoProgramPhase) {
 
 TEST(BaselinePcm, RoutesToFlatBank) {
   const MemoryGeometry g = small_geom();
-  ComposedArchitecture arch(g, PcmTiming{}, baseline_cfg());
+  Architecture arch(g, PcmTiming{}, baseline_cfg());
   AddressMapper mapper(g);
   DecodedAddr d{0, 1, 3, 0, 0};
   EXPECT_EQ(arch.route(d, AccessType::kRead, false), mapper.flat_bank(d));
@@ -66,7 +67,7 @@ TEST(BaselinePcm, RoutesToFlatBank) {
 }
 
 TEST(BaselinePcm, NoRefreshHooks) {
-  ComposedArchitecture arch(small_geom(), PcmTiming{}, baseline_cfg());
+  Architecture arch(small_geom(), PcmTiming{}, baseline_cfg());
   EXPECT_FALSE(arch.refresh_enabled());
   EXPECT_DOUBLE_EQ(arch.refresh_pending_fraction(0, 0), 0.0);
   const auto work = arch.perform_refresh(0, 0, [](unsigned) { return true; });
@@ -76,23 +77,22 @@ TEST(BaselinePcm, NoRefreshHooks) {
 
 TEST(BaselinePcm, RefreshResourcesCoverRankBanks) {
   const MemoryGeometry g = small_geom();
-  ComposedArchitecture arch(g, PcmTiming{}, baseline_cfg());
+  Architecture arch(g, PcmTiming{}, baseline_cfg());
   const auto res = arch.refresh_resources(0, 1);
   ASSERT_EQ(res.size(), g.banks_per_rank);
   EXPECT_EQ(res.front(), g.banks_per_rank);  // rank 1 starts after rank 0
 }
 
 TEST(BaselinePcm, IgnoresUnresolvableCodeName) {
-  // A composition with no WOM-coded region never resolves cfg.code, exactly
-  // as the monolithic BaselinePcm ignored it.
+  // A composition with no WOM-coded region never resolves cfg.code.
   ArchConfig cfg = baseline_cfg();
   cfg.code = "no-such-code";
-  ComposedArchitecture arch(small_geom(), PcmTiming{}, cfg);
+  Architecture arch(small_geom(), PcmTiming{}, cfg);
   EXPECT_EQ(arch.code(), nullptr);
 }
 
 TEST(FlipNWrite, DefaultNeverFast) {
-  ComposedArchitecture arch(small_geom(), PcmTiming{}, fnw_cfg(0.0, 1));
+  Architecture arch(small_geom(), PcmTiming{}, fnw_cfg(0.0, 1));
   EXPECT_EQ(arch.name(), "flip-n-write");
   DecodedAddr d{0, 0, 0, 1, 0};
   for (int i = 0; i < 20; ++i) {
@@ -103,7 +103,7 @@ TEST(FlipNWrite, DefaultNeverFast) {
 }
 
 TEST(FlipNWrite, FastFractionRoughlyHonored) {
-  ComposedArchitecture arch(small_geom(), PcmTiming{}, fnw_cfg(0.5, 7));
+  Architecture arch(small_geom(), PcmTiming{}, fnw_cfg(0.5, 7));
   DecodedAddr d{0, 0, 0, 1, 0};
   for (int i = 0; i < 2000; ++i) {
     arch.plan(d, AccessType::kWrite, false, 0);
@@ -114,8 +114,8 @@ TEST(FlipNWrite, FastFractionRoughlyHonored) {
 
 TEST(FlipNWrite, HalvesWriteEnergyVersusBaseline) {
   const MemoryGeometry g = small_geom();
-  ComposedArchitecture base(g, PcmTiming{}, baseline_cfg());
-  ComposedArchitecture fnw(g, PcmTiming{}, fnw_cfg(0.0, 1));
+  Architecture base(g, PcmTiming{}, baseline_cfg());
+  Architecture fnw(g, PcmTiming{}, fnw_cfg(0.0, 1));
   DecodedAddr d{0, 0, 0, 1, 0};
   for (int i = 0; i < 10; ++i) {
     base.plan(d, AccessType::kWrite, false, 0);
@@ -132,7 +132,7 @@ TEST(Factory, BuildsEveryKind) {
   for (const char* preset : {"pcm", "wom", "refresh", "wcpcm", "fnw"}) {
     ArchConfig cfg;
     cfg.composition = arch_preset(preset);
-    const auto arch = make_architecture(cfg, g, t);
+    const auto arch = std::make_unique<Architecture>(g, t, cfg);
     ASSERT_NE(arch, nullptr);
     EXPECT_FALSE(arch->name().empty());
   }
@@ -142,10 +142,10 @@ TEST(Factory, RejectsNonInvertedCodeForWomArchitectures) {
   ArchConfig cfg;
   cfg.composition = arch_preset("wom");
   cfg.code = "rs23";  // conventional direction: illegal for PCM
-  EXPECT_THROW(make_architecture(cfg, small_geom(), PcmTiming{}),
+  EXPECT_THROW(Architecture(small_geom(), PcmTiming{}, cfg),
                std::invalid_argument);
   cfg.code = "no-such-code";
-  EXPECT_THROW(make_architecture(cfg, small_geom(), PcmTiming{}),
+  EXPECT_THROW(Architecture(small_geom(), PcmTiming{}, cfg),
                std::invalid_argument);
 }
 
@@ -153,11 +153,10 @@ TEST(Factory, RejectsBadGeometryAndTiming) {
   ArchConfig cfg;
   MemoryGeometry g = small_geom();
   g.ranks = 3;
-  EXPECT_THROW(make_architecture(cfg, g, PcmTiming{}), std::invalid_argument);
+  EXPECT_THROW(Architecture(g, PcmTiming{}, cfg), std::invalid_argument);
   PcmTiming t;
   t.reset_ns = 0;
-  EXPECT_THROW(make_architecture(cfg, small_geom(), t),
-               std::invalid_argument);
+  EXPECT_THROW(Architecture(small_geom(), t, cfg), std::invalid_argument);
 }
 
 }  // namespace

@@ -4,7 +4,6 @@
 #include <gtest/gtest.h>
 
 #include "arch/arch.h"
-#include "arch/composed.h"
 
 namespace wompcm {
 namespace {
@@ -40,7 +39,7 @@ class WcpcmTest : public ::testing::Test {
   }
 
   MemoryGeometry geom_;
-  ComposedArchitecture arch_;
+  Architecture arch_;
   AddressMapper mapper_;
 };
 
@@ -57,7 +56,7 @@ TEST_F(WcpcmTest, OverheadMatchesPaperFormula) {
   EXPECT_DOUBLE_EQ(arch_.capacity_overhead(), 1.5 / 4.0);
   MemoryGeometry g32 = geom_;
   g32.banks_per_rank = 32;
-  ComposedArchitecture arch32(g32, PcmTiming{}, wcpcm_cfg());
+  Architecture arch32(g32, PcmTiming{}, wcpcm_cfg());
   EXPECT_NEAR(arch32.capacity_overhead(), 0.047, 0.001);
 }
 
@@ -195,10 +194,10 @@ TEST_F(WcpcmTest, RefreshResourceIsTheCacheArrayOnly) {
 
 TEST_F(WcpcmTest, RejectsBadCode) {
   EXPECT_THROW(
-      ComposedArchitecture(geom_, PcmTiming{}, wcpcm_cfg(5, "rs23")),
+      Architecture(geom_, PcmTiming{}, wcpcm_cfg(5, "rs23")),
       std::invalid_argument);
   EXPECT_THROW(
-      ComposedArchitecture(geom_, PcmTiming{}, wcpcm_cfg(5, "no-such-code")),
+      Architecture(geom_, PcmTiming{}, wcpcm_cfg(5, "no-such-code")),
       std::invalid_argument);
 }
 

@@ -4,7 +4,6 @@
 #include <gtest/gtest.h>
 
 #include "arch/arch.h"
-#include "arch/composed.h"
 
 namespace wompcm {
 namespace {
@@ -36,18 +35,18 @@ ArchConfig refresh_cfg(unsigned rat_entries) {
 }
 
 TEST(WomPcm, RequiresInvertedCode) {
-  EXPECT_THROW(ComposedArchitecture(small_geom(), PcmTiming{},
+  EXPECT_THROW(Architecture(small_geom(), PcmTiming{},
                                     wom_cfg(CodingKind::kWomWide,
                                             "rs23")),
                std::invalid_argument);
-  EXPECT_THROW(ComposedArchitecture(small_geom(), PcmTiming{},
+  EXPECT_THROW(Architecture(small_geom(), PcmTiming{},
                                     wom_cfg(CodingKind::kWomWide,
                                             "no-such-code")),
                std::invalid_argument);
 }
 
 TEST(WomPcm, WriteClassSequencePerLine) {
-  ComposedArchitecture arch(small_geom(), PcmTiming{}, wom_cfg());
+  Architecture arch(small_geom(), PcmTiming{}, wom_cfg());
   EXPECT_EQ(arch.name(), "wom-pcm[rs23-inv,wide-column]");
   DecodedAddr d{0, 0, 0, 3, 2};
   // Cold alpha (-> gen 1), fast (-> gen 2 == t), then alternating
@@ -66,7 +65,7 @@ TEST(WomPcm, WriteClassSequencePerLine) {
 }
 
 TEST(WomPcm, LinesTrackIndependently) {
-  ComposedArchitecture arch(small_geom(), PcmTiming{}, wom_cfg());
+  Architecture arch(small_geom(), PcmTiming{}, wom_cfg());
   DecodedAddr a{0, 0, 0, 3, 0};
   DecodedAddr b{0, 0, 0, 3, 1};
   arch.plan(a, AccessType::kWrite, false, 0);  // cold alpha on line 0
@@ -76,7 +75,7 @@ TEST(WomPcm, LinesTrackIndependently) {
 }
 
 TEST(WomPcm, WideColumnHasNoExtraAccesses) {
-  ComposedArchitecture arch(small_geom(), PcmTiming{}, wom_cfg());
+  Architecture arch(small_geom(), PcmTiming{}, wom_cfg());
   DecodedAddr d{0, 0, 0, 3, 0};
   const IssuePlan w = arch.plan(d, AccessType::kWrite, false, 0);
   EXPECT_EQ(w.post_ns, 0u);
@@ -87,7 +86,7 @@ TEST(WomPcm, WideColumnHasNoExtraAccesses) {
 
 TEST(WomPcm, HiddenPageAddsDependentAccess) {
   const PcmTiming t;
-  ComposedArchitecture arch(small_geom(), t,
+  Architecture arch(small_geom(), t,
                             wom_cfg(CodingKind::kWomHidden));
   EXPECT_EQ(arch.name(), "wom-pcm[rs23-inv,hidden-page]");
   DecodedAddr d{0, 0, 0, 3, 0};
@@ -100,13 +99,13 @@ TEST(WomPcm, HiddenPageAddsDependentAccess) {
 }
 
 TEST(WomPcm, OverheadMatchesCode) {
-  ComposedArchitecture arch(small_geom(), PcmTiming{}, wom_cfg());
+  Architecture arch(small_geom(), PcmTiming{}, wom_cfg());
   EXPECT_DOUBLE_EQ(arch.capacity_overhead(), 0.5);
   EXPECT_FALSE(arch.refresh_enabled());
 }
 
 TEST(WomPcm, HigherRewriteLimitDelaysAlpha) {
-  ComposedArchitecture arch(
+  Architecture arch(
       small_geom(), PcmTiming{},
       wom_cfg(CodingKind::kWomWide, "marker-k2t4-inv"));
   DecodedAddr d{0, 0, 0, 3, 0};
@@ -120,7 +119,7 @@ TEST(WomPcm, HigherRewriteLimitDelaysAlpha) {
 }
 
 TEST(RefreshWomPcm, RegistersRowsAtLimitInRat) {
-  ComposedArchitecture arch(small_geom(), PcmTiming{}, refresh_cfg(5));
+  Architecture arch(small_geom(), PcmTiming{}, refresh_cfg(5));
   EXPECT_EQ(arch.name(), "pcm-refresh[rs23-inv,wide-column]");
   EXPECT_TRUE(arch.refresh_enabled());
   DecodedAddr d{0, 0, 0, 3, 0};
@@ -133,7 +132,7 @@ TEST(RefreshWomPcm, RegistersRowsAtLimitInRat) {
 }
 
 TEST(RefreshWomPcm, RatCapacityEvictsOldest) {
-  ComposedArchitecture arch(small_geom(), PcmTiming{}, refresh_cfg(2));
+  Architecture arch(small_geom(), PcmTiming{}, refresh_cfg(2));
   for (unsigned row = 0; row < 4; ++row) {
     DecodedAddr d{0, 0, 0, row, 0};
     arch.plan(d, AccessType::kWrite, false, 0);
@@ -144,7 +143,7 @@ TEST(RefreshWomPcm, RatCapacityEvictsOldest) {
 }
 
 TEST(RefreshWomPcm, PerformRefreshServesMostRecentFirst) {
-  ComposedArchitecture arch(small_geom(), PcmTiming{}, refresh_cfg(5));
+  Architecture arch(small_geom(), PcmTiming{}, refresh_cfg(5));
   for (unsigned row = 0; row < 3; ++row) {
     DecodedAddr d{0, 0, 0, row, 0};
     arch.plan(d, AccessType::kWrite, false, 0);
@@ -160,7 +159,7 @@ TEST(RefreshWomPcm, PerformRefreshServesMostRecentFirst) {
 }
 
 TEST(RefreshWomPcm, SkipsBusyUnits) {
-  ComposedArchitecture arch(small_geom(), PcmTiming{}, refresh_cfg(5));
+  Architecture arch(small_geom(), PcmTiming{}, refresh_cfg(5));
   DecodedAddr d{0, 0, 0, 3, 0};
   arch.plan(d, AccessType::kWrite, false, 0);
   arch.plan(d, AccessType::kWrite, false, 0);
@@ -171,7 +170,7 @@ TEST(RefreshWomPcm, SkipsBusyUnits) {
 }
 
 TEST(RefreshWomPcm, RefreshCoversWholeRankBanks) {
-  ComposedArchitecture arch(small_geom(), PcmTiming{}, refresh_cfg(5));
+  Architecture arch(small_geom(), PcmTiming{}, refresh_cfg(5));
   for (unsigned bank = 0; bank < 4; ++bank) {
     DecodedAddr d{0, 0, bank, 7, 0};
     arch.plan(d, AccessType::kWrite, false, 0);

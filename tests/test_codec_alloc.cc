@@ -162,7 +162,7 @@ TEST(ControllerAllocation, SteadyStateTransactionsAreAllocationFree) {
   acfg.composition = arch_preset("wom");
 
   SimStats stats;
-  std::unique_ptr<Architecture> arch = make_architecture(acfg, geom, cfg.timing);
+  auto arch = std::make_unique<Architecture>(geom, cfg.timing, acfg);
   MemoryController ctrl(cfg, 0, *arch, stats);
   AddressMapper mapper(geom);
 

@@ -476,7 +476,8 @@ TEST(ConfigIo, NewKnobsRejectBadValues) {
 }
 
 TEST(ConfigIo, ZeroQueueCapacityAndInjectionBlockFailTheRun) {
-  for (const std::string key : {"queue_capacity", "injection_block"}) {
+  for (const std::string key : {"queue_capacity", "injection_block", "rat",
+                                "start_gap_interval"}) {
     const SimConfig cfg = apply_overrides(
         paper_config(), KeyValueConfig::from_tokens({key + "=0"}));
     try {

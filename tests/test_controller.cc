@@ -26,7 +26,8 @@ class ControllerTest : public ::testing::Test {
  protected:
   void SetUp() override {
     cfg_.geom = small_geom();
-    arch_ = make_architecture(ArchConfig{}, cfg_.geom, cfg_.timing);
+    arch_ =
+        std::make_unique<Architecture>(cfg_.geom, cfg_.timing, ArchConfig{});
     ctrl_ = std::make_unique<MemoryController>(cfg_, 0, *arch_, stats_);
     mapper_ = std::make_unique<AddressMapper>(cfg_.geom);
   }

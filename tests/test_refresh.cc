@@ -30,7 +30,7 @@ class RefreshTest : public ::testing::Test {
     cfg_.refresh.write_pausing = pausing;
     ArchConfig ac;
     ac.composition = arch_preset("refresh");
-    arch_ = make_architecture(ac, cfg_.geom, cfg_.timing);
+    arch_ = std::make_unique<Architecture>(cfg_.geom, cfg_.timing, ac);
     ctrl_ = std::make_unique<MemoryController>(cfg_, 0, *arch_, stats_);
   }
 
@@ -98,7 +98,7 @@ TEST_F(RefreshTest, WithoutRefreshThirdWriteIsAlpha) {
   cfg_.geom = small_geom();
   ArchConfig ac;
   ac.composition = arch_preset("wom");  // no refresh hooks
-  arch_ = make_architecture(ac, cfg_.geom, cfg_.timing);
+  arch_ = std::make_unique<Architecture>(cfg_.geom, cfg_.timing, ac);
   ctrl_ = std::make_unique<MemoryController>(cfg_, 0, *arch_, stats_);
 
   ctrl_->enqueue(tx(1, 0, 0, 3, 0, AccessType::kWrite, 0));
@@ -170,7 +170,7 @@ TEST_F(RefreshTest, RefreshEngineInactiveWhenDisabled) {
   cfg_.refresh.enabled = false;
   ArchConfig ac;
   ac.composition = arch_preset("refresh");
-  arch_ = make_architecture(ac, cfg_.geom, cfg_.timing);
+  arch_ = std::make_unique<Architecture>(cfg_.geom, cfg_.timing, ac);
   ctrl_ = std::make_unique<MemoryController>(cfg_, 0, *arch_, stats_);
   ctrl_->enqueue(tx(1, 0, 0, 3, 0, AccessType::kWrite, 0));
   ctrl_->enqueue(tx(2, 0, 0, 3, 0, AccessType::kWrite, 300));

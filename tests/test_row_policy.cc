@@ -24,7 +24,8 @@ class RowPolicyTest : public ::testing::TestWithParam<RowPolicy> {
   void SetUp() override {
     cfg_.geom = small_geom();
     cfg_.row_policy = GetParam();
-    arch_ = make_architecture(ArchConfig{}, cfg_.geom, cfg_.timing);
+    arch_ =
+        std::make_unique<Architecture>(cfg_.geom, cfg_.timing, ArchConfig{});
     ctrl_ = std::make_unique<MemoryController>(cfg_, 0, *arch_, stats_);
   }
 

@@ -337,7 +337,7 @@ TEST(Tiered, EveryConfigFileRunsEndToEnd) {
   // fails here, not on a user's command line.
   const std::filesystem::path dir =
       std::filesystem::path(WOMPCM_REPO_DIR) / "configs";
-  const WorkloadProfile& profile = *find_profile("401.bzip2");
+  const WorkloadProfile profile = *find_profile("401.bzip2");
   std::size_t count = 0;
   for (const auto& entry : std::filesystem::directory_iterator(dir)) {
     if (entry.path().extension() != ".cfg") continue;

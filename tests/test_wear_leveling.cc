@@ -97,11 +97,10 @@ TEST(StartGapIntegration, FactoryEnablesPerConfig) {
   cfg.composition = arch_preset("wom");
   cfg.start_gap = true;
   cfg.start_gap_interval = 2;
-  const auto arch = make_architecture(cfg, small_geom(), PcmTiming{});
-  EXPECT_TRUE(arch->start_gap_enabled());
-  const auto plain = make_architecture(ArchConfig{}, small_geom(),
-                                       PcmTiming{});
-  EXPECT_FALSE(plain->start_gap_enabled());
+  const Architecture arch(small_geom(), PcmTiming{}, cfg);
+  EXPECT_TRUE(arch.start_gap_enabled());
+  const Architecture plain(small_geom(), PcmTiming{}, ArchConfig{});
+  EXPECT_FALSE(plain.start_gap_enabled());
 }
 
 TEST(StartGapIntegration, WcpcmNeverRemaps) {
@@ -111,7 +110,7 @@ TEST(StartGapIntegration, WcpcmNeverRemaps) {
   cfg.composition = arch_preset("wcpcm");
   cfg.start_gap = true;
   try {
-    make_architecture(cfg, small_geom(), PcmTiming{});
+    Architecture(small_geom(), PcmTiming{}, cfg);
     FAIL() << "start_gap with a cache front end accepted";
   } catch (const std::invalid_argument& e) {
     const std::string msg = e.what();
@@ -125,14 +124,14 @@ TEST(StartGapIntegration, GapMoveChargesRowCopy) {
   cfg.composition = arch_preset("pcm");
   cfg.start_gap = true;
   cfg.start_gap_interval = 2;
-  const auto arch = make_architecture(cfg, small_geom(), PcmTiming{});
+  Architecture arch(small_geom(), PcmTiming{}, cfg);
   DecodedAddr d{0, 0, 0, 3, 0};
-  const IssuePlan p1 = arch->plan(d, AccessType::kWrite, false, 0);
+  const IssuePlan p1 = arch.plan(d, AccessType::kWrite, false, 0);
   EXPECT_EQ(p1.post_ns, 0u);
-  const IssuePlan p2 = arch->plan(d, AccessType::kWrite, false, 0);
+  const IssuePlan p2 = arch.plan(d, AccessType::kWrite, false, 0);
   // Second write triggers the gap move: one row read + one row write.
   EXPECT_EQ(p2.post_ns, PcmTiming{}.row_read_ns + PcmTiming{}.row_write_ns);
-  EXPECT_EQ(arch->counters().get("wl.gap_moves"), 1u);
+  EXPECT_EQ(arch.counters().get("wl.gap_moves"), 1u);
 }
 
 TEST(StartGapIntegration, RemappedRowStaysWithinSpareRange) {
@@ -140,11 +139,11 @@ TEST(StartGapIntegration, RemappedRowStaysWithinSpareRange) {
   cfg.composition = arch_preset("pcm");
   cfg.start_gap = true;
   cfg.start_gap_interval = 1;
-  const auto arch = make_architecture(cfg, small_geom(), PcmTiming{});
+  Architecture arch(small_geom(), PcmTiming{}, cfg);
   const MemoryGeometry g = small_geom();
   for (int i = 0; i < 100; ++i) {
     DecodedAddr d{0, 0, 0, static_cast<unsigned>(i) % g.rows_per_bank, 0};
-    const IssuePlan p = arch->plan(d, AccessType::kWrite, false, 0);
+    const IssuePlan p = arch.plan(d, AccessType::kWrite, false, 0);
     EXPECT_LE(p.row, g.rows_per_bank);  // may use the spare row
   }
 }
