@@ -40,7 +40,7 @@ int main(int argc, char** argv) {
   const auto ways = static_cast<unsigned>(args.get_int_or("ways", 4));
 
   // The dual-channel platform of configs/tiered.cfg: the tier is
-  // per-channel state, so the cells also exercise the sharded layout.
+  // per-channel state, one tier per channel.
   SimConfig base = paper_config();
   base.geom.channels = 2;
   base.geom.ranks = 8;

@@ -182,10 +182,10 @@ Architecture::Architecture(const MemoryGeometry& geom, const PcmTiming& timing,
       wear_(geom.lines_per_row()),
       row_key_stride_(geom.rows_per_bank + 1),
       comp_(validate_composition(cfg.composition)) {
-  // One energy bucket per channel: accumulation order within a channel plus
-  // a channel-ordered fold is what keeps a sharded run's energy bit-equal
-  // to serial (see pcm/energy.h). Single-channel geometries get one bucket
-  // and behave exactly like the plain accumulator.
+  // One energy bucket per channel, folded in channel order (see
+  // pcm/energy.h; the registry corpus pins the folded totals).
+  // Single-channel geometries get one bucket and behave exactly like the
+  // plain accumulator.
   energy_.configure_channels(geom.channels);
   // Resolve each WOM-coded region's code (main.code= / cache.code=
   // override, else the shared legacy code= key or the family default). A
@@ -719,26 +719,6 @@ void Architecture::publish_metrics(MetricsRegistry& reg, Tick end_time) const {
     reg.set_counter("fault.remap_exhausted", sum.exhausted);
     reg.set_counter("fault.spare_rows_per_bank",
                     remap_ == nullptr ? 0 : remap_->spare_rows());
-  }
-}
-
-void Architecture::merge_accounting_from(const Architecture& o) {
-  counters_.merge(o.counters_);
-  energy_.merge_from(o.energy_);
-  wear_.merge_from(o.wear_);
-  if (fault_by_channel_.size() < o.fault_by_channel_.size()) {
-    fault_by_channel_.resize(o.fault_by_channel_.size());
-  }
-  for (std::size_t c = 0; c < o.fault_by_channel_.size(); ++c) {
-    const FaultTally& t = o.fault_by_channel_[c];
-    FaultTally& d = fault_by_channel_[c];
-    d.injected += t.injected;
-    d.retries += t.retries;
-    d.demoted += t.demoted;
-    d.remapped += t.remapped;
-    d.dead_rows += t.dead_rows;
-    d.read_disturbs += t.read_disturbs;
-    d.exhausted += t.exhausted;
   }
 }
 

@@ -255,15 +255,6 @@ class Architecture {
   // completion instant, needed for the lifetime projection.
   void publish_metrics(MetricsRegistry& reg, Tick end_time) const;
 
-  // Folds another instance's accounting (counters, energy buckets, wear
-  // aggregates, per-channel fault tallies) into this one. The sharded
-  // runner builds one architecture replica per channel — replica c only
-  // ever services channel c — and merges replicas 1..N-1 into replica 0
-  // before the single publish_metrics() call, reproducing the books the
-  // shared serial instance keeps. Call only after the run is complete; the
-  // donor must be built from the same configuration.
-  void merge_accounting_from(const Architecture& o);
-
   bool start_gap_enabled() const { return !start_gap_.empty(); }
   bool faults_enabled() const { return fault_ != nullptr; }
   // Test/diagnostic access; null while faults are off.
@@ -371,9 +362,8 @@ class Architecture {
   // Channel of the access currently being planned (or rank being
   // refreshed). Set at the top of plan()/perform_refresh() and aliased by
   // the coding policies' RegionContext::channel, it keys every per-channel
-  // stream — energy buckets, the FNW draw RNGs — so per-channel accounting
-  // stays exact whether channels run interleaved (serial) or each on its
-  // own worker against its own replica (sharded).
+  // stream — energy buckets, the FNW draw RNGs. The registry corpus pins
+  // the results of this per-channel accounting.
   unsigned active_channel_ = 0;
   std::unique_ptr<CodingPolicy> main_coding_;
   std::unique_ptr<CacheLayer> cache_;             // null = no front end

@@ -101,11 +101,11 @@ class FnwCoding final : public CodingPolicy {
   FnwCoding(const RegionContext& ctx, double fast_fraction, std::uint64_t seed)
       : CodingPolicy(ctx), fast_fraction_(fast_fraction) {
     // One generator per channel, so the fast/slow draw sequence each
-    // channel sees depends only on that channel's own write order — not on
-    // cross-channel interleaving (the sharded-run determinism contract,
-    // mirroring FaultModel's per-channel event streams). Channel 0 seeds
-    // exactly as the single shared generator used to, keeping
-    // single-channel runs bit-identical.
+    // channel sees depends only on that channel's own write order, like
+    // FaultModel's per-channel event streams. The registry corpus pins the
+    // results of these per-channel draws. Channel 0 seeds exactly as the
+    // single shared generator used to, keeping single-channel runs
+    // bit-identical.
     rngs_.reserve(ctx.channels == 0 ? 1 : ctx.channels);
     for (unsigned c = 0; c < (ctx.channels == 0 ? 1 : ctx.channels); ++c) {
       rngs_.emplace_back(seed ^ (0x9e3779b97f4a7c15ULL * c));

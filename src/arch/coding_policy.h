@@ -39,9 +39,9 @@ struct RegionContext {
   // Channel of the access currently being planned (aliases the owning
   // architecture's cursor, kept current across plan()/perform_refresh()).
   // Stochastic policies draw from a per-channel stream keyed by it, so
-  // their draws — like the fault model's — are independent of how the
-  // channels' issue streams interleave (the sharded-run determinism
-  // contract). Null means "always channel 0" (single-region tests).
+  // their draws — like the fault model's — depend only on that channel's
+  // own issue order (the registry corpus pins the results). Null means
+  // "always channel 0" (single-region tests).
   const unsigned* channel = nullptr;
   // Number of channels, for sizing per-channel streams.
   unsigned channels = 1;

@@ -111,8 +111,7 @@ class FifoPolicy final : public ReplacementPolicy {
 };
 
 // Uniform random victim from a seeded xoshiro stream: deterministic for a
-// given (seed, call sequence), so serial and sharded runs that make the
-// same per-channel call sequence pick the same victims.
+// given (seed, call sequence).
 class RandomPolicy final : public ReplacementPolicy {
  public:
   RandomPolicy(unsigned ways, std::uint64_t seed) : ways_(ways), rng_(seed) {}

@@ -1,6 +1,8 @@
 #include "common/config.h"
 
+#include <cstdint>
 #include <cstdlib>
+#include <stdexcept>
 
 namespace wompcm {
 
@@ -75,6 +77,23 @@ std::string KeyValueConfig::get_string_or(const std::string& key,
 std::int64_t KeyValueConfig::get_int_or(const std::string& key,
                                         std::int64_t fallback) const {
   return get_int(key).value_or(fallback);
+}
+
+std::int64_t KeyValueConfig::get_int_in(const std::string& key,
+                                        std::int64_t fallback, std::int64_t lo,
+                                        std::int64_t hi) const {
+  if (!has(key)) return fallback;
+  const auto v = get_int(key);
+  if (!v || *v < lo || *v > hi) {
+    std::string range = ">= " + std::to_string(lo);
+    if (hi != INT64_MAX) {
+      range = "in [" + std::to_string(lo) + ", " + std::to_string(hi) + "]";
+    }
+    throw std::invalid_argument("bad value for " + key + ": " +
+                                get_string_or(key, "") + " (must be " +
+                                range + ")");
+  }
+  return *v;
 }
 
 double KeyValueConfig::get_double_or(const std::string& key,

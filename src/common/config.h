@@ -34,6 +34,13 @@ class KeyValueConfig {
   double get_double_or(const std::string& key, double fallback) const;
   bool get_bool_or(const std::string& key, bool fallback) const;
 
+  // The integer under `key` (`fallback` when absent). A value that is not
+  // an integer in [lo, hi] throws std::invalid_argument naming the key and
+  // the value ("bad value for chunk: 0 (must be >= 1)"): a plain cast of
+  // get_int_or() would wrap accesses=-5 to ~2^64, or pass a zero divisor.
+  std::int64_t get_int_in(const std::string& key, std::int64_t fallback,
+                          std::int64_t lo, std::int64_t hi) const;
+
   const std::vector<std::string>& positional() const { return positional_; }
   const std::map<std::string, std::string>& entries() const { return map_; }
 

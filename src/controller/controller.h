@@ -4,16 +4,15 @@
 //
 // A controller owns the demand queues, back-pressure bound, scheduler
 // scan, refresh engine, data bus, and bank state of its channel only; it
-// holds no cross-channel state. The serial MemorySystem
-// (sim/memory_system.h) instantiates one controller per channel and routes
-// transactions by their decoded channel coordinate; the ShardedBackend
-// (sim/sharded.h) gives each channel's controller its own lane.
+// holds no cross-channel state. The MemorySystem (sim/memory_system.h)
+// instantiates one controller per channel and routes transactions by their
+// decoded channel coordinate.
 //
 // The controller is event-stepped: tick(now) performs all work available at
 // `now` (issue demand accesses, run due refresh checks), and
 // next_event_after(now) reports the earliest future instant at which new
 // work may become possible. The driving loop (SimService, sim/service.h,
-// through its backend) interleaves trace arrivals with these events.
+// through its MemorySystem) interleaves trace arrivals with these events.
 //
 // Service-time model for an access issued at time s on bank B:
 //   activate = row_read_ns if B's open row differs from the target row

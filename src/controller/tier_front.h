@@ -5,9 +5,8 @@
 // complete at DRAM latency without consuming a PCM queue slot (the same
 // complete-at-enqueue shape as the controller's read-forwarding fast path),
 // and misses/evictions flow into the existing PCM transaction path.
-// Because the tier is per-channel state touched only from that channel's
-// enqueue stream, sharded execution (one lane per channel) composes with it
-// unchanged.
+// The tier is per-channel state touched only from that channel's enqueue
+// stream.
 //
 // Frames hold one burst line; a line's home (set, tag) is derived from its
 // decoded PCM coordinates, and each frame remembers the full coordinates of

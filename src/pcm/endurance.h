@@ -84,20 +84,6 @@ class WearTracker {
     return lifetime_seconds(elapsed_ns, cell_endurance) / (365.25 * 86400.0);
   }
 
-  // Folds another tracker's aggregate figures (total / touched / max) into
-  // this one, for summing per-channel architecture replicas after a sharded
-  // run. Per-line slabs are not transferred — the merged instance answers
-  // the end-of-run aggregate queries only, which is all publish_metrics
-  // reads. Exactness: every wear increment is a small dyadic rational
-  // (0.25/0.5/1.0 and integer multiples), so partial double sums are exact
-  // and summing per-channel totals equals the serial interleaved total
-  // bit-for-bit; max and touched are order-independent outright.
-  void merge_from(const WearTracker& o) {
-    total_ += o.total_;
-    touched_ += o.touched_;
-    if (o.max_ > max_) max_ = o.max_;
-  }
-
  private:
   // Sentinel for a line never written nor refreshed. Real wear is always
   // >= 0, and a first touch replaces the sentinel outright, so the stored

@@ -75,17 +75,4 @@ std::uint64_t EnergyCounters::reset_pulses() const {
   return v;
 }
 
-void EnergyCounters::merge_from(const EnergyCounters& o) {
-  if (o.buckets_.size() > buckets_.size()) {
-    buckets_.resize(o.buckets_.size());
-  }
-  for (std::size_t i = 0; i < o.buckets_.size(); ++i) {
-    buckets_[i].read_pj += o.buckets_[i].read_pj;
-    buckets_[i].write_pj += o.buckets_[i].write_pj;
-    buckets_[i].refresh_pj += o.buckets_[i].refresh_pj;
-    buckets_[i].set_pulses += o.buckets_[i].set_pulses;
-    buckets_[i].reset_pulses += o.buckets_[i].reset_pulses;
-  }
-}
-
 }  // namespace wompcm

@@ -14,11 +14,10 @@
 //
 // Accumulation is bucketed per channel (select_channel() picks the bucket
 // each access charges) and the getters fold the buckets in channel order.
-// Floating-point addition does not commute, so a fixed per-channel
-// accumulation order plus a fixed fold order is what makes a sharded run —
-// where each channel accumulates on its own worker — bit-identical to the
-// serial event loop. A single-channel (or unconfigured) instance has one
-// bucket and reads exactly like the plain accumulator it replaces.
+// Floating-point addition does not commute, so the fold order is part of
+// the result; the registry corpus pins the channel-ordered totals. A
+// single-channel (or unconfigured) instance has one bucket and reads
+// exactly like the plain accumulator it replaces.
 #pragma once
 
 #include <cstdint>
@@ -63,12 +62,6 @@ class EnergyCounters {
   double refresh_pj() const;
   std::uint64_t set_pulses() const;
   std::uint64_t reset_pulses() const;
-
-  // Adds `o`'s buckets element-wise into this instance's (bucket counts
-  // must match). Used to fold per-channel architecture replicas back into
-  // one set of books after a sharded run; replica c only ever charged
-  // bucket c, so the merged buckets equal the serial run's exactly.
-  void merge_from(const EnergyCounters& o);
 
  private:
   struct Bucket {

@@ -93,8 +93,8 @@ std::uint64_t FaultModel::next_event_hash(unsigned channel) {
   // tag above the 32-bit "evnt" constant, so streams never collide and
   // channel 0's stream is bit-for-bit the legacy global one. Keying the
   // draw by (channel, per-channel count) instead of one global count makes
-  // it independent of how the channels' issue streams interleave — the
-  // property the sharded runner's bit-identity rests on.
+  // it independent of how the channels' issue streams interleave; the
+  // registry corpus pins the draws this keying produces.
   const std::uint64_t domain =
       kEventDomain + (static_cast<std::uint64_t>(channel) << 32);
   return mix64(cfg_.seed ^ mix64(++events_[channel] ^ domain));

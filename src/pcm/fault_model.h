@@ -22,12 +22,11 @@
 // read disturb) use one sequential event counter *per channel*, which is
 // reproducible because each channel controller's issue order is itself
 // deterministic and scan-mode invariant. Keying the stream by channel —
-// rather than one global counter — is what makes the draws independent of
-// cross-channel interleaving, so a sharded run (each channel on its own
-// worker) observes exactly the faults the serial event loop does. Channel
-// 0's stream is the legacy global stream, so single-channel runs are
-// unchanged. Two runs with the same seed — under either scan mode, at any
-// jobs count, or inside a jobs=N sweep — observe identical faults.
+// rather than one global counter — makes the draws independent of
+// cross-channel interleaving; the registry corpus pins the resulting
+// faults. Channel 0's stream is the legacy global stream, so
+// single-channel runs are unchanged. Two runs with the same seed — under
+// either scan mode, or inside a jobs=N sweep — observe identical faults.
 #pragma once
 
 #include <cstdint>

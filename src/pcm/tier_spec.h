@@ -36,8 +36,8 @@ struct TierTiming {
 
 // Seeded frame-fault model: each (set, way) frame independently fails with
 // probability `rate`, decided by one deterministic draw on first install —
-// a pure function of (seed, channel, frame), so serial and sharded runs
-// see identical faults. A failed frame is retired before ever holding data:
+// a pure function of (seed, channel, frame), which the registry corpus
+// pins. A failed frame is retired before ever holding data:
 // its accesses bypass the tier, mirroring the WOM cache's
 // invalidate-and-bypass degradation.
 struct TierFaultConfig {

@@ -69,7 +69,7 @@ void MemorySystem::finish(MetricsRegistry& reg, SimResult& result) {
   reg.set_counter("sim.end_time", last_completion());
   for (const auto& c : channels_) c->publish_metrics(reg);
   arch_.publish_metrics(reg, last_completion());
-  result.stats.merge_from(stats_);
+  result.stats = stats_;
   result.stats.counters.merge(arch_.counters());
   const unsigned total = arch_.num_resources();
   result.banks.reserve(total);

@@ -1,5 +1,5 @@
-// MemorySystem: the serial execution backend over the per-channel memory
-// controllers.
+// MemorySystem: the event-stepped memory system behind one SimService
+// (sim/service.h), over the per-channel memory controllers.
 //
 // Layering (trace side down):
 //
@@ -19,40 +19,52 @@
 #include <vector>
 
 #include "arch/arch.h"
+#include "common/address.h"
 #include "controller/controller.h"
-#include "sim/backend.h"
+#include "controller/transaction.h"
 #include "stats/metrics.h"
 #include "stats/stats.h"
 
 namespace wompcm {
 
-class MemorySystem final : public SimBackend {
+struct SimConfig;
+struct SimResult;
+
+class MemorySystem {
  public:
   // Builds the architecture for `cfg` and one controller per
   // cfg.geom.channels, each built from `cfg`.
   explicit MemorySystem(const SimConfig& cfg);
 
-  std::string arch_name() const override { return arch_.name(); }
-  unsigned num_channels() const override {
+  std::string arch_name() const { return arch_.name(); }
+  unsigned num_channels() const {
     return static_cast<unsigned>(channels_.size());
   }
 
-  bool can_accept(const DecodedAddr& dec) const override;
-  void enqueue(const Transaction& tx) override;
-  Tick next_event_after(Tick now) override;
+  // Frontend back-pressure for the channel this address decodes to.
+  bool can_accept(const DecodedAddr& dec) const;
+  // Routes a demand transaction to its channel. tx.arrival must not
+  // precede the latest tick.
+  void enqueue(const Transaction& tx);
+  // Earliest future instant any channel could make progress (kNeverTick
+  // when the whole system is quiescent).
+  Tick next_event_after(Tick now);
   // Ticks the channel controllers with work due at `now` (every controller
   // in reference scan mode; monotone across calls).
-  void tick(Tick now) override;
-  bool drained() const override;
-  Tick last_completion() const override;
+  void tick(Tick now);
+  bool drained() const;
+  Tick last_completion() const;
 
-  void fold_stream(std::uint32_t stream,
-                   SimStats::StreamSlice& into) const override;
+  // Folds the recorded per-stream slice for `stream` (a nonzero
+  // Transaction::stream tag) into `into`.
+  void fold_stream(std::uint32_t stream, SimStats::StreamSlice& into) const;
 
-  // Publishes system totals, every channel's breakdown and the
-  // architecture's scalars into `reg`; fills result.stats and result.banks
-  // (global-resource order: main banks first, then any cache arrays).
-  void finish(MetricsRegistry& reg, SimResult& result) override;
+  // End of run: publishes system totals (including "sim.end_time"), every
+  // channel's breakdown and the architecture's scalars into `reg`; fills
+  // result.stats and result.banks (global-resource order: main banks
+  // first, then any cache arrays). The driver keeps ownership of the
+  // injection counters and of result.collect().
+  void finish(MetricsRegistry& reg, SimResult& result);
 
   MemoryController& channel(unsigned c) { return *channels_[c]; }
   const MemoryController& channel(unsigned c) const { return *channels_[c]; }

@@ -113,9 +113,7 @@ SimResult run(const RunRequest& req) {
   }
   const std::unique_ptr<TraceSource> trace =
       req.trace.open(cfg.geom, req.options.seed);
-  ServiceOptions opts;
-  opts.jobs = req.options.jobs.jobs;
-  return SimService(cfg, opts).run_to_completion(*trace);
+  return SimService(cfg).run_to_completion(*trace);
 }
 
 std::vector<SweepRow> run_sweep(const RunRequest& base,

@@ -6,7 +6,7 @@
 //   RunRequest req;
 //   req.config = paper_config();             // platform + architecture
 //   req.trace = TraceSpec::benchmark("401.bzip2", 200'000);
-//   req.options.seed = 42;                   // + jobs
+//   req.options.seed = 42;
 //   SimResult r = run(req);
 //
 // The request is a plain value: it can be copied, stored, and replayed —
@@ -91,14 +91,9 @@ class TraceSpec {
 };
 
 struct RunOptions {
-  // Worker policy, for both run_sweep() (cell distribution) and single
-  // runs (channel sharding, sim/sharded.h). A single run passes jobs to
-  // SimService, whose backend shards only on an explicit jobs > 1 with a
-  // multi-channel geometry (make_backend(), sim/backend.h); jobs = 0
-  // ("automatic") stays serial on purpose: run() is also called per cell
-  // inside parallel sweeps, and auto-sharding there would nest channel
-  // workers inside sweep workers. Sharded and serial results are
-  // bit-identical either way.
+  // run_sweep()'s cell policy: how many workers distribute the sweep's
+  // cells. A single run() always steps one memory system on the calling
+  // thread and ignores it.
   ParallelPolicy jobs{};
   // Base trace seed (mixed per benchmark, see TraceSpec::mixed_seed).
   std::uint64_t seed = 42;

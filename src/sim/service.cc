@@ -5,14 +5,14 @@
 #include <utility>
 
 #include "common/perf.h"
-#include "sim/backend.h"
+#include "sim/memory_system.h"
 
 namespace wompcm {
 namespace {
 
 // Rejects the config values no run can make progress under. Every run
-// (run(), run_sweep(), womd, perf_serve, either backend) builds a
-// SimService, so checking here covers them all.
+// (run(), run_sweep(), womd, perf_serve) builds a SimService, so checking
+// here covers them all.
 const SimConfig& checked(const SimConfig& cfg) {
   // A zero-capacity queue never accepts a transaction: the loop would spin.
   if (cfg.queue_capacity == 0) {
@@ -26,9 +26,9 @@ const SimConfig& checked(const SimConfig& cfg) {
 
 }  // namespace
 
-SimService::SimService(const SimConfig& cfg, ServiceOptions opts)
+SimService::SimService(const SimConfig& cfg, ServiceOptions /*opts*/)
     : cfg_(checked(cfg)),
-      backend_(make_backend(cfg, opts.jobs)),
+      system_(std::make_unique<MemorySystem>(cfg)),
       mapper_(cfg.geom),
       warmup_(cfg.warmup_accesses.value_or(0)),
       deferred_(cfg.geom.channels, 0),
@@ -59,6 +59,10 @@ const SimService::Session& SimService::session_for(SessionId id,
 
 SessionId SimService::open_session(StreamSpec spec) {
   require_live("open_session");
+  if (spec.capacity == 0) {
+    throw std::invalid_argument(
+        "SimService::open_session: capacity must be >= 1 (got 0)");
+  }
   const SessionId id = static_cast<SessionId>(sessions_.size());
   Session s;
   s.name = spec.name.empty() ? "s" + std::to_string(id) : std::move(spec.name);
@@ -67,7 +71,7 @@ SessionId SimService::open_session(StreamSpec spec) {
   // everything before now().
   s.clock = std::max(spec.start, clock_.now());
   s.tag = spec.per_access_stats ? id + 1 : 0;
-  s.ring.resize(std::max<std::size_t>(spec.capacity, 1));
+  s.ring.resize(spec.capacity);
   sessions_.push_back(std::move(s));
   return id;
 }
@@ -153,7 +157,7 @@ void SimService::inject_due(Tick now) {
     // lower-id stream) it. A tie is resolved conservatively: wait until
     // the blocker submits or closes.
     if (head->arrival >= unknown_frontier()) return;
-    if (!backend_->can_accept(head->dec)) return;
+    if (!system_->can_accept(head->dec)) return;
 
     Session& s = sessions_[si];
     Transaction tx = *head;
@@ -178,7 +182,7 @@ void SimService::inject_due(Tick now) {
       ++injected_writes_;
       ++s.injected_writes;
     }
-    backend_->enqueue(tx);
+    system_->enqueue(tx);
   }
 }
 
@@ -192,7 +196,7 @@ SimService::Pump SimService::pump_once() {
     // queue drained — even with future wakeups still scheduled (a drained
     // system's events are no-ops, and ticking them would diverge from the
     // batch end time).
-    if (head == nullptr && unknown == kNeverTick && backend_->drained()) {
+    if (head == nullptr && unknown == kNeverTick && system_->drained()) {
       return Pump::kQuiescent;
     }
     const bool head_certain = head != nullptr && head->arrival < unknown;
@@ -201,10 +205,10 @@ SimService::Pump SimService::pump_once() {
     // head's (possibly deferred) arrival and the memory system's next
     // event.
     Tick t_arrival = kNeverTick;
-    if (head_certain && backend_->can_accept(head->dec)) {
+    if (head_certain && system_->can_accept(head->dec)) {
       t_arrival = std::max(head->arrival, now0);
     }
-    const Tick ne = backend_->next_event_after(now0);
+    const Tick ne = system_->next_event_after(now0);
     const Tick target = earliest(t_arrival, ne);
     if (target == kNeverTick) {
       // Nothing known can happen. A certain head here means the channel
@@ -228,7 +232,7 @@ SimService::Pump SimService::pump_once() {
   const Tick now = pending_tick_;
   inject_due(now);
   if (unknown_frontier() <= now) return Pump::kStarved;
-  backend_->tick(now);
+  system_->tick(now);
   pending_tick_ = kNeverTick;
   return Pump::kProgress;
 }
@@ -265,7 +269,7 @@ SimResult SimService::drain() {
 
 SimResult SimService::finalize() {
   SimResult result;
-  result.arch_name = backend_->arch_name();
+  result.arch_name = system_->arch_name();
 
   MetricsRegistry reg;
   reg.set_counter("sim.injected_reads", injected_reads_);
@@ -276,7 +280,7 @@ SimResult SimService::finalize() {
     deferred_total += deferred_[c];
   }
   reg.set_counter("sim.deferred_injections", deferred_total);
-  backend_->finish(reg, result);
+  system_->finish(reg, result);
 
   // Per-stream books, for sessions that asked for them.
   for (std::size_t i = 0; i < sessions_.size(); ++i) {
@@ -289,7 +293,7 @@ SimResult SimService::finalize() {
     reg.set_counter(stream_metric(id, "deferred_injections"), s.deferred);
     if (s.tag != 0) {
       SimStats::StreamSlice slice;
-      backend_->fold_stream(s.tag, slice);
+      system_->fold_stream(s.tag, slice);
       reg.set_counter(stream_metric(id, "reads"),
                       slice.read_latency.count());
       reg.set_counter(stream_metric(id, "writes"),
@@ -308,12 +312,10 @@ SimResult SimService::finalize() {
 
   // Attribute the host-side wall clock: trace fetch + decode is timed
   // directly (submit and run_to_completion), codec time accumulates in
-  // thread-local counters (this thread plus any backend workers), and the
-  // controller gets the rest.
+  // this thread's counter, and the controller gets the rest.
   result.phases.total_ns = perf::now_ns() - start_ns_;
   result.phases.trace_gen_ns = perf::ticks_to_ns(trace_gen_ticks_);
-  result.phases.codec_ns = (perf::codec_ns() - codec_ns_start_) +
-                           backend_->worker_codec_ns();
+  result.phases.codec_ns = perf::codec_ns() - codec_ns_start_;
   const std::uint64_t accounted =
       result.phases.trace_gen_ns + result.phases.codec_ns;
   result.phases.controller_ns =
@@ -339,7 +341,7 @@ StreamStats SimService::poll(SessionId id) const {
   out.deferred = s.deferred;
   if (s.tag != 0) {
     SimStats::StreamSlice slice;
-    backend_->fold_stream(s.tag, slice);
+    system_->fold_stream(s.tag, slice);
     out.completed_reads = slice.read_latency.count();
     out.completed_writes = slice.write_latency.count();
     out.avg_read_ns = slice.read_latency.mean();

@@ -1,11 +1,11 @@
 // Simulation-as-a-service: a session-oriented streaming API over the
 // simulator.
 //
-// A SimService owns one memory system (serial or sharded, sim/backend.h)
-// for its whole lifetime and lets any number of client streams feed it
-// request records incrementally:
+// A SimService owns one memory system (sim/memory_system.h), stepped on
+// the calling thread, for its whole lifetime and lets any number of client
+// streams feed it request records incrementally:
 //
-//   SimService svc(cfg, {.jobs = 4});
+//   SimService svc(cfg);
 //   SessionId a = svc.open_session({.name = "core0"});
 //   SessionId b = svc.open_session({.name = "core1"});
 //   while (...) {
@@ -60,14 +60,14 @@
 
 namespace wompcm {
 
-class SimBackend;
+class MemorySystem;
 
 using SessionId = std::uint32_t;
 
 struct ServiceOptions {
-  // Worker policy for the backing memory system, passed to make_backend()
-  // (sim/backend.h), which owns the serial-fallback rule; results are
-  // bit-identical either way.
+  // Accepted and ignored: the memory system always steps on the calling
+  // thread. Kept only because the repository benchmark still passes it;
+  // the benchmark change of ROADMAP item 7 deletes it.
   unsigned jobs = 1;
 };
 
@@ -75,7 +75,8 @@ struct StreamSpec {
   // Label reported in poll(); defaults to "s<id>".
   std::string name;
   // Back-pressure bound on buffered (accepted but not yet injected)
-  // records; submit() partial-accepts beyond it. 0 is treated as 1.
+  // records; submit() partial-accepts beyond it. Must be >= 1:
+  // open_session() throws std::invalid_argument for 0.
   std::size_t capacity = 4096;
   // Base of the stream's arrival clock. Clamped forward to the current
   // simulated time for sessions opened mid-run (a stream cannot inject
@@ -139,7 +140,8 @@ class SimService {
   SimService(const SimService&) = delete;
   SimService& operator=(const SimService&) = delete;
 
-  // Opens a stream. Throws std::logic_error after drain().
+  // Opens a stream. Throws std::logic_error after drain(), and
+  // std::invalid_argument for a zero spec.capacity.
   SessionId open_session(StreamSpec spec = {});
 
   // Feeds records to a session, accepting a prefix bounded by the
@@ -230,7 +232,7 @@ class SimService {
   SimResult finalize();
 
   SimConfig cfg_;
-  std::unique_ptr<SimBackend> backend_;
+  std::unique_ptr<MemorySystem> system_;
   AddressMapper mapper_;
   Clock clock_;
   std::uint64_t warmup_ = 0;

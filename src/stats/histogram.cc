@@ -15,11 +15,6 @@ void Log2Histogram::add(Tick sample) {
   ++total_;
 }
 
-void Log2Histogram::merge(const Log2Histogram& o) {
-  for (std::size_t b = 0; b < kBuckets; ++b) buckets_[b] += o.buckets_[b];
-  total_ += o.total_;
-}
-
 std::size_t Log2Histogram::max_bucket() const {
   for (std::size_t b = kBuckets; b-- > 0;) {
     if (buckets_[b] != 0) return b;

@@ -18,9 +18,6 @@ class Log2Histogram {
 
   void add(Tick sample);
 
-  // Bucket-wise sum, for folding per-channel shards into one distribution.
-  void merge(const Log2Histogram& o);
-
   std::uint64_t bucket(std::size_t b) const { return buckets_.at(b); }
   std::uint64_t total() const { return total_; }
 

@@ -28,18 +28,6 @@ void SimStats::StreamSlice::merge(const StreamSlice& o) {
   tier_absorbed += o.tier_absorbed;
 }
 
-void SimStats::merge_from(const SimStats& o) {
-  demand_read_latency.merge(o.demand_read_latency);
-  demand_write_latency.merge(o.demand_write_latency);
-  internal_write_latency.merge(o.internal_write_latency);
-  read_latency_hist.merge(o.read_latency_hist);
-  write_latency_hist.merge(o.write_latency_hist);
-  counters.merge(o.counters);
-  for (std::uint32_t s = 0; s < o.streams.size(); ++s) {
-    stream_slice(s + 1).merge(o.streams[s]);
-  }
-}
-
 double SimStats::read_hit_rate(const std::string& hits,
                                const std::string& misses) const {
   const auto h = counters.get(hits);

@@ -85,14 +85,6 @@ struct SimStats {
     return streams[stream - 1];
   }
 
-  // Folds another run-slice's stats into this one: per-channel SimStats
-  // sinks from a sharded run merge back (in channel order) into the one
-  // record the serial loop would have produced. Latency sums are doubles
-  // over integer tick samples, exact up to 2^53, so the fold order cannot
-  // change any reported value; counts, extrema, histogram buckets and
-  // counters are integers.
-  void merge_from(const SimStats& o);
-
   double read_hit_rate(const std::string& hits,
                        const std::string& misses) const;
 };

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <vector>
 
 #include "arch/arch.h"
 
@@ -110,6 +111,25 @@ TEST(FlipNWrite, FastFractionRoughlyHonored) {
   }
   const double fast = static_cast<double>(arch.counters().get("writes.fast"));
   EXPECT_NEAR(fast / 2000.0, 0.5, 0.05);
+
+  // The fast/slow draws are keyed per channel: on two channels, channel 0
+  // replays the one-channel sequence and channel 1 draws its own.
+  MemoryGeometry two = small_geom();
+  two.channels = 2;
+  Architecture single(small_geom(), PcmTiming{}, fnw_cfg(0.5, 7));
+  Architecture dual(two, PcmTiming{}, fnw_cfg(0.5, 7));
+  std::vector<WriteClass> s, c0, c1;
+  for (int i = 0; i < 64; ++i) {
+    s.push_back(single.plan(d, AccessType::kWrite, false, 0).write_class);
+    c0.push_back(dual.plan(DecodedAddr{0, 0, 0, 1, 0}, AccessType::kWrite,
+                           false, 0)
+                     .write_class);
+    c1.push_back(dual.plan(DecodedAddr{1, 0, 0, 1, 0}, AccessType::kWrite,
+                           false, 0)
+                     .write_class);
+  }
+  EXPECT_EQ(c0, s);
+  EXPECT_NE(c1, c0);
 }
 
 TEST(FlipNWrite, HalvesWriteEnergyVersusBaseline) {

@@ -71,6 +71,19 @@ TEST(EnergyCounters, TotalsAccumulate) {
   e.on_refresh(64);
   EXPECT_DOUBLE_EQ(e.total_pj(), e.read_pj() + e.write_pj() + e.refresh_pj());
   EXPECT_GT(e.total_pj(), 0.0);
+
+  // Per-channel buckets fold in channel order, which the registry corpus
+  // pins: 2^53 + 1 + 1 rounds back to 2^53 in that order, but would read
+  // 2^53 + 2 folded from the last channel down.
+  EnergyParams p;
+  p.read_pj_per_bit = 1.0;
+  EnergyCounters multi(p);
+  multi.configure_channels(3);
+  for (unsigned c = 0; c < 3; ++c) {
+    multi.select_channel(c);
+    multi.on_read(c == 0 ? std::uint64_t{1} << 53 : 1);
+  }
+  EXPECT_EQ(multi.read_pj(), 9007199254740992.0);
 }
 
 TEST(EnergyCounters, AlphaWriteCostsMoreThanResetOnly) {

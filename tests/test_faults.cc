@@ -6,6 +6,7 @@
 
 #include <cmath>
 #include <set>
+#include <vector>
 
 #include "controller/remap_table.h"
 #include "pcm/fault_model.h"
@@ -162,6 +163,19 @@ TEST(FaultModel, RetryDrawStaysInBounds) {
     seen.insert(r);
   }
   EXPECT_EQ(seen.size(), 3u);  // all values reachable
+
+  // Event draws are keyed per channel: channel 0 replays the one-channel
+  // stream, and channel 1 draws a stream of its own.
+  FaultModel single(cfg, 1);
+  FaultModel two(cfg, 1, /*channels=*/2);
+  std::vector<unsigned> s, c0, c1;
+  for (int i = 0; i < 64; ++i) {
+    s.push_back(single.retry_draw());
+    c0.push_back(two.retry_draw(0));
+    c1.push_back(two.retry_draw(1));
+  }
+  EXPECT_EQ(c0, s);
+  EXPECT_NE(c1, c0);
 }
 
 TEST(FaultModel, ReadDisturbRespectsProbability) {
@@ -247,6 +261,18 @@ TEST(FaultInjection, WomDemotionAndRemapHappen) {
             r.fault_demoted_writes);
   EXPECT_EQ(r.metrics.counter("ch0.fault.remapped_rows"),
             r.fault_remapped_rows);
+
+  // On two channels each channel keeps its own tally, and the totals are
+  // their sums.
+  SimConfig two = worn_config("wom");
+  two.geom.channels = 2;
+  const SimResult r2 = run({two, TraceSpec::profile(hot_profile(), 6000),
+                            RunOptions::with_seed(42)});
+  const std::uint64_t ch0 = r2.metrics.counter("ch0.fault.injected");
+  const std::uint64_t ch1 = r2.metrics.counter("ch1.fault.injected");
+  EXPECT_GT(ch0, 0u);
+  EXPECT_GT(ch1, 0u);
+  EXPECT_EQ(ch0 + ch1, r2.fault_injected);
 }
 
 TEST(FaultInjection, BaselineRetriesButNeverDemotes) {

@@ -197,6 +197,18 @@ TEST(ServiceLifecycle, ZeroQueueCapacityOrInjectionBlockThrows) {
           << e.what();
     }
   }
+  // A zero-capacity session buffer could never accept a record either.
+  SimService svc(small_config());
+  StreamSpec spec;
+  spec.capacity = 0;
+  try {
+    svc.open_session(spec);
+    ADD_FAILURE() << "capacity=0 accepted";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find("capacity"), std::string::npos)
+        << e.what();
+  }
+  EXPECT_EQ(svc.open_sessions(), 0u);
 }
 
 TEST(ServiceBackPressure, PartialAcceptThenResubmitDeliversAll) {
@@ -326,12 +338,15 @@ TEST(ServiceSessions, PollReportsPerStreamBooks) {
 
 // The headline contract: K live sessions, fed incrementally, produce the
 // bit-identical result of one batch run over the pre-merged mix — for
-// serial and sharded backends, both scan modes, faults on and off.
+// both scan modes, faults on and off. The middle parameter is a jobs axis
+// held at 1: the suite's ctest names embed the parameter bytes, so the
+// tuple keeps its shape.
 class ServiceEquivalence
     : public testing::TestWithParam<std::tuple<ScanMode, unsigned, bool>> {};
 
 TEST_P(ServiceEquivalence, KSessionsMatchPreMergedBatch) {
-  const auto [scan, jobs, faults] = GetParam();
+  const ScanMode scan = std::get<0>(GetParam());
+  const bool faults = std::get<2>(GetParam());
   constexpr unsigned kStreams = 4;
   constexpr std::uint64_t kPerStream = 1200;
   constexpr std::uint64_t kSeed = 42;
@@ -360,9 +375,7 @@ TEST_P(ServiceEquivalence, KSessionsMatchPreMergedBatch) {
 
   // Service run: one live session per stream, chunked submits under
   // back-pressure, arrivals merged by the service itself.
-  ServiceOptions opts;
-  opts.jobs = jobs;
-  SimService svc(cfg, opts);
+  SimService svc(cfg);
   struct Feed {
     std::unique_ptr<TraceSource> src;
     SessionId id = 0;
@@ -420,7 +433,7 @@ TEST_P(ServiceEquivalence, KSessionsMatchPreMergedBatch) {
 INSTANTIATE_TEST_SUITE_P(
     ScanJobsFaults, ServiceEquivalence,
     testing::Combine(testing::Values(ScanMode::kIndexed, ScanMode::kReference),
-                     testing::Values(1u, 2u, 4u),
+                     testing::Values(1u),
                      testing::Values(false, true)),
     [](const testing::TestParamInfo<ServiceEquivalence::ParamType>& info) {
       const ScanMode scan = std::get<0>(info.param);

@@ -74,6 +74,22 @@ TEST(Simulator, BackPressureDefersInjections) {
   const SimResult r = SimService(cfg).run_to_completion(trace);
   EXPECT_EQ(r.injected_writes, 16u);
   EXPECT_GT(r.deferred_injections, 0u);
+
+  // Deferrals are booked to the channel whose queue was full: the same
+  // burst aimed at channel 1 of a two-channel platform leaves channel 0's
+  // books empty.
+  cfg.geom.channels = 2;
+  const AddressMapper mapper(cfg.geom);
+  for (int i = 0; i < 16; ++i) {
+    records[i].addr =
+        mapper.encode(DecodedAddr{1, 0, 0, static_cast<unsigned>(i % 8), 0});
+  }
+  VectorTraceSource trace2(records);
+  const SimResult r2 = SimService(cfg).run_to_completion(trace2);
+  EXPECT_GT(r2.deferred_injections, 0u);
+  EXPECT_EQ(r2.metrics.counter("ch1.deferred_injections"),
+            r2.deferred_injections);
+  EXPECT_EQ(r2.metrics.counter("ch0.deferred_injections"), 0u);
 }
 
 TEST(Simulator, ArchitecturePropagation) {

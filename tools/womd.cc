@@ -5,7 +5,7 @@
 // result. The multi-stream merge happens inside the service, so the
 // output is bit-identical to a batch run over the pre-merged trace.
 //
-//   womd traces=a.trc,b.trc jobs=4
+//   womd traces=a.trc,b.trc
 //   womd profiles=401.bzip2,429.mcf,471.omnetpp,483.xalancbmk
 //        accesses=100000 config=configs/dualchannel.cfg
 //
@@ -16,19 +16,16 @@
 //                      seed ^ (golden-ratio * (s + 1))
 //   accesses=N         records per profile stream (default 100000)
 //   seed=S             base seed for profile streams (default 42)
-//   jobs=J             backend workers; >1 shards by channel (default 1)
 //   chunk=B            records per submit (default 256)
 //   config=FILE        key=value config file (configs/*.cfg)
 //   any config key     overrides, same dialect as every harness
 //                      (channels=2 arch=wcpcm fault.enabled=true ...)
 //   --list-codes       print the registered code families (k/n/t/rate/
 //                      overhead/wear/LUT) and exit
-#include <climits>
 #include <cstdint>
 #include <cstdio>
 #include <exception>
 #include <memory>
-#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -58,26 +55,6 @@ std::vector<std::string> split_list(const std::string& csv) {
   return out;
 }
 
-// Reads the integer harness key `key` (`fallback` when absent). A value
-// that is not an integer in [lo, hi] is rejected with an error naming the
-// key and the value: a plain cast would wrap accesses=-5 to ~2^64 records,
-// and chunk=0 would never reach end of stream.
-std::int64_t int_arg(const KeyValueConfig& args, const std::string& key,
-                     std::int64_t fallback, std::int64_t lo,
-                     std::int64_t hi) {
-  if (!args.has(key)) return fallback;
-  const auto v = args.get_int(key);
-  if (!v || *v < lo || *v > hi) {
-    std::string range = ">= " + std::to_string(lo);
-    if (hi != INT64_MAX) range = "in [" + std::to_string(lo) + ", " +
-                                 std::to_string(hi) + "]";
-    throw std::invalid_argument("bad value for " + key + ": " +
-                                args.get_string_or(key, "") + " (must be " +
-                                range + ")");
-  }
-  return *v;
-}
-
 // Stream name shown in the report: the trace file's basename, or the
 // profile name.
 std::string basename_of(const std::string& path) {
@@ -89,7 +66,7 @@ int usage() {
   std::fprintf(stderr,
                "usage: womd [traces=a.trc,b.trc] [profiles=P,Q,...] "
                "[accesses=N] [seed=S]\n"
-               "            [jobs=J] [chunk=B] [config=FILE] "
+               "            [chunk=B] [config=FILE] "
                "[config-key=value ...]\n"
                "       womd --list-codes\n"
                "  at least one trace or profile stream is required\n");
@@ -134,20 +111,19 @@ int main(int argc, char** argv) {
 
   try {
     const auto accesses = static_cast<std::uint64_t>(
-        int_arg(args, "accesses", 100000, 0, INT64_MAX));
-    const auto seed =
-        static_cast<std::uint64_t>(int_arg(args, "seed", 42, 0, INT64_MAX));
-    const auto jobs =
-        static_cast<unsigned>(int_arg(args, "jobs", 1, 0, UINT_MAX));
-    const auto chunk =
-        static_cast<std::size_t>(int_arg(args, "chunk", 256, 1, INT64_MAX));
+        args.get_int_in("accesses", 100000, 0, INT64_MAX));
+    const auto seed = static_cast<std::uint64_t>(
+        args.get_int_in("seed", 42, 0, INT64_MAX));
+    // chunk=0 would never reach end of stream.
+    const auto chunk = static_cast<std::size_t>(
+        args.get_int_in("chunk", 256, 1, INT64_MAX));
     SimConfig cfg = paper_config();
     if (args.has("config")) {
       cfg = load_config_file(cfg, args.get_string_or("config", ""));
     }
     cfg = apply_overrides(cfg, args,
-                          {"traces", "profiles", "accesses", "seed", "jobs",
-                           "chunk", "config"});
+                          {"traces", "profiles", "accesses", "seed", "chunk",
+                           "config"});
 
     // One feed per stream: trace files first, then profile streams, in
     // the order given — that order is the merge tie-break.
@@ -183,12 +159,10 @@ int main(int argc, char** argv) {
       feeds.push_back(std::move(fd));
     }
 
-    std::printf("womd: %zu stream(s) on %u channel(s), jobs=%u, chunk=%zu\n",
-                feeds.size(), cfg.geom.channels, jobs, chunk);
+    std::printf("womd: %zu stream(s) on %u channel(s), chunk=%zu\n",
+                feeds.size(), cfg.geom.channels, chunk);
 
-    ServiceOptions opts;
-    opts.jobs = jobs;
-    SimService svc(cfg, opts);
+    SimService svc(cfg);
     for (Feed& fd : feeds) {
       StreamSpec spec;
       spec.name = fd.label;
