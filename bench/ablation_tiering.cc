@@ -10,9 +10,12 @@
 // Emits one row per cell with benchmark-averaged demand latencies, the
 // tier's pooled hit rate, its writeback traffic and the capacity overhead.
 //
-// Usage: ablation_tiering [accesses=N] [seed=S] [sets=N] [ways=N]
+// Usage: ablation_tiering [accesses=N] [seed=S] [sets=N (1-2^20)]
+//        [ways=N (1-64)]
 
+#include <cstdint>
 #include <cstdio>
+#include <exception>
 #include <string>
 #include <vector>
 
@@ -29,15 +32,14 @@ struct Cell {
   SimConfig cfg;
 };
 
-}  // namespace
-
-int main(int argc, char** argv) {
-  const KeyValueConfig args = KeyValueConfig::from_args(argc, argv);
-  const auto accesses =
-      static_cast<std::uint64_t>(args.get_int_or("accesses", 40000));
-  const auto seed = static_cast<std::uint64_t>(args.get_int_or("seed", 42));
-  const auto sets = static_cast<unsigned>(args.get_int_or("sets", 1024));
-  const auto ways = static_cast<unsigned>(args.get_int_or("ways", 4));
+int tiering_main(const KeyValueConfig& args) {
+  const auto accesses = static_cast<std::uint64_t>(
+      args.get_int_in("accesses", 40000, 1, INT64_MAX));
+  const auto seed =
+      static_cast<std::uint64_t>(args.get_int_in("seed", 42, 0, INT64_MAX));
+  const auto sets =
+      static_cast<unsigned>(args.get_int_in("sets", 1024, 1, 1 << 20));
+  const auto ways = static_cast<unsigned>(args.get_int_in("ways", 4, 1, 64));
 
   // The dual-channel platform of configs/tiered.cfg: the tier is
   // per-channel state, one tier per channel.
@@ -110,4 +112,15 @@ int main(int argc, char** argv) {
       "write stream; writethrough trades write latency for zero writeback\n"
       "traffic; random replacement trails LRU by a few hit points\n");
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  try {
+    return tiering_main(KeyValueConfig::from_args(argc, argv));
+  } catch (const std::exception& e) {
+    std::fprintf(stderr, "ablation_tiering: %s\n", e.what());
+    return 1;
+  }
 }

@@ -6,21 +6,26 @@
 // codes, and reports the code's capacity overhead and Section 3.2 latency
 // bound next to the hand-built families.
 //
-// Usage: code_explorer [kmax=2] [tmax=3] [nmax=7] [budget=20000000] [show=1]
+// Usage: code_explorer [kmax=2 (1-4)] [tmax=3 (1-8)] [nmax=7 (1-20)]
+//        [budget=20000000] [show=1]
 
+#include <cstdint>
 #include <cstdio>
+#include <exception>
 
 #include "womcode.h"
 
 using namespace wompcm;
 
-int main(int argc, char** argv) {
-  const KeyValueConfig args = KeyValueConfig::from_args(argc, argv);
-  const unsigned kmax = static_cast<unsigned>(args.get_int_or("kmax", 2));
-  const unsigned tmax = static_cast<unsigned>(args.get_int_or("tmax", 3));
-  const unsigned nmax = static_cast<unsigned>(args.get_int_or("nmax", 7));
-  const auto budget =
-      static_cast<std::uint64_t>(args.get_int_or("budget", 20000000));
+namespace {
+
+int explorer_main(const KeyValueConfig& args) {
+  // search_wom_code handles k <= 4 data bits and n <= 20 wits.
+  const auto kmax = static_cast<unsigned>(args.get_int_in("kmax", 2, 1, 4));
+  const auto tmax = static_cast<unsigned>(args.get_int_in("tmax", 3, 1, 8));
+  const auto nmax = static_cast<unsigned>(args.get_int_in("nmax", 7, 1, 20));
+  const auto budget = static_cast<std::uint64_t>(
+      args.get_int_in("budget", 20000000, 1, INT64_MAX));
   const bool show = args.get_bool_or("show", true);
 
   const PcmTiming timing;
@@ -80,4 +85,15 @@ int main(int argc, char** argv) {
       "k=2, t=2 row; higher rewrite limits lower the latency bound but the\n"
       "wit cost grows quickly — the tradeoff PCM-refresh sidesteps.\n");
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  try {
+    return explorer_main(KeyValueConfig::from_args(argc, argv));
+  } catch (const std::exception& e) {
+    std::fprintf(stderr, "code_explorer: %s\n", e.what());
+    return 1;
+  }
 }

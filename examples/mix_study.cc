@@ -7,10 +7,12 @@
 // the SET-bound writes, which is where the WOM architectures earn their
 // keep.
 //
-// Usage: mix_study [cores=4] [accesses=N per core] [seed=S]
+// Usage: mix_study [cores=4 (1-64)] [accesses=N per core] [seed=S]
 //        [b0=NAME b1=NAME ...]
 
+#include <cstdint>
 #include <cstdio>
+#include <exception>
 
 #include "womcode.h"
 
@@ -29,14 +31,13 @@ std::unique_ptr<MixTraceSource> build_mix(
   return std::make_unique<MixTraceSource>(std::move(parts));
 }
 
-}  // namespace
-
-int main(int argc, char** argv) {
-  const KeyValueConfig args = KeyValueConfig::from_args(argc, argv);
-  const auto cores = static_cast<std::size_t>(args.get_int_or("cores", 4));
-  const auto accesses =
-      static_cast<std::uint64_t>(args.get_int_or("accesses", 40000));
-  const auto seed = static_cast<std::uint64_t>(args.get_int_or("seed", 42));
+int mix_main(const KeyValueConfig& args) {
+  const auto cores =
+      static_cast<std::size_t>(args.get_int_in("cores", 4, 1, 64));
+  const auto accesses = static_cast<std::uint64_t>(
+      args.get_int_in("accesses", 40000, 1, std::int64_t{1} << 40));
+  const auto seed =
+      static_cast<std::uint64_t>(args.get_int_in("seed", 42, 0, INT64_MAX));
 
   const char* defaults[] = {"401.bzip2", "464.h264ref", "ocean",
                             "482.sphinx3", "qsort", "470.lbm",
@@ -91,4 +92,15 @@ int main(int argc, char** argv) {
       "array (watch max bank util), a scalability limit the paper's\n"
       "single-program evaluation does not exercise.\n");
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  try {
+    return mix_main(KeyValueConfig::from_args(argc, argv));
+  } catch (const std::exception& e) {
+    std::fprintf(stderr, "mix_study: %s\n", e.what());
+    return 1;
+  }
 }

@@ -3,55 +3,12 @@
 #include <stdexcept>
 
 #include "arch/cache_layer.h"
-#include "arch/coding_dispatch.h"
-#include "arch/coding_policy.h"
 #include "arch/refresh_policy.h"
 
 namespace wompcm {
 
-const char* to_string(CodingKind k) {
-  switch (k) {
-    case CodingKind::kRaw:
-      return "raw";
-    case CodingKind::kWomWide:
-      return "wom-wide";
-    case CodingKind::kWomHidden:
-      return "wom-hidden";
-    case CodingKind::kFlipNWrite:
-      return "fnw";
-    case CodingKind::kSymmetric:
-      return "symmetric";
-    case CodingKind::kPolar:
-      return "polar";
-    case CodingKind::kTsConstrained:
-      return "ts-constrained";
-  }
-  return "?";
-}
-
 const char* to_string(RefreshKind k) {
   return k == RefreshKind::kRat ? "rat" : "none";
-}
-
-bool coding_kind_from_string(const std::string& s, CodingKind* out) {
-  if (s == "raw") {
-    *out = CodingKind::kRaw;
-  } else if (s == "wom-wide") {
-    *out = CodingKind::kWomWide;
-  } else if (s == "wom-hidden") {
-    *out = CodingKind::kWomHidden;
-  } else if (s == "fnw") {
-    *out = CodingKind::kFlipNWrite;
-  } else if (s == "symmetric") {
-    *out = CodingKind::kSymmetric;
-  } else if (s == "polar") {
-    *out = CodingKind::kPolar;
-  } else if (s == "ts-constrained") {
-    *out = CodingKind::kTsConstrained;
-  } else {
-    return false;
-  }
-  return true;
 }
 
 bool refresh_kind_from_string(const std::string& s, RefreshKind* out) {
@@ -138,12 +95,6 @@ namespace {
 
 // Step 1 of the constructor: everything the members are built from, checked
 // before the address mapper sees the geometry.
-// The code name of a WOM-coded region; empty for the other codings.
-std::string region_code_name(CodingKind kind, const CodingPolicy& coding) {
-  return is_wom_coding(kind) ? static_cast<const WomCoding&>(coding).code_name()
-                             : std::string();
-}
-
 const MemoryGeometry& checked_geometry(const MemoryGeometry& geom,
                                        const PcmTiming& timing,
                                        const ArchConfig& cfg) {
@@ -181,50 +132,44 @@ Architecture::Architecture(const MemoryGeometry& geom, const PcmTiming& timing,
       timing_(timing),
       wear_(geom.lines_per_row()),
       row_key_stride_(geom.rows_per_bank + 1),
-      comp_(validate_composition(cfg.composition)) {
+      comp_(validate_composition(cfg.composition)),
+      // Each WOM-coded region resolves its code (main.code= / cache.code=
+      // override, else the shared legacy code= key or the family default).
+      // A raw/fnw composition builds even with an unresolvable cfg.code:
+      // resolve_region_code returns an empty RegionCode for the non-WOM
+      // kinds without looking at the name.
+      main_coding_(comp_.main_coding, region_context(),
+                   resolve_region_code(comp_.main_coding, cfg.main_code,
+                                       cfg.code, line_bits()),
+                   geom.lines_per_row(), /*erased_start=*/false,
+                   cfg.fnw_fast_fraction, cfg.seed) {
   // One energy bucket per channel, folded in channel order (see
   // pcm/energy.h; the registry corpus pins the folded totals).
   // Single-channel geometries get one bucket and behave exactly like the
   // plain accumulator.
   energy_.configure_channels(geom.channels);
-  // Resolve each WOM-coded region's code (main.code= / cache.code=
-  // override, else the shared legacy code= key or the family default). A
-  // raw/fnw composition builds even with an unresolvable cfg.code:
-  // resolve_region_code returns an empty RegionCode for the non-WOM kinds
-  // without looking at the name.
-  RegionCode main_rc = resolve_region_code(comp_.main_coding, cfg.main_code,
-                                           cfg.code, line_bits());
-  RegionCode cache_rc;
-  if (comp_.cache_enabled) {
-    cache_rc = resolve_region_code(comp_.cache_coding, cfg.cache_code,
-                                   cfg.code, line_bits());
-  }
-  RegionContext ctx{&timing_, &counters_, &energy_, &wear_, line_bits()};
-  ctx.channel = &active_channel_;
-  ctx.channels = geom.channels;
-  main_coding_ = make_coding_policy(comp_.main_coding, ctx,
-                                    std::move(main_rc), geom.lines_per_row(),
-                                    /*erased_start=*/false,
-                                    cfg.fnw_fast_fraction, cfg.seed);
   if (comp_.cache_enabled) {
     // The cache's small array is formatted at boot and cycles through
     // refresh continuously, so its untouched rows start erased.
-    cache_ = std::make_unique<CacheLayer>(
-        geom, make_coding_policy(comp_.cache_coding, ctx, std::move(cache_rc),
-                                 geom.lines_per_row(), /*erased_start=*/true,
-                                 cfg.fnw_fast_fraction, cfg.seed));
+    cache_coding_.emplace(comp_.cache_coding, region_context(),
+                          resolve_region_code(comp_.cache_coding,
+                                              cfg.cache_code, cfg.code,
+                                              line_bits()),
+                          geom.lines_per_row(), /*erased_start=*/true,
+                          cfg.fnw_fast_fraction, cfg.seed);
+    cache_ = std::make_unique<CacheLayer>(geom);
   }
   if (comp_.refresh == RefreshKind::kRat) {
     // A RAT attaches to each region whose coding has refreshable
     // generation state (validate_composition guarantees at least one).
-    if (main_coding_->refreshable()) {
+    if (main_coding_.refreshable()) {
       // Serve the most recently recorded row first: it is the hottest and
       // the most likely to take its alpha-write soon.
       main_rat_ = std::make_unique<RatRefreshPolicy>(
           main_banks(), cfg.rat_entries, RatRefreshPolicy::ServeOrder::kNewestFirst,
           &counters_);
     }
-    if (cache_ != nullptr && cache_->coding().refreshable()) {
+    if (cache_coding_ && cache_coding_->refreshable()) {
       // The cache array cycles continuously through refresh, so its RAT
       // drains in insertion order.
       cache_rat_ = std::make_unique<RatRefreshPolicy>(
@@ -265,11 +210,9 @@ Architecture::~Architecture() = default;
 std::string Architecture::name() const {
   // The paper's designs keep the names every config, bench and plot
   // already uses.
-  const std::string main_code =
-      region_code_name(comp_.main_coding, *main_coding_);
+  const std::string& main_code = main_coding_.code_name();
   const std::string cache_code =
-      cache_ == nullptr ? std::string()
-                        : region_code_name(comp_.cache_coding, cache_->coding());
+      cache_coding_ ? cache_coding_->code_name() : std::string();
   const char* org = comp_.main_coding == CodingKind::kWomHidden
                         ? to_string(WomOrganization::kHiddenPage)
                         : to_string(WomOrganization::kWideColumn);
@@ -357,7 +300,7 @@ IssuePlan Architecture::plan_main_write(const DecodedAddr& dec, bool internal,
                                         IssuePlan p) {
   std::uint64_t key = row_key_for(p.resource, p.row);
   const CodingPolicy::WriteBegin rec =
-      coding_begin_write(comp_.main_coding, *main_coding_, key, dec.col, &p);
+      main_coding_.begin_write(key, dec.col, &p);
   const FaultOutcome f =
       fault_on_write(p.resource, dec.channel, dec.col, /*allow_remap=*/true,
                      &p);
@@ -365,11 +308,10 @@ IssuePlan Architecture::plan_main_write(const DecodedAddr& dec, bool internal,
     // The row moved to a fresh spare: start its generation there so the
     // rewrite budget tracks the cells actually being programmed.
     key = row_key_for(p.resource, p.row);
-    coding_note_remap(comp_.main_coding, *main_coding_, key, dec.col);
+    main_coding_.note_remap(key, dec.col);
   }
-  const bool at_limit =
-      coding_finish_write(comp_.main_coding, *main_coding_, rec, f.demoted,
-                          key, key, dec.col, internal, &p);
+  const bool at_limit = main_coding_.finish_write(rec, f.demoted, key, key,
+                                                 dec.col, internal, &p);
   if (at_limit && main_rat_ != nullptr) main_rat_->touch(p.resource, key);
   return p;
 }
@@ -411,17 +353,15 @@ IssuePlan Architecture::plan_cache_write(const DecodedAddr& dec, IssuePlan p) {
     cache_->evict_lines(ci, dec.row);
   }
   const std::uint64_t track_key = cache_->row_key(ci, dec.row);
-  CodingPolicy& coding = cache_->coding();
   const CodingPolicy::WriteBegin rec =
-      coding_begin_write(comp_.cache_coding, coding, track_key, dec.col, &p);
+      cache_coding_->begin_write(track_key, dec.col, &p);
   // No spare pool behind the cache array: a dead verdict is handled below
   // by invalidate-and-bypass.
   const FaultOutcome f = fault_on_write(main_banks() + ci, dec.channel,
                                         dec.col, /*allow_remap=*/false, &p);
-  const bool at_limit =
-      coding_finish_write(comp_.cache_coding, coding, rec, f.demoted,
-                          track_key, cache_wear_key(ci, dec.row), dec.col,
-                          /*internal=*/false, &p);
+  const bool at_limit = cache_coding_->finish_write(
+      rec, f.demoted, track_key, cache_wear_key(ci, dec.row), dec.col,
+      /*internal=*/false, &p);
   if (f.dead_unmapped) {
     // The row can no longer be programmed reliably: retire it from cache
     // service. A miss already flushed the previous occupant; on a hit the
@@ -468,16 +408,16 @@ IssuePlan Architecture::plan(const DecodedAddr& dec, AccessType type,
     if (cache_->probe_read_hit(dec)) {
       bump(ctr_read_hits_, "wcpcm.read_hits");
       p.resource = main_banks() + cache_->index(dec.channel, dec.rank);
-      coding_read_energy(comp_.cache_coding, cache_->coding(), &p);
+      cache_coding_->read_energy();
       fault_on_read(dec.channel, &p);
-      coding_read_extras(comp_.cache_coding, cache_->coding(), &p);
+      cache_coding_->read_extras(&p);
     } else {
       bump(ctr_read_misses_, "wcpcm.read_misses");
       p.resource = flat_bank(dec);
       p.row = resolved_row(p.resource, dec.row);
-      coding_read_energy(comp_.main_coding, *main_coding_, &p);
+      main_coding_.read_energy();
       fault_on_read(dec.channel, &p);
-      coding_read_extras(comp_.main_coding, *main_coding_, &p);
+      main_coding_.read_extras(&p);
     }
     return p;
   }
@@ -490,9 +430,9 @@ IssuePlan Architecture::plan(const DecodedAddr& dec, AccessType type,
     return plan_main_write(dec, internal, std::move(p));
   }
   bump(ctr_reads_, "reads");
-  coding_read_energy(comp_.main_coding, *main_coding_, &p);
+  main_coding_.read_energy();
   fault_on_read(dec.channel, &p);
-  coding_read_extras(comp_.main_coding, *main_coding_, &p);
+  main_coding_.read_extras(&p);
   return p;
 }
 
@@ -531,7 +471,7 @@ Architecture::RefreshWork Architecture::perform_refresh(
       const unsigned resource = base + b;
       if (!unit_ready(resource)) continue;  // demand in flight: skip the bank
       if (main_rat_->refresh_one(resource, [&](std::uint64_t key) {
-            return main_coding_->refresh_row(key, key);
+            return main_coding_.refresh_row(key, key);
           })) {
         ++work.rows;
         work.resources.push_back(resource);
@@ -549,8 +489,8 @@ Architecture::RefreshWork Architecture::perform_refresh(
             const unsigned r = static_cast<unsigned>(row);
             // Retired rows have nothing to refresh.
             if (faults_enabled() && cache_->row_dead(ci, r)) return false;
-            return cache_->coding().refresh_row(cache_->row_key(ci, r),
-                                                cache_wear_key(ci, r));
+            return cache_coding_->refresh_row(cache_->row_key(ci, r),
+                                              cache_wear_key(ci, r));
           })) {
         ++work.rows;
         work.resources.push_back(resource);
@@ -577,11 +517,11 @@ std::vector<unsigned> Architecture::refresh_resources(unsigned channel,
 }
 
 double Architecture::capacity_overhead() const {
-  double overhead = main_coding_->overhead();
+  double overhead = main_coding_.overhead();
   if (cache_ != nullptr) {
     // The cache stores one coded bank's worth of rows per rank:
     // (1 + coding overhead) / N_bank of the main capacity.
-    overhead += (1.0 + cache_->coding().overhead()) /
+    overhead += (1.0 + cache_coding_->overhead()) /
                 static_cast<double>(geom_.banks_per_rank);
   }
   return overhead;
@@ -595,8 +535,8 @@ double Architecture::write_hit_rate() const {
 }
 
 const WomCode* Architecture::code() const {
-  const WomCode* main = main_coding_->code();
-  return main != nullptr || cache_ == nullptr ? main : cache_->coding().code();
+  const WomCode* main = main_coding_.code();
+  return main != nullptr || !cache_coding_ ? main : cache_coding_->code();
 }
 
 std::size_t Architecture::rat_size(unsigned flat_bank_idx) const {

@@ -14,11 +14,13 @@
 
 #include <functional>
 #include <memory>
+#include <optional>
 #include <span>
 #include <string>
 #include <string_view>
 #include <vector>
 
+#include "arch/coding_policy.h"
 #include "common/address.h"
 #include "common/types.h"
 #include "controller/remap_table.h"
@@ -33,26 +35,7 @@
 namespace wompcm {
 
 class CacheLayer;
-class CodingPolicy;
 class RatRefreshPolicy;
-class WomCode;
-
-// An internal write the controller must enqueue on behalf of the
-// architecture (e.g. a WOM-cache victim flushed to PCM main memory).
-struct SpawnedWrite {
-  DecodedAddr dec;
-};
-
-// The issue-time decision for one demand or internal access.
-struct IssuePlan {
-  unsigned resource = 0;  // bank-like resource the access occupies
-  unsigned row = 0;       // row latched in that resource's row buffer
-  Tick pre_ns = 0;        // before the array phase: tag checks, pauses
-  Tick program_ns = 0;    // write programming latency (0 for reads)
-  Tick post_ns = 0;       // after the array phase: hidden-page second access
-  WriteClass write_class = WriteClass::kResetOnly;  // diagnostics
-  std::vector<SpawnedWrite> spawned;  // internal writes to enqueue
-};
 
 // ---- Composable architecture description ----
 //
@@ -64,33 +47,14 @@ struct IssuePlan {
 // never evaluated (Flip-N-Write behind a WOM-cache, hidden-page + refresh,
 // a symmetric-latency cache as an upper bound).
 
-// How one region stores its lines.
-enum class CodingKind : std::uint8_t {
-  kRaw,         // uncoded: every write is SET-bound (conventional PCM)
-  kWomWide,     // inverted WOM code, wide-column organization (Section 3.1)
-  kWomHidden,   // inverted WOM code, hidden-page organization (Section 3.1)
-  kFlipNWrite,  // Flip-N-Write coding (Cho & Lee, MICRO 2009)
-  kSymmetric,   // hypothetical S=1 memory: every write at RESET latency
-  kPolar,       // polar-kernel WOM block code, sectioned (wide columns)
-  kTsConstrained,  // time-space constrained replica rotation, sectioned
-};
-
 enum class RefreshKind : std::uint8_t {
   kNone,
   kRat,  // row-address tables + burst re-initialization (Section 3.2)
 };
 
-const char* to_string(CodingKind k);
 const char* to_string(RefreshKind k);
-// Parsers for the config keys (main.coding= / cache.coding= / refresh=).
-// Return false on an unknown name.
-bool coding_kind_from_string(const std::string& s, CodingKind* out);
+// Parser for the config key refresh=. Returns false on an unknown name.
 bool refresh_kind_from_string(const std::string& s, RefreshKind* out);
-
-inline bool is_wom_coding(CodingKind k) {
-  return k == CodingKind::kWomWide || k == CodingKind::kWomHidden ||
-         k == CodingKind::kPolar || k == CodingKind::kTsConstrained;
-}
 
 struct Composition {
   CodingKind main_coding = CodingKind::kRaw;
@@ -161,11 +125,11 @@ struct ArchConfig {
   unsigned start_gap_interval = 128;
 };
 
-// The architecture: one composition of orthogonal policies. It wires a
-// main-memory CodingPolicy, an optional per-rank WOM-cache CacheLayer (with
-// its own CodingPolicy) and per-region RatRefreshPolicy instances, and owns
-// what every composition shares: routing, Start-Gap, the fault pipeline and
-// the accounting books.
+// The architecture: one composition of orthogonal policies. It holds a
+// main-memory CodingPolicy, an optional per-rank WOM-cache CacheLayer with
+// the cache's CodingPolicy, and per-region RatRefreshPolicy instances, and
+// owns what every composition shares: routing, Start-Gap, the fault
+// pipeline and the accounting books.
 class Architecture {
  public:
   // Builds the complete architecture, in this order: validates the geometry,
@@ -281,6 +245,11 @@ class Architecture {
     return static_cast<std::uint64_t>(bank) * row_key_stride_ + row;
   }
   std::uint64_t line_bits() const { return geom_.line_bytes() * 8ull; }
+  // The books a region's CodingPolicy publishes into: this architecture's.
+  RegionContext region_context() {
+    return {&timing_,    &counters_,       &energy_,      &wear_,
+            line_bits(), &active_channel_, geom_.channels};
+  }
   unsigned cache_resource(unsigned channel, unsigned rank) const;
   // Wear/fault row key for a cache row, disjoint from main-memory keys
   // (cache arrays are keyed as banks appended after the main banks).
@@ -365,8 +334,9 @@ class Architecture {
   // stream — energy buckets, the FNW draw RNGs. The registry corpus pins
   // the results of this per-channel accounting.
   unsigned active_channel_ = 0;
-  std::unique_ptr<CodingPolicy> main_coding_;
+  CodingPolicy main_coding_;
   std::unique_ptr<CacheLayer> cache_;             // null = no front end
+  std::optional<CodingPolicy> cache_coding_;      // engaged iff cache_
   std::unique_ptr<RatRefreshPolicy> main_rat_;    // null = not attached
   std::unique_ptr<RatRefreshPolicy> cache_rat_;   // null = not attached
 

@@ -4,12 +4,10 @@
 
 namespace wompcm {
 
-CacheLayer::CacheLayer(const MemoryGeometry& geom,
-                       std::unique_ptr<CodingPolicy> coding)
+CacheLayer::CacheLayer(const MemoryGeometry& geom)
     : ranks_(geom.ranks),
       rows_per_bank_(geom.rows_per_bank),
-      words_per_row_((geom.lines_per_row() + 63) / 64),
-      coding_(std::move(coding)) {
+      words_per_row_((geom.lines_per_row() + 63) / 64) {
   const unsigned arrays = geom.channels * geom.ranks;
   tags_.reserve(arrays);
   for (unsigned i = 0; i < arrays; ++i) {

@@ -3,20 +3,18 @@
 // valid bits and a dead-row set for rows retired by the fault model.
 //
 // Tag/valid/victim bookkeeping lives in a TagArray per (channel, rank) —
-// 1-way sets indexed by row, tagged by bank, under the bank_tag
-// ReplacementPolicy — so the WOM cache is one point in the same tag-array
+// 1-way sets indexed by row, tagged by bank, with bank_tag replacement
+// (ReplacementState) — so the WOM cache is one point in the same tag-array
 // design space as the DRAM front tier. The layer additionally owns the
 // per-line valid bitmaps (the cache row only holds the lines written since
-// the install) and the cache's CodingPolicy; the access protocol (victim
-// spawning, bypass, fault pipeline, refresh scheduling) stays in the
+// the install). The cache's CodingPolicy and the access protocol (victim
+// spawning, bypass, fault pipeline, refresh scheduling) stay in the
 // Architecture.
 #pragma once
 
 #include <cstdint>
-#include <memory>
 #include <vector>
 
-#include "arch/coding_policy.h"
 #include "arch/tag_array.h"
 #include "common/address.h"
 #include "common/flat_map.h"
@@ -25,10 +23,7 @@ namespace wompcm {
 
 class CacheLayer final {
  public:
-  CacheLayer(const MemoryGeometry& geom, std::unique_ptr<CodingPolicy> coding);
-
-  CodingPolicy& coding() { return *coding_; }
-  const CodingPolicy& coding() const { return *coding_; }
+  explicit CacheLayer(const MemoryGeometry& geom);
 
   unsigned arrays() const { return static_cast<unsigned>(tags_.size()); }
   unsigned index(unsigned channel, unsigned rank) const {
@@ -101,7 +96,6 @@ class CacheLayer final {
   unsigned ranks_;
   unsigned rows_per_bank_;
   unsigned words_per_row_;  // 64-bit words of one row's line bitmap
-  std::unique_ptr<CodingPolicy> coding_;
   // One 1-way bank_tag TagArray per (channel, rank) cache array.
   std::vector<TagArray> tags_;
   // Per-line valid bitmaps, keyed like row_key: line_slab_ holds a row's

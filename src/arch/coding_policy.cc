@@ -2,7 +2,6 @@
 
 #include <stdexcept>
 
-#include "arch/coding_policies.h"
 #include "wom/encode_lut.h"
 #include "wom/registry.h"
 
@@ -25,6 +24,47 @@ std::string known_names_hint() {
 }
 
 }  // namespace
+
+const char* to_string(CodingKind k) {
+  switch (k) {
+    case CodingKind::kRaw:
+      return "raw";
+    case CodingKind::kWomWide:
+      return "wom-wide";
+    case CodingKind::kWomHidden:
+      return "wom-hidden";
+    case CodingKind::kFlipNWrite:
+      return "fnw";
+    case CodingKind::kSymmetric:
+      return "symmetric";
+    case CodingKind::kPolar:
+      return "polar";
+    case CodingKind::kTsConstrained:
+      return "ts-constrained";
+  }
+  return "?";
+}
+
+bool coding_kind_from_string(const std::string& s, CodingKind* out) {
+  if (s == "raw") {
+    *out = CodingKind::kRaw;
+  } else if (s == "wom-wide") {
+    *out = CodingKind::kWomWide;
+  } else if (s == "wom-hidden") {
+    *out = CodingKind::kWomHidden;
+  } else if (s == "fnw") {
+    *out = CodingKind::kFlipNWrite;
+  } else if (s == "symmetric") {
+    *out = CodingKind::kSymmetric;
+  } else if (s == "polar") {
+    *out = CodingKind::kPolar;
+  } else if (s == "ts-constrained") {
+    *out = CodingKind::kTsConstrained;
+  } else {
+    return false;
+  }
+  return true;
+}
 
 WomCodePtr resolve_inverted_wom_code(const std::string& name) {
   WomCodePtr code = make_code(name);
@@ -122,25 +162,47 @@ RegionCode resolve_region_code(CodingKind kind,
   return rc;
 }
 
-std::unique_ptr<CodingPolicy> make_coding_policy(
-    CodingKind kind, const RegionContext& ctx, RegionCode code,
-    unsigned lines_per_row, bool erased_start, double fnw_fast_fraction,
-    std::uint64_t seed) {
-  switch (kind) {
-    case CodingKind::kRaw:
-      return std::make_unique<RawCoding>(ctx);
-    case CodingKind::kSymmetric:
-      return std::make_unique<SymmetricCoding>(ctx);
-    case CodingKind::kFlipNWrite:
-      return std::make_unique<FnwCoding>(ctx, fnw_fast_fraction, seed);
-    case CodingKind::kWomWide:
-    case CodingKind::kWomHidden:
-    case CodingKind::kPolar:
-    case CodingKind::kTsConstrained:
-      return std::make_unique<WomCoding>(ctx, kind, std::move(code),
-                                         lines_per_row, erased_start);
+CodingPolicy::CodingPolicy(CodingKind kind, const RegionContext& ctx,
+                           RegionCode code, unsigned lines_per_row,
+                           bool erased_start, double fnw_fast_fraction,
+                           std::uint64_t seed)
+    : kind_(kind), ctx_(ctx), coded_line_bits_(ctx.line_bits) {
+  if (kind == CodingKind::kFlipNWrite) {
+    // One generator per channel, so the fast/slow draw sequence each
+    // channel sees depends only on that channel's own write order, like
+    // FaultModel's per-channel event streams. The registry corpus pins the
+    // results of these per-channel draws. Channel 0 seeds exactly as the
+    // single shared generator used to, keeping single-channel runs
+    // bit-identical.
+    fnw_fast_fraction_ = fnw_fast_fraction;
+    overhead_ = 1.0 / 64.0;  // one flip bit per data word
+    const unsigned channels = ctx.channels == 0 ? 1 : ctx.channels;
+    fnw_rngs_.reserve(channels);
+    for (unsigned c = 0; c < channels; ++c) {
+      fnw_rngs_.emplace_back(seed ^ (0x9e3779b97f4a7c15ULL * c));
+    }
   }
-  throw std::invalid_argument("unknown coding kind");
+  if (!is_wom_coding(kind)) return;
+  if (code.data_bits == 0 || code.wits == 0 || code.max_writes == 0) {
+    throw std::invalid_argument(
+        std::string("CodingPolicy: coding=") + to_string(kind) +
+        " needs a resolved code (resolve_region_code)");
+  }
+  code_ = std::move(code.code);
+  code_name_ = std::move(code.name);
+  coded_line_bits_ = ctx.line_bits * code.wits / code.data_bits;
+  overhead_ = static_cast<double>(code.wits) / code.data_bits - 1.0;
+  wear_bound_ = code.wear_bound;
+  lut_ = code.lut;
+  tracker_.emplace(code.max_writes, lines_per_row, erased_start);
+}
+
+bool CodingPolicy::refresh_row(std::uint64_t track_key,
+                               std::uint64_t wear_key) {
+  if (!tracker_ || !tracker_->refresh(track_key)) return false;
+  ctx_.energy->on_refresh(coded_line_bits_);
+  ctx_.wear->on_refresh(wear_key);
+  return true;
 }
 
 }  // namespace wompcm

@@ -15,17 +15,67 @@
 //
 // so demotion and remapping are charged at the rates the cells actually
 // saw.
+//
+// The coding kinds form a closed set, so CodingPolicy is one value type
+// (the same shape as ReplacementState in arch/tag_array.h): each hook
+// switches on the stored CodingKind, and the per-access hooks are inline
+// so they flatten into Architecture::plan().
 #pragma once
 
 #include <cstdint>
-#include <memory>
+#include <optional>
+#include <string>
+#include <vector>
 
-#include "arch/arch.h"
+#include "common/address.h"
 #include "common/rng.h"
+#include "common/types.h"
+#include "pcm/endurance.h"
+#include "pcm/energy.h"
+#include "pcm/timing.h"
+#include "stats/stats.h"
 #include "wom/wom_code.h"
 #include "wom/wom_tracker.h"
 
 namespace wompcm {
+
+// An internal write the controller must enqueue on behalf of the
+// architecture (e.g. a WOM-cache victim flushed to PCM main memory).
+struct SpawnedWrite {
+  DecodedAddr dec;
+};
+
+// The issue-time decision for one demand or internal access.
+struct IssuePlan {
+  unsigned resource = 0;  // bank-like resource the access occupies
+  unsigned row = 0;       // row latched in that resource's row buffer
+  Tick pre_ns = 0;        // before the array phase: tag checks, pauses
+  Tick program_ns = 0;    // write programming latency (0 for reads)
+  Tick post_ns = 0;       // after the array phase: hidden-page second access
+  WriteClass write_class = WriteClass::kResetOnly;  // diagnostics
+  std::vector<SpawnedWrite> spawned;  // internal writes to enqueue
+};
+
+// How one region stores its lines.
+enum class CodingKind : std::uint8_t {
+  kRaw,         // uncoded: every write is SET-bound (conventional PCM)
+  kWomWide,     // inverted WOM code, wide-column organization (Section 3.1)
+  kWomHidden,   // inverted WOM code, hidden-page organization (Section 3.1)
+  kFlipNWrite,  // Flip-N-Write coding (Cho & Lee, MICRO 2009)
+  kSymmetric,   // hypothetical S=1 memory: every write at RESET latency
+  kPolar,       // polar-kernel WOM block code, sectioned (wide columns)
+  kTsConstrained,  // time-space constrained replica rotation, sectioned
+};
+
+const char* to_string(CodingKind k);
+// Parser for the config keys main.coding= / cache.coding=. Returns false on
+// an unknown name.
+bool coding_kind_from_string(const std::string& s, CodingKind* out);
+
+inline bool is_wom_coding(CodingKind k) {
+  return k == CodingKind::kWomWide || k == CodingKind::kWomHidden ||
+         k == CodingKind::kPolar || k == CodingKind::kTsConstrained;
+}
 
 // The accounting surface a policy publishes into. The pointers alias the
 // owning Architecture's own state, so both regions of a composition write
@@ -45,83 +95,6 @@ struct RegionContext {
   const unsigned* channel = nullptr;
   // Number of channels, for sizing per-channel streams.
   unsigned channels = 1;
-};
-
-class CodingPolicy {
- public:
-  // The decision made before the fault pipeline runs: the class the coding
-  // scheme chose (faults may later demote kResetOnly to kAlpha) and
-  // whether it was a cold alpha (first touch of an unknown-state line).
-  struct WriteBegin {
-    WriteClass cls = WriteClass::kAlpha;
-    bool cold = false;
-  };
-
-  explicit CodingPolicy(const RegionContext& ctx) : ctx_(ctx) {}
-  virtual ~CodingPolicy() = default;
-
-  virtual CodingKind kind() const = 0;
-  // Capacity overhead of this coding relative to uncoded storage.
-  virtual double overhead() const = 0;
-
-  // Records the write in the region's generation state and settles
-  // plan->write_class / plan->program_ns. `track_key` identifies the
-  // (bank, row) in the region's tracker key space.
-  virtual WriteBegin begin_write(std::uint64_t track_key, unsigned line,
-                                 IssuePlan* p) = 0;
-
-  // The fault pipeline moved the row onto a fresh spare: re-record there so
-  // the rewrite budget tracks the cells actually being programmed.
-  virtual void note_remap(std::uint64_t track_key, unsigned line) {
-    (void)track_key;
-    (void)line;
-  }
-
-  // Counters, energy, wear and organization extras. `demoted` is the fault
-  // pipeline's fast-path demotion verdict; `internal` marks controller-
-  // spawned writes (cache victims and dead-row bypasses), which count as
-  // "writes.victim" instead of the demand classes. `wear_key` is the
-  // region's wear/fault key for the row (identical to track_key for main
-  // memory; disjoint for the cache, whose tracker keys are array-local).
-  // Returns true when the write left the row with lines at the rewrite
-  // limit — a refresh candidate.
-  virtual bool finish_write(const WriteBegin& rec, bool demoted,
-                            std::uint64_t track_key, std::uint64_t wear_key,
-                            unsigned line, bool internal, IssuePlan* p) = 0;
-
-  // Read-path energy (the caller owns the read counters) and organization
-  // extras (the hidden-page dependent second access), split so the fault
-  // pipeline's read hook runs between them.
-  virtual void read_energy(IssuePlan* p) = 0;
-  virtual void read_extras(IssuePlan* p) { (void)p; }
-
-  // PCM-refresh support: re-initializes one row's codewords. Returns false
-  // when the scheme has no refreshable generation state, or when the row
-  // had no lines at the limit (a stale RAT entry).
-  virtual bool refresh_row(std::uint64_t track_key, std::uint64_t wear_key) {
-    (void)track_key;
-    (void)wear_key;
-    return false;
-  }
-  virtual bool refreshable() const { return false; }
-
-  // The WOM code behind a WOM-coded region; null otherwise.
-  virtual const WomCode* code() const { return nullptr; }
-
- protected:
-  // Cached counter increment (same contract as Architecture::bump).
-  void bump(std::uint64_t*& slot, const char* name, std::uint64_t by = 1) {
-    if (slot == nullptr) slot = ctx_.counters->slot(name);
-    *slot += by;
-  }
-
-  // Channel of the access being planned (0 when the owner wired no cursor).
-  unsigned active_channel() const {
-    return ctx_.channel == nullptr ? 0u : *ctx_.channel;
-  }
-
-  RegionContext ctx_;
-  std::uint64_t* ctr_victim_ = nullptr;
 };
 
 // Resolves `name` to an inverted WOM code, throwing std::invalid_argument
@@ -154,12 +127,229 @@ RegionCode resolve_region_code(CodingKind kind,
                                const std::string& legacy_code,
                                std::uint64_t line_bits);
 
-// Policy factory. `code` must be resolved (resolve_region_code) for the
-// WOM kinds and is ignored by the others; `erased_start` seeds untouched
-// rows as erased (the boot-formatted WOM-cache) instead of unknown.
-std::unique_ptr<CodingPolicy> make_coding_policy(
-    CodingKind kind, const RegionContext& ctx, RegionCode code,
-    unsigned lines_per_row, bool erased_start, double fnw_fast_fraction,
-    std::uint64_t seed);
+// The four codings, one per family of CodingKind:
+//
+//   raw        conventional PCM: every write almost surely needs SET pulses
+//              somewhere in the line, so it completes at the full row-write
+//              latency.
+//   symmetric  hypothetical symmetric-write memory: SET as fast as RESET
+//              (S = 1), the latency upper bound every WOM scheme chases.
+//   fnw        Flip-N-Write (Cho & Lee, MICRO 2009): at most half the bits
+//              programmed per write, but RESET-latency completion only when
+//              the chosen encoding needs no SET pulse anywhere — an explicit
+//              probability here, since the timing model carries no data
+//              payloads.
+//   WOM kinds  inverted WOM-code region (Section 3.1): rewrites within the
+//              code's budget are RESET-only; a row at the limit takes the
+//              alpha-write. The hidden-page organization pays a dependent
+//              second access per demand read and write. The sectioned kinds
+//              (polar, ts-constrained) split a line into several codewords,
+//              but a line write advances all of them, alpha re-initializes
+//              all of them, and a refresh erases the whole row, so the
+//              sections of a line always share its generation: one tracker
+//              slot per line classifies them all.
+class CodingPolicy {
+ public:
+  // The decision made before the fault pipeline runs: the class the coding
+  // scheme chose (faults may later demote kResetOnly to kAlpha) and
+  // whether it was a cold alpha (first touch of an unknown-state line).
+  struct WriteBegin {
+    WriteClass cls = WriteClass::kAlpha;
+    bool cold = false;
+  };
+
+  // Builds the coding of `kind`. `code` must be resolved
+  // (resolve_region_code) for the WOM kinds and is ignored by the others;
+  // `erased_start` seeds untouched rows as erased (the boot-formatted
+  // WOM-cache) instead of unknown; `fnw_fast_fraction` is Flip-N-Write's
+  // probability that a write needs no SET pulse, drawn from per-channel
+  // generators derived from `seed`. Throws std::invalid_argument for a WOM
+  // kind without a resolved code.
+  CodingPolicy(CodingKind kind, const RegionContext& ctx, RegionCode code,
+               unsigned lines_per_row, bool erased_start,
+               double fnw_fast_fraction, std::uint64_t seed);
+
+  // Capacity overhead of this coding relative to uncoded storage.
+  double overhead() const { return overhead_; }
+  // Only WOM-coded regions have generation state a refresh can restore.
+  bool refreshable() const { return tracker_.has_value(); }
+
+  // The WOM code behind a WOM-coded region; null otherwise (and for the
+  // native block families).
+  const WomCode* code() const { return code_.get(); }
+  // The resolved code name of a WOM-coded region; empty otherwise.
+  const std::string& code_name() const { return code_name_; }
+  // The generation tracker of a WOM-coded region (refreshable() only).
+  const WomStateTracker& tracker() const { return *tracker_; }
+
+  // Records the write in the region's generation state and settles
+  // plan->write_class / plan->program_ns. `track_key` identifies the
+  // (bank, row) in the region's tracker key space.
+  WriteBegin begin_write(std::uint64_t track_key, unsigned line,
+                         IssuePlan* p) {
+    WriteBegin rec;
+    switch (kind_) {
+      case CodingKind::kRaw:
+        rec.cls = WriteClass::kAlpha;
+        break;
+      case CodingKind::kSymmetric:
+        rec.cls = WriteClass::kResetOnly;
+        break;
+      case CodingKind::kFlipNWrite: {
+        Rng& rng = fnw_rngs_[active_channel()];
+        const bool fast =
+            fnw_fast_fraction_ > 0.0 && rng.next_bool(fnw_fast_fraction_);
+        rec.cls = fast ? WriteClass::kResetOnly : WriteClass::kAlpha;
+        break;
+      }
+      case CodingKind::kWomWide:
+      case CodingKind::kWomHidden:
+      case CodingKind::kPolar:
+      case CodingKind::kTsConstrained: {
+        const WomStateTracker::WriteRecord r =
+            tracker_->record_write(track_key, line);
+        rec = {r.cls, r.cold};
+        break;
+      }
+    }
+    p->write_class = rec.cls;
+    p->program_ns = ctx_.timing->program_ns(rec.cls);
+    return rec;
+  }
+
+  // The fault pipeline moved the row onto a fresh spare: re-record there so
+  // the rewrite budget tracks the cells actually being programmed. Only the
+  // WOM tracker has generation state to move.
+  void note_remap(std::uint64_t track_key, unsigned line) {
+    if (tracker_) tracker_->record_write(track_key, line);
+  }
+
+  // Counters, energy, wear and organization extras. `demoted` is the fault
+  // pipeline's fast-path demotion verdict; `internal` marks controller-
+  // spawned writes (cache victims and dead-row bypasses), which count as
+  // "writes.victim" instead of the demand classes. `wear_key` is the
+  // region's wear/fault key for the row (identical to track_key for main
+  // memory; disjoint for the cache, whose tracker keys are array-local).
+  // Returns true when the write left the row with lines at the rewrite
+  // limit — a refresh candidate.
+  bool finish_write(const WriteBegin& rec, bool demoted,
+                    std::uint64_t track_key, std::uint64_t wear_key,
+                    unsigned line, bool internal, IssuePlan* p) {
+    if (!tracker_) {
+      // raw / symmetric / fnw: counted by the class the coding chose, so a
+      // fault-demoted symmetric write still counts as fast; charged at the
+      // post-fault class.
+      if (internal) {
+        bump(ctr_victim_, "writes.victim");
+      } else if (rec.cls == WriteClass::kResetOnly) {
+        bump(ctr_fast_, "writes.fast");
+      } else {
+        bump(ctr_slow_, "writes.slow");
+      }
+      // Flip-N-Write programs at most half the line's bits; a conventional
+      // bit-alterable write flips about half the cells.
+      const bool fnw = kind_ == CodingKind::kFlipNWrite;
+      ctx_.energy->on_write(p->write_class,
+                            fnw ? ctx_.line_bits / 2 : ctx_.line_bits);
+      ctx_.wear->on_write_pulses(
+          wear_key, line,
+          fnw ? kResetOnlyWearPerCell / 2 : kResetOnlyWearPerCell);
+      return false;
+    }
+    if (internal) {
+      bump(ctr_victim_, "writes.victim");
+    } else if (p->write_class == WriteClass::kAlpha) {
+      bump(ctr_alpha_, "writes.alpha");
+      // A cold alpha was alpha-classed before the fault pipeline ran, so it
+      // can never also be a demotion; the guard keeps that invariant local.
+      if (rec.cold && !demoted) bump(ctr_alpha_cold_, "writes.alpha.cold");
+    } else {
+      bump(ctr_fast_, "writes.fast");
+    }
+    // Every line write runs the encode once per line; publish whether it
+    // took the two-lookup LUT fast path or the per-symbol fallback.
+    if (lut_) {
+      bump(ctr_lut_hits_, "codec.lut_hits");
+    } else {
+      bump(ctr_lut_fallbacks_, "codec.lut_fallbacks");
+    }
+    ctx_.energy->on_write(p->write_class, coded_line_bits_);
+    if (wear_bound_ == 1.0) {
+      ctx_.wear->on_write(wear_key, line, p->write_class);
+    } else {
+      // A wear-bounded family (time-space constrained) touches at most
+      // wear_bound_ of the region's cells per write — scale the per-cell
+      // wear rates accordingly.
+      ctx_.wear->on_write_pulses(
+          wear_key, line,
+          (p->write_class == WriteClass::kResetOnly ? kResetOnlyWearPerCell
+                                                    : kAlphaWearPerCell) *
+              wear_bound_);
+    }
+    if (kind_ == CodingKind::kWomHidden) {
+      // The upper half-codeword lives in a hidden page the controller
+      // reserves in a parallel bank region, so its program overlaps the
+      // main one; the cost is the extra command/data transfer plus the
+      // tail of the (half-width) hidden program that outlasts the overlap.
+      p->post_ns += ctx_.timing->burst_ns() + ctx_.timing->tag_check_ns;
+      bump(ctr_hidden_writes_, "hidden_page.extra_writes");
+    }
+    return tracker_->row_has_limit_lines(track_key);
+  }
+
+  // Read-path energy (the caller owns the read counters) and organization
+  // extras (the hidden-page dependent second access), split so the fault
+  // pipeline's read hook runs between them.
+  void read_energy() { ctx_.energy->on_read(coded_line_bits_); }
+  void read_extras(IssuePlan* p) {
+    if (kind_ != CodingKind::kWomHidden) return;
+    // Fetch the hidden half-codeword (parallel bank region) before decode:
+    // one extra column access plus its burst.
+    p->post_ns += ctx_.timing->col_read_ns + ctx_.timing->burst_ns();
+    bump(ctr_hidden_reads_, "hidden_page.extra_reads");
+  }
+
+  // PCM-refresh support: re-initializes one row's codewords. Returns false
+  // when the scheme has no refreshable generation state, or when the row
+  // had no lines at the limit (a stale RAT entry).
+  bool refresh_row(std::uint64_t track_key, std::uint64_t wear_key);
+
+ private:
+  // Cached counter increment (same contract as Architecture::bump).
+  void bump(std::uint64_t*& slot, const char* name, std::uint64_t by = 1) {
+    if (slot == nullptr) slot = ctx_.counters->slot(name);
+    *slot += by;
+  }
+
+  // Channel of the access being planned (0 when the owner wired no cursor).
+  unsigned active_channel() const {
+    return ctx_.channel == nullptr ? 0u : *ctx_.channel;
+  }
+
+  CodingKind kind_;
+  RegionContext ctx_;
+  double overhead_ = 0.0;
+  std::uint64_t coded_line_bits_;  // bits stored per line, for energy
+  // Flip-N-Write only: one generator per channel, indexed by
+  // active_channel().
+  double fnw_fast_fraction_ = 0.0;
+  std::vector<Rng> fnw_rngs_;
+  // WOM kinds only (code_ may still be null: native block families).
+  WomCodePtr code_;
+  std::string code_name_;
+  double wear_bound_ = 1.0;
+  bool lut_ = false;
+  std::optional<WomStateTracker> tracker_;  // engaged iff WOM-coded
+
+  std::uint64_t* ctr_victim_ = nullptr;
+  std::uint64_t* ctr_fast_ = nullptr;
+  std::uint64_t* ctr_slow_ = nullptr;
+  std::uint64_t* ctr_alpha_ = nullptr;
+  std::uint64_t* ctr_alpha_cold_ = nullptr;
+  std::uint64_t* ctr_lut_hits_ = nullptr;
+  std::uint64_t* ctr_lut_fallbacks_ = nullptr;
+  std::uint64_t* ctr_hidden_writes_ = nullptr;
+  std::uint64_t* ctr_hidden_reads_ = nullptr;
+};
 
 }  // namespace wompcm

@@ -1,5 +1,6 @@
 #include "common/config.h"
 
+#include <cmath>
 #include <cstdint>
 #include <cstdlib>
 #include <stdexcept>
@@ -57,7 +58,11 @@ std::optional<double> KeyValueConfig::get_double(const std::string& key) const {
   if (!s) return std::nullopt;
   char* end = nullptr;
   const double v = std::strtod(s->c_str(), &end);
-  if (end == s->c_str() || *end != '\0') return std::nullopt;
+  // strtod accepts "nan" and "inf": nan slips past every < / > range check
+  // and inf past any one-sided one, so both read as malformed.
+  if (end == s->c_str() || *end != '\0' || !std::isfinite(v)) {
+    return std::nullopt;
+  }
   return v;
 }
 

@@ -25,6 +25,7 @@ class KeyValueConfig {
 
   std::optional<std::string> get_string(const std::string& key) const;
   std::optional<std::int64_t> get_int(const std::string& key) const;
+  // Finite values only: "nan" and "inf" read as malformed (nullopt).
   std::optional<double> get_double(const std::string& key) const;
   std::optional<bool> get_bool(const std::string& key) const;
 

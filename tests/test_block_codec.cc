@@ -8,7 +8,7 @@
 #include <string>
 #include <vector>
 
-#include "arch/coding_policies.h"
+#include "arch/coding_policy.h"
 #include "common/rng.h"
 #include "pcm/endurance.h"
 #include "pcm/energy.h"
@@ -229,8 +229,9 @@ TEST(SectionedTracking, WomCodingTracksOneGenerationPerLine) {
     RegionCode rc = resolve_region_code(kind, "", "", kLineBits);
     ASSERT_GT(kLineBits / rc.data_bits, 1u) << rc.name;  // really sectioned
     const std::string name = rc.name;
-    WomCoding coding(ctx, kind, std::move(rc), kLinesPerRow,
-                     /*erased_start=*/false);
+    CodingPolicy coding(kind, ctx, std::move(rc), kLinesPerRow,
+                        /*erased_start=*/false, /*fnw_fast_fraction=*/0.0,
+                        /*seed=*/1);
     const WomStateTracker& t = coding.tracker();
     EXPECT_EQ(t.lines_per_row(), kLinesPerRow) << name;
 
@@ -261,8 +262,9 @@ TEST(SectionedTracking, RefreshRestoresTheWholeLineBudget) {
     RegionCode rc = resolve_region_code(kind, "", "", kLineBits);
     const std::string name = rc.name;
     const unsigned t_max = rc.max_writes;
-    WomCoding coding(ctx, kind, std::move(rc), kLinesPerRow,
-                     /*erased_start=*/false);
+    CodingPolicy coding(kind, ctx, std::move(rc), kLinesPerRow,
+                        /*erased_start=*/false, /*fnw_fast_fraction=*/0.0,
+                        /*seed=*/1);
     const WomStateTracker& t = coding.tracker();
 
     IssuePlan plan;
@@ -288,9 +290,11 @@ TEST(SectionedTracking, ErasedStartMakesTheFirstLineWriteResetOnly) {
   EnergyCounters energy;
   WearTracker wear{kLinesPerRow};
   const RegionContext ctx{&timing, &counters, &energy, &wear, kLineBits};
-  WomCoding coding(ctx, CodingKind::kPolar,
-                   resolve_region_code(CodingKind::kPolar, "", "", kLineBits),
-                   kLinesPerRow, /*erased_start=*/true);
+  CodingPolicy coding(
+      CodingKind::kPolar, ctx,
+      resolve_region_code(CodingKind::kPolar, "", "", kLineBits),
+      kLinesPerRow, /*erased_start=*/true, /*fnw_fast_fraction=*/0.0,
+      /*seed=*/1);
   IssuePlan plan;
   const auto rec = coding.begin_write(0, 0, &plan);
   EXPECT_EQ(rec.cls, WriteClass::kResetOnly);

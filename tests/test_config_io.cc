@@ -467,7 +467,8 @@ TEST(ConfigIo, NewKnobsRejectBadValues) {
   for (const char* tok :
        {"mapping=col:row", "row_hit_first=maybe", "refresh_enabled=2",
         "require_empty_queues=x", "tag_check=0", "pause_resume=-1",
-        "channels=4294967298", "queue_capacity=4294967296"}) {
+        "channels=4294967298", "queue_capacity=4294967296", "fnw_fast=nan",
+        "rth=nan", "fault.sigma=inf"}) {
     EXPECT_THROW(apply_overrides(paper_config(),
                                  KeyValueConfig::from_tokens({tok})),
                  std::invalid_argument)
