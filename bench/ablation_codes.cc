@@ -13,7 +13,9 @@
 //
 // Usage: ablation_codes [accesses=N] [seed=S]
 
+#include <cstdint>
 #include <cstdio>
+#include <exception>
 
 #include "common/config.h"
 #include "sim/experiment.h"
@@ -41,13 +43,11 @@ ArchConfig make_arch(const Cell& cell) {
   return a;
 }
 
-}  // namespace
-
-int main(int argc, char** argv) {
-  const KeyValueConfig args = KeyValueConfig::from_args(argc, argv);
-  const auto accesses =
-      static_cast<std::uint64_t>(args.get_int_or("accesses", 40000));
-  const auto seed = static_cast<std::uint64_t>(args.get_int_or("seed", 42));
+int codes_main(const KeyValueConfig& args) {
+  const auto accesses = static_cast<std::uint64_t>(
+      args.get_int_in("accesses", 40000, 1, INT64_MAX));
+  const auto seed =
+      static_cast<std::uint64_t>(args.get_int_in("seed", 42, 0, INT64_MAX));
 
   // The frontier: classic two-write rs23 (the paper's cell), a deeper
   // tabular marker code, the polar block family, and the time-space
@@ -110,4 +110,15 @@ int main(int argc, char** argv) {
       "capacity overhead; tsc additionally bounds per-write cell wear to\n"
       "1/4, which the fault model sees as proportionally slower wear\n");
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  try {
+    return codes_main(KeyValueConfig::from_args(argc, argv));
+  } catch (const std::exception& e) {
+    std::fprintf(stderr, "ablation_codes: %s\n", e.what());
+    return 1;
+  }
 }

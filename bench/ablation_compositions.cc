@@ -11,7 +11,9 @@
 //
 // Usage: ablation_compositions [accesses=N] [seed=S]
 
+#include <cstdint>
 #include <cstdio>
+#include <exception>
 
 #include "common/config.h"
 #include "sim/experiment.h"
@@ -19,11 +21,13 @@
 
 using namespace wompcm;
 
-int main(int argc, char** argv) {
-  const KeyValueConfig args = KeyValueConfig::from_args(argc, argv);
-  const auto accesses =
-      static_cast<std::uint64_t>(args.get_int_or("accesses", 40000));
-  const auto seed = static_cast<std::uint64_t>(args.get_int_or("seed", 42));
+namespace {
+
+int compositions_main(const KeyValueConfig& args) {
+  const auto accesses = static_cast<std::uint64_t>(
+      args.get_int_in("accesses", 40000, 1, INT64_MAX));
+  const auto seed =
+      static_cast<std::uint64_t>(args.get_int_in("seed", 42, 0, INT64_MAX));
 
   const std::vector<ArchConfig> archs = composition_sweep(
       {CodingKind::kRaw, CodingKind::kWomWide, CodingKind::kWomHidden,
@@ -70,4 +74,15 @@ int main(int argc, char** argv) {
       "cost; refresh keeps WOM regions in the fast-write regime; the\n"
       "symmetric+cache cell isolates the cache protocol's own overhead\n");
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  try {
+    return compositions_main(KeyValueConfig::from_args(argc, argv));
+  } catch (const std::exception& e) {
+    std::fprintf(stderr, "ablation_compositions: %s\n", e.what());
+    return 1;
+  }
 }

@@ -8,7 +8,9 @@
 //
 // Usage: ablation_endurance [accesses=N] [seed=S]
 
+#include <cstdint>
 #include <cstdio>
+#include <exception>
 
 #include "common/config.h"
 #include "sim/experiment.h"
@@ -24,13 +26,11 @@ struct Variant {
   bool start_gap;
 };
 
-}  // namespace
-
-int main(int argc, char** argv) {
-  const KeyValueConfig args = KeyValueConfig::from_args(argc, argv);
-  const auto accesses =
-      static_cast<std::uint64_t>(args.get_int_or("accesses", 80000));
-  const auto seed = static_cast<std::uint64_t>(args.get_int_or("seed", 42));
+int endurance_main(const KeyValueConfig& args) {
+  const auto accesses = static_cast<std::uint64_t>(
+      args.get_int_in("accesses", 80000, 1, INT64_MAX));
+  const auto seed =
+      static_cast<std::uint64_t>(args.get_int_in("seed", 42, 0, INT64_MAX));
 
   std::printf(
       "Endurance ablation (cell endurance 1e8 cycles; lifetime projected\n"
@@ -107,4 +107,15 @@ int main(int argc, char** argv) {
       "cycling; Start-Gap cuts the hottest line's wear once its rotation\n"
       "period fits the workload, at a small latency cost\n");
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  try {
+    return endurance_main(KeyValueConfig::from_args(argc, argv));
+  } catch (const std::exception& e) {
+    std::fprintf(stderr, "ablation_endurance: %s\n", e.what());
+    return 1;
+  }
 }

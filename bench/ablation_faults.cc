@@ -15,7 +15,9 @@
 //        [fault.seed=F] [fault.endurance=E] [fault.sigma=SG]
 //        [fault.spare_rows=R]
 
+#include <cstdint>
 #include <cstdio>
+#include <exception>
 
 #include "womcode.h"
 
@@ -28,14 +30,12 @@ struct Variant {
   const char* preset;
 };
 
-}  // namespace
-
-int main(int argc, char** argv) {
-  const KeyValueConfig args = KeyValueConfig::from_args(argc, argv);
+int faults_main(const KeyValueConfig& args) {
   const std::string bench = args.get_string_or("benchmark", "401.bzip2");
-  const auto accesses =
-      static_cast<std::uint64_t>(args.get_int_or("accesses", 60000));
-  const auto seed = static_cast<std::uint64_t>(args.get_int_or("seed", 42));
+  const auto accesses = static_cast<std::uint64_t>(
+      args.get_int_in("accesses", 60000, 1, INT64_MAX));
+  const auto seed =
+      static_cast<std::uint64_t>(args.get_int_in("seed", 42, 0, INT64_MAX));
 
   const auto profile = find_profile(bench);
   if (!profile) {
@@ -101,4 +101,15 @@ int main(int argc, char** argv) {
       "their fast path depends on clean 0->1 programming — but degrade to\n"
       "conventional-PCM behaviour instead of failing.\n");
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  try {
+    return faults_main(KeyValueConfig::from_args(argc, argv));
+  } catch (const std::exception& e) {
+    std::fprintf(stderr, "ablation_faults: %s\n", e.what());
+    return 1;
+  }
 }

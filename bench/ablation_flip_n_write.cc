@@ -9,7 +9,9 @@
 //
 // Usage: ablation_flip_n_write [accesses=N] [seed=S]
 
+#include <cstdint>
 #include <cstdio>
+#include <exception>
 
 #include "common/config.h"
 #include "sim/experiment.h"
@@ -17,11 +19,13 @@
 
 using namespace wompcm;
 
-int main(int argc, char** argv) {
-  const KeyValueConfig args = KeyValueConfig::from_args(argc, argv);
-  const auto accesses =
-      static_cast<std::uint64_t>(args.get_int_or("accesses", 80000));
-  const auto seed = static_cast<std::uint64_t>(args.get_int_or("seed", 42));
+namespace {
+
+int fnw_main(const KeyValueConfig& args) {
+  const auto accesses = static_cast<std::uint64_t>(
+      args.get_int_in("accesses", 80000, 1, INT64_MAX));
+  const auto seed =
+      static_cast<std::uint64_t>(args.get_int_in("seed", 42, 0, INT64_MAX));
 
   const char* benches[] = {"401.bzip2", "464.h264ref", "FFT.mi"};
 
@@ -66,4 +70,15 @@ int main(int argc, char** argv) {
       "expected shape: Flip-N-Write halves write energy but barely moves\n"
       "latency; WOM-code PCM cuts latency at 50%% capacity overhead\n");
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  try {
+    return fnw_main(KeyValueConfig::from_args(argc, argv));
+  } catch (const std::exception& e) {
+    std::fprintf(stderr, "ablation_flip_n_write: %s\n", e.what());
+    return 1;
+  }
 }

@@ -12,7 +12,9 @@
 //
 // Usage: ablation_organization [accesses=N] [seed=S]
 
+#include <cstdint>
 #include <cstdio>
+#include <exception>
 
 #include "common/config.h"
 #include "sim/experiment.h"
@@ -20,11 +22,13 @@
 
 using namespace wompcm;
 
-int main(int argc, char** argv) {
-  const KeyValueConfig args = KeyValueConfig::from_args(argc, argv);
-  const auto accesses =
-      static_cast<std::uint64_t>(args.get_int_or("accesses", 80000));
-  const auto seed = static_cast<std::uint64_t>(args.get_int_or("seed", 42));
+namespace {
+
+int organization_main(const KeyValueConfig& args) {
+  const auto accesses = static_cast<std::uint64_t>(
+      args.get_int_in("accesses", 80000, 1, INT64_MAX));
+  const auto seed =
+      static_cast<std::uint64_t>(args.get_int_in("seed", 42, 0, INT64_MAX));
 
   const char* benches[] = {"400.perlbench", "464.h264ref", "qsort", "ocean"};
 
@@ -80,4 +84,15 @@ int main(int argc, char** argv) {
       "expected shape: hidden-page trails wide-column on both metrics;\n"
       "read-priority trades write latency for read latency\n");
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  try {
+    return organization_main(KeyValueConfig::from_args(argc, argv));
+  } catch (const std::exception& e) {
+    std::fprintf(stderr, "ablation_organization: %s\n", e.what());
+    return 1;
+  }
 }

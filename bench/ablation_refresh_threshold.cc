@@ -7,7 +7,9 @@
 //
 // Usage: ablation_refresh_threshold [accesses=N] [seed=S]
 
+#include <cstdint>
 #include <cstdio>
+#include <exception>
 
 #include "common/config.h"
 #include "sim/experiment.h"
@@ -15,11 +17,13 @@
 
 using namespace wompcm;
 
-int main(int argc, char** argv) {
-  const KeyValueConfig args = KeyValueConfig::from_args(argc, argv);
-  const auto accesses =
-      static_cast<std::uint64_t>(args.get_int_or("accesses", 80000));
-  const auto seed = static_cast<std::uint64_t>(args.get_int_or("seed", 42));
+namespace {
+
+int threshold_main(const KeyValueConfig& args) {
+  const auto accesses = static_cast<std::uint64_t>(
+      args.get_int_in("accesses", 80000, 1, INT64_MAX));
+  const auto seed =
+      static_cast<std::uint64_t>(args.get_int_in("seed", 42, 0, INT64_MAX));
 
   const char* benches[] = {"464.h264ref", "qsort", "water-ns"};
   const double thresholds[] = {0.0, 0.05, 0.15, 0.50};
@@ -61,4 +65,15 @@ int main(int argc, char** argv) {
       "PCM as r_th rises (fewer eligible ranks); disabling write pausing\n"
       "costs a little extra demand latency\n");
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  try {
+    return threshold_main(KeyValueConfig::from_args(argc, argv));
+  } catch (const std::exception& e) {
+    std::fprintf(stderr, "ablation_refresh_threshold: %s\n", e.what());
+    return 1;
+  }
 }

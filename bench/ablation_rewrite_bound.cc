@@ -10,7 +10,9 @@
 //
 // Usage: ablation_rewrite_bound [accesses=N] [seed=S]
 
+#include <cstdint>
 #include <cstdio>
+#include <exception>
 
 #include "common/config.h"
 #include "sim/experiment.h"
@@ -19,11 +21,13 @@
 
 using namespace wompcm;
 
-int main(int argc, char** argv) {
-  const KeyValueConfig args = KeyValueConfig::from_args(argc, argv);
-  const auto accesses =
-      static_cast<std::uint64_t>(args.get_int_or("accesses", 80000));
-  const auto seed = static_cast<std::uint64_t>(args.get_int_or("seed", 42));
+namespace {
+
+int rewrite_bound_main(const KeyValueConfig& args) {
+  const auto accesses = static_cast<std::uint64_t>(
+      args.get_int_in("accesses", 80000, 1, INT64_MAX));
+  const auto seed =
+      static_cast<std::uint64_t>(args.get_int_in("seed", 42, 0, INT64_MAX));
 
   const PcmTiming timing;
   const double S = static_cast<double>(timing.set_ns) /
@@ -72,4 +76,15 @@ int main(int argc, char** argv) {
       "latency, at rapidly growing capacity overhead (the paper's argument\n"
       "for PCM-refresh instead of bigger codes)\n");
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  try {
+    return rewrite_bound_main(KeyValueConfig::from_args(argc, argv));
+  } catch (const std::exception& e) {
+    std::fprintf(stderr, "ablation_rewrite_bound: %s\n", e.what());
+    return 1;
+  }
 }

@@ -9,7 +9,9 @@
 //
 // Usage: ablation_row_policy [accesses=N] [seed=S]
 
+#include <cstdint>
 #include <cstdio>
+#include <exception>
 
 #include "common/config.h"
 #include "sim/experiment.h"
@@ -17,11 +19,13 @@
 
 using namespace wompcm;
 
-int main(int argc, char** argv) {
-  const KeyValueConfig args = KeyValueConfig::from_args(argc, argv);
-  const auto accesses =
-      static_cast<std::uint64_t>(args.get_int_or("accesses", 80000));
-  const auto seed = static_cast<std::uint64_t>(args.get_int_or("seed", 42));
+namespace {
+
+int row_policy_main(const KeyValueConfig& args) {
+  const auto accesses = static_cast<std::uint64_t>(
+      args.get_int_in("accesses", 80000, 1, INT64_MAX));
+  const auto seed =
+      static_cast<std::uint64_t>(args.get_int_in("seed", 42, 0, INT64_MAX));
 
   std::printf("Row-buffer policy ablation (normalized write latency within "
               "each policy)\n\n");
@@ -51,4 +55,15 @@ int main(int argc, char** argv) {
       "expected shape: closed-page raises absolute latencies (every access\n"
       "activates) but the architecture ordering and relative gains hold\n");
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  try {
+    return row_policy_main(KeyValueConfig::from_args(argc, argv));
+  } catch (const std::exception& e) {
+    std::fprintf(stderr, "ablation_row_policy: %s\n", e.what());
+    return 1;
+  }
 }

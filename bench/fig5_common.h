@@ -15,12 +15,13 @@ inline int run_fig5(int argc, char** argv, const char* title,
                     double paper_avg_refresh, double paper_avg_wcpcm,
                     const std::function<double(const SimResult&)>& metric) {
   const KeyValueConfig args = KeyValueConfig::from_args(argc, argv);
-  const auto accesses =
-      static_cast<std::uint64_t>(args.get_int_or("accesses", 100000));
-  const auto seed = static_cast<std::uint64_t>(args.get_int_or("seed", 42));
+  const auto accesses = static_cast<std::uint64_t>(
+      args.get_int_in("accesses", 100000, 1, INT64_MAX));
+  const auto seed =
+      static_cast<std::uint64_t>(args.get_int_in("seed", 42, 0, INT64_MAX));
   // jobs=J: sweep workers (0 = all hardware threads, 1 = serial). The cell
   // results are bit-identical regardless of J.
-  const auto jobs = static_cast<unsigned>(args.get_int_or("jobs", 0));
+  const auto jobs = static_cast<unsigned>(args.get_int_in("jobs", 0, 0, 256));
 
   std::printf("%s\n(normalized %s; lower is better; %llu accesses/benchmark, "
               "seed %llu)\n\n",

@@ -9,7 +9,9 @@
 //
 // Usage: fig6_womcache_hitrate [accesses=N] [seed=S] [csv=1]
 
+#include <cstdint>
 #include <cstdio>
+#include <exception>
 
 #include "womcode.h"
 
@@ -27,13 +29,11 @@ double wcpcm_write_hit_rate(const SimResult& r) {
   return h + m == 0 ? 0.0 : h / (h + m);
 }
 
-}  // namespace
-
-int main(int argc, char** argv) {
-  const KeyValueConfig args = KeyValueConfig::from_args(argc, argv);
-  const auto accesses =
-      static_cast<std::uint64_t>(args.get_int_or("accesses", 80000));
-  const auto seed = static_cast<std::uint64_t>(args.get_int_or("seed", 42));
+int fig6_main(const KeyValueConfig& args) {
+  const auto accesses = static_cast<std::uint64_t>(
+      args.get_int_in("accesses", 80000, 1, INT64_MAX));
+  const auto seed =
+      static_cast<std::uint64_t>(args.get_int_in("seed", 42, 0, INT64_MAX));
 
   std::printf(
       "Fig. 6: WOM-cache (write) hit rate in WCPCM vs banks/rank\n"
@@ -66,4 +66,15 @@ int main(int argc, char** argv) {
       "expected shape (paper): hit rate decreases as banks/rank grows\n");
   if (args.get_bool_or("csv", false)) std::printf("\n%s", t.to_csv().c_str());
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  try {
+    return fig6_main(KeyValueConfig::from_args(argc, argv));
+  } catch (const std::exception& e) {
+    std::fprintf(stderr, "fig6_womcache_hitrate: %s\n", e.what());
+    return 1;
+  }
 }

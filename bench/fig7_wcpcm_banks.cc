@@ -10,7 +10,9 @@
 //
 // Usage: fig7_wcpcm_banks [accesses=N] [seed=S] [csv=1]
 
+#include <cstdint>
 #include <cstdio>
+#include <exception>
 
 #include "womcode.h"
 
@@ -20,11 +22,13 @@ namespace {
 constexpr unsigned kBankSweep[] = {4, 8, 16, 32};
 }
 
-int main(int argc, char** argv) {
-  const KeyValueConfig args = KeyValueConfig::from_args(argc, argv);
-  const auto accesses =
-      static_cast<std::uint64_t>(args.get_int_or("accesses", 80000));
-  const auto seed = static_cast<std::uint64_t>(args.get_int_or("seed", 42));
+namespace {
+
+int fig7_main(const KeyValueConfig& args) {
+  const auto accesses = static_cast<std::uint64_t>(
+      args.get_int_in("accesses", 80000, 1, INT64_MAX));
+  const auto seed =
+      static_cast<std::uint64_t>(args.get_int_in("seed", 42, 0, INT64_MAX));
 
   std::printf(
       "Fig. 7: WCPCM write latency vs banks/rank, normalized to 4 banks\n"
@@ -70,4 +74,15 @@ int main(int argc, char** argv) {
       "expected shape (paper): write latency decreases as banks/rank grows\n");
   if (args.get_bool_or("csv", false)) std::printf("\n%s", t.to_csv().c_str());
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  try {
+    return fig7_main(KeyValueConfig::from_args(argc, argv));
+  } catch (const std::exception& e) {
+    std::fprintf(stderr, "fig7_wcpcm_banks: %s\n", e.what());
+    return 1;
+  }
 }

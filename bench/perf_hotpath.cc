@@ -3,6 +3,7 @@
 //
 // Arguments: ops=N (default 2000000) probe operations per policy.
 #include <cstdio>
+#include <exception>
 
 #include "arch/tag_array.h"
 #include "common/config.h"
@@ -44,12 +45,9 @@ double tag_probe_rate(ReplacementKind kind, unsigned sets, unsigned ways,
                              static_cast<double>(ns);
 }
 
-}  // namespace
-
-int main(int argc, char** argv) {
-  const KeyValueConfig args = KeyValueConfig::from_args(argc, argv);
-  const auto ops =
-      static_cast<std::uint64_t>(args.get_int_or("ops", 2000000));
+int hotpath_main(const KeyValueConfig& args) {
+  const auto ops = static_cast<std::uint64_t>(
+      args.get_int_in("ops", 2000000, 1, INT64_MAX));
 
   std::printf("perf_hotpath (devirtualized dispatch)\n\n");
 
@@ -72,4 +70,15 @@ int main(int argc, char** argv) {
     std::printf("  %-16s %10.1f Mprobe/s\n", c.label, rate * 1e-6);
   }
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  try {
+    return hotpath_main(KeyValueConfig::from_args(argc, argv));
+  } catch (const std::exception& e) {
+    std::fprintf(stderr, "perf_hotpath: %s\n", e.what());
+    return 1;
+  }
 }

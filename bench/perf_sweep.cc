@@ -7,7 +7,9 @@
 // hardware threads), profiles=P (8, capped at 20), out=FILE
 // (BENCH_sweep.json; the machine-readable mirror of the stdout report).
 #include <cmath>
+#include <cstdint>
 #include <cstdio>
+#include <exception>
 #include <string>
 #include <vector>
 
@@ -34,16 +36,14 @@ SimResult::PhaseCounters sum_phases(const std::vector<SweepRow>& rows) {
   return total;
 }
 
-}  // namespace
-
-int main(int argc, char** argv) {
-  const KeyValueConfig args = KeyValueConfig::from_args(argc, argv);
-  const auto accesses =
-      static_cast<std::uint64_t>(args.get_int_or("accesses", 5000));
-  const auto seed = static_cast<std::uint64_t>(args.get_int_or("seed", 42));
-  const auto jobs = static_cast<unsigned>(args.get_int_or("jobs", 0));
+int sweep_main(const KeyValueConfig& args) {
+  const auto accesses = static_cast<std::uint64_t>(
+      args.get_int_in("accesses", 5000, 1, INT64_MAX));
+  const auto seed =
+      static_cast<std::uint64_t>(args.get_int_in("seed", 42, 0, INT64_MAX));
+  const auto jobs = static_cast<unsigned>(args.get_int_in("jobs", 0, 0, 256));
   const auto nprofiles =
-      static_cast<std::size_t>(args.get_int_or("profiles", 8));
+      static_cast<std::size_t>(args.get_int_in("profiles", 8, 1, INT64_MAX));
   const std::string out_path = args.get_string_or("out", "BENCH_sweep.json");
   // Free-form provenance string recorded in the JSON (e.g. whether the
   // run was interleaved A/B against a baseline binary).
@@ -142,4 +142,15 @@ int main(int argc, char** argv) {
   std::fprintf(f, "\n}\n");
   std::printf("\nwrote %s\n", out_path.c_str());
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  try {
+    return sweep_main(KeyValueConfig::from_args(argc, argv));
+  } catch (const std::exception& e) {
+    std::fprintf(stderr, "perf_sweep: %s\n", e.what());
+    return 1;
+  }
 }

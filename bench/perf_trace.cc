@@ -13,7 +13,9 @@
 // interleaved_ab=true (record in the JSON that the baseline file was
 // produced in the same session, alternating baseline-binary and
 // current-binary runs, so both sides saw the same host conditions).
+#include <cstdint>
 #include <cstdio>
+#include <exception>
 #include <fstream>
 #include <sstream>
 #include <string>
@@ -85,14 +87,13 @@ double baseline_rate(const std::string& json, const std::string& name) {
   return 0.0;
 }
 
-}  // namespace
-
-int main(int argc, char** argv) {
-  const KeyValueConfig args = KeyValueConfig::from_args(argc, argv);
-  const auto accesses =
-      static_cast<std::uint64_t>(args.get_int_or("accesses", 300000));
-  const auto seed = static_cast<std::uint64_t>(args.get_int_or("seed", 42));
-  const auto repeats = static_cast<int>(args.get_int_or("repeats", 3));
+int trace_main(const KeyValueConfig& args) {
+  const auto accesses = static_cast<std::uint64_t>(
+      args.get_int_in("accesses", 300000, 1, INT64_MAX));
+  const auto seed =
+      static_cast<std::uint64_t>(args.get_int_in("seed", 42, 0, INT64_MAX));
+  const auto repeats =
+      static_cast<int>(args.get_int_in("repeats", 3, 1, 1000));
   const std::string profile_name =
       args.get_string_or("profile", "401.bzip2");
   const std::string out_path =
@@ -204,4 +205,15 @@ int main(int argc, char** argv) {
   std::fprintf(f, "}\n");
   std::printf("\nwrote %s\n", out_path.c_str());
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  try {
+    return trace_main(KeyValueConfig::from_args(argc, argv));
+  } catch (const std::exception& e) {
+    std::fprintf(stderr, "perf_trace: %s\n", e.what());
+    return 1;
+  }
 }

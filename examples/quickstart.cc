@@ -9,7 +9,9 @@
 //
 // Usage: quickstart [accesses=N] [benchmark=NAME] [seed=S]
 
+#include <cstdint>
 #include <cstdio>
+#include <exception>
 
 #include "womcode.h"
 
@@ -39,9 +41,10 @@ void functional_demo() {
 
 void timing_demo(const KeyValueConfig& args) {
   const std::string bench = args.get_string_or("benchmark", "464.h264ref");
-  const auto accesses =
-      static_cast<std::uint64_t>(args.get_int_or("accesses", 60000));
-  const auto seed = static_cast<std::uint64_t>(args.get_int_or("seed", 42));
+  const auto accesses = static_cast<std::uint64_t>(
+      args.get_int_in("accesses", 60000, 1, INT64_MAX));
+  const auto seed =
+      static_cast<std::uint64_t>(args.get_int_in("seed", 42, 0, INT64_MAX));
 
   const auto profile = find_profile(bench);
   if (!profile) {
@@ -71,9 +74,10 @@ void timing_demo(const KeyValueConfig& args) {
 
 void multichannel_demo(const KeyValueConfig& args) {
   const std::string bench = args.get_string_or("benchmark", "464.h264ref");
-  const auto accesses =
-      static_cast<std::uint64_t>(args.get_int_or("accesses", 60000));
-  const auto seed = static_cast<std::uint64_t>(args.get_int_or("seed", 42));
+  const auto accesses = static_cast<std::uint64_t>(
+      args.get_int_in("accesses", 60000, 1, INT64_MAX));
+  const auto seed =
+      static_cast<std::uint64_t>(args.get_int_in("seed", 42, 0, INT64_MAX));
 
   // Split the paper platform's 16 ranks across two channels. Each channel
   // gets its own controller — queues, scheduler, refresh engine, data bus —
@@ -104,12 +108,20 @@ void multichannel_demo(const KeyValueConfig& args) {
   std::printf("%s\n", table.to_text().c_str());
 }
 
-}  // namespace
-
-int main(int argc, char** argv) {
-  const KeyValueConfig args = KeyValueConfig::from_args(argc, argv);
+int quickstart_main(const KeyValueConfig& args) {
   functional_demo();
   timing_demo(args);
   multichannel_demo(args);
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  try {
+    return quickstart_main(KeyValueConfig::from_args(argc, argv));
+  } catch (const std::exception& e) {
+    std::fprintf(stderr, "quickstart: %s\n", e.what());
+    return 1;
+  }
 }

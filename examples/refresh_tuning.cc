@@ -4,7 +4,9 @@
 //
 // Usage: refresh_tuning [benchmark=NAME] [accesses=N] [seed=S]
 
+#include <cstdint>
 #include <cstdio>
+#include <exception>
 
 #include "womcode.h"
 
@@ -23,14 +25,12 @@ SimResult run_cfg(const WorkloadProfile& profile, double threshold,
   return run({cfg, TraceSpec::profile(profile, accesses), RunOptions::with_seed(seed)});
 }
 
-}  // namespace
-
-int main(int argc, char** argv) {
-  const KeyValueConfig args = KeyValueConfig::from_args(argc, argv);
+int tuning_main(const KeyValueConfig& args) {
   const std::string bench = args.get_string_or("benchmark", "464.h264ref");
-  const auto accesses =
-      static_cast<std::uint64_t>(args.get_int_or("accesses", 100000));
-  const auto seed = static_cast<std::uint64_t>(args.get_int_or("seed", 42));
+  const auto accesses = static_cast<std::uint64_t>(
+      args.get_int_in("accesses", 100000, 1, INT64_MAX));
+  const auto seed =
+      static_cast<std::uint64_t>(args.get_int_in("seed", 42, 0, INT64_MAX));
 
   const auto profile = find_profile(bench);
   if (!profile) {
@@ -72,4 +72,15 @@ int main(int argc, char** argv) {
              std::to_string(nopause.stats.counters.get("ctrl.refresh_pauses"))});
   std::printf("%s", t.to_text().c_str());
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  try {
+    return tuning_main(KeyValueConfig::from_args(argc, argv));
+  } catch (const std::exception& e) {
+    std::fprintf(stderr, "refresh_tuning: %s\n", e.what());
+    return 1;
+  }
 }

@@ -8,17 +8,22 @@
 // jobs: sweep worker threads (0 = all hardware threads, 1 = serial); the
 // results are identical either way.
 
+#include <cstdint>
 #include <cstdio>
+#include <exception>
 
 #include "womcode.h"
 
 using namespace wompcm;
 
-int main(int argc, char** argv) {
-  const KeyValueConfig args = KeyValueConfig::from_args(argc, argv);
-  const auto accesses =
-      static_cast<std::uint64_t>(args.get_int_or("accesses", 120000));
-  const auto seed = static_cast<std::uint64_t>(args.get_int_or("seed", 42));
+namespace {
+
+int study_main(const KeyValueConfig& args) {
+  const auto accesses = static_cast<std::uint64_t>(
+      args.get_int_in("accesses", 120000, 1, INT64_MAX));
+  const auto seed =
+      static_cast<std::uint64_t>(args.get_int_in("seed", 42, 0, INT64_MAX));
+  const auto jobs = static_cast<unsigned>(args.get_int_in("jobs", 0, 0, 256));
   const std::string suite = args.get_string_or("suite", "");
 
   const std::vector<WorkloadProfile> profiles =
@@ -44,7 +49,6 @@ int main(int argc, char** argv) {
     a = base.arch;
     a.composition = c;
   }
-  const auto jobs = static_cast<unsigned>(args.get_int_or("jobs", 0));
   RunOptions opts = RunOptions::with_seed(seed);
   opts.jobs = ParallelPolicy::with_jobs(jobs);
   const RunRequest req{base, TraceSpec::profile(WorkloadProfile{}, accesses),
@@ -97,4 +101,15 @@ int main(int argc, char** argv) {
       "\npaper averages: wom 0.799 w / 0.898 r; refresh 0.451 w / 0.521 r; "
       "wcpcm 0.528 w / 0.560 r\n");
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  try {
+    return study_main(KeyValueConfig::from_args(argc, argv));
+  } catch (const std::exception& e) {
+    std::fprintf(stderr, "spec_study: %s\n", e.what());
+    return 1;
+  }
 }

@@ -8,7 +8,9 @@
 //   trace_tool stats in=FILE      (locality metrics the WOM path cares about)
 //   trace_tool run   in=FILE [arch=pcm|wom|refresh|wcpcm]
 
+#include <cstdint>
 #include <cstdio>
+#include <exception>
 #include <map>
 #include <memory>
 
@@ -25,8 +27,10 @@ int cmd_gen(const KeyValueConfig& args) {
     return 1;
   }
   const std::string bench = args.get_string_or("benchmark", "401.bzip2");
-  const auto accesses =
-      static_cast<std::uint64_t>(args.get_int_or("accesses", 50000));
+  const auto accesses = static_cast<std::uint64_t>(
+      args.get_int_in("accesses", 50000, 1, INT64_MAX));
+  const auto seed =
+      static_cast<std::uint64_t>(args.get_int_in("seed", 42, 0, INT64_MAX));
   const auto profile = find_profile(bench);
   if (!profile) {
     std::printf("unknown benchmark %s\n", bench.c_str());
@@ -35,9 +39,7 @@ int cmd_gen(const KeyValueConfig& args) {
   const auto format = args.get_string_or("format", "text") == "bin"
                           ? TraceWriter::Format::kBinary
                           : TraceWriter::Format::kText;
-  SyntheticTraceSource src(*profile, paper_config().geom,
-                           static_cast<std::uint64_t>(args.get_int_or("seed", 42)),
-                           accesses);
+  SyntheticTraceSource src(*profile, paper_config().geom, seed, accesses);
   TraceWriter writer(out, format);
   std::uint64_t n = 0;
   while (const auto rec = src.next()) {
@@ -151,10 +153,7 @@ int cmd_run(const KeyValueConfig& args) {
   return 0;
 }
 
-}  // namespace
-
-int main(int argc, char** argv) {
-  const KeyValueConfig args = KeyValueConfig::from_args(argc, argv);
+int tool_main(const KeyValueConfig& args) {
   if (args.positional().empty()) {
     std::printf(
         "usage: trace_tool gen|info|stats|run key=value...\n"
@@ -171,4 +170,15 @@ int main(int argc, char** argv) {
   if (cmd == "run") return cmd_run(args);
   std::printf("unknown command %s\n", cmd.c_str());
   return 1;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  try {
+    return tool_main(KeyValueConfig::from_args(argc, argv));
+  } catch (const std::exception& e) {
+    std::fprintf(stderr, "trace_tool: %s\n", e.what());
+    return 1;
+  }
 }

@@ -14,18 +14,22 @@
 //               fault.initial_wear=0.9 fault.sigma=0.35
 //        e.g. wcpcm_demo main.coding=fnw cache.enabled=true refresh=rat
 
+#include <cstdint>
 #include <cstdio>
+#include <exception>
 
 #include "womcode.h"
 
 using namespace wompcm;
 
-int main(int argc, char** argv) {
-  const KeyValueConfig args = KeyValueConfig::from_args(argc, argv);
+namespace {
+
+int demo_main(const KeyValueConfig& args) {
   const std::string bench = args.get_string_or("benchmark", "401.bzip2");
-  const auto accesses =
-      static_cast<std::uint64_t>(args.get_int_or("accesses", 100000));
-  const auto seed = static_cast<std::uint64_t>(args.get_int_or("seed", 42));
+  const auto accesses = static_cast<std::uint64_t>(
+      args.get_int_in("accesses", 100000, 1, INT64_MAX));
+  const auto seed =
+      static_cast<std::uint64_t>(args.get_int_in("seed", 42, 0, INT64_MAX));
 
   const auto profile = find_profile(bench);
   if (!profile) {
@@ -113,4 +117,15 @@ int main(int argc, char** argv) {
         static_cast<unsigned long long>(base.fault.seed));
   }
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  try {
+    return demo_main(KeyValueConfig::from_args(argc, argv));
+  } catch (const std::exception& e) {
+    std::fprintf(stderr, "wcpcm_demo: %s\n", e.what());
+    return 1;
+  }
 }

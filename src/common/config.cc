@@ -79,11 +79,6 @@ std::string KeyValueConfig::get_string_or(const std::string& key,
   return get_string(key).value_or(fallback);
 }
 
-std::int64_t KeyValueConfig::get_int_or(const std::string& key,
-                                        std::int64_t fallback) const {
-  return get_int(key).value_or(fallback);
-}
-
 std::int64_t KeyValueConfig::get_int_in(const std::string& key,
                                         std::int64_t fallback, std::int64_t lo,
                                         std::int64_t hi) const {

@@ -31,14 +31,13 @@ class KeyValueConfig {
 
   std::string get_string_or(const std::string& key,
                             const std::string& fallback) const;
-  std::int64_t get_int_or(const std::string& key, std::int64_t fallback) const;
   double get_double_or(const std::string& key, double fallback) const;
   bool get_bool_or(const std::string& key, bool fallback) const;
 
   // The integer under `key` (`fallback` when absent). A value that is not
   // an integer in [lo, hi] throws std::invalid_argument naming the key and
   // the value ("bad value for chunk: 0 (must be >= 1)"): a plain cast of
-  // get_int_or() would wrap accesses=-5 to ~2^64, or pass a zero divisor.
+  // get_int() would wrap accesses=-5 to ~2^64, or pass a zero divisor.
   std::int64_t get_int_in(const std::string& key, std::int64_t fallback,
                           std::int64_t lo, std::int64_t hi) const;
 

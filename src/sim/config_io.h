@@ -22,21 +22,8 @@ namespace wompcm {
 // are passed in `harness_keys` and skipped. Throws std::invalid_argument
 // when a recognized key has a bad value.
 //
-// Keys: channels ranks banks rows cols devices burst
-//       row_read row_write reset set col_read refresh_period
-//       arch (pcm|wom|refresh|wcpcm|fnw|symmetric: a preset setting the
-//       four composition keys) main.coding cache.enabled cache.coding
-//       refresh (the composition axes) code main.code cache.code
-//       rat rth pausing policy (fcfs|read-priority) row_policy (open|closed)
-//       queue_capacity read_forwarding warmup
-//       start_gap start_gap_interval fnw_fast seed
-//       fault.enabled fault.seed fault.endurance fault.sigma
-//       fault.initial_wear fault.max_retries fault.spare_rows
-//       fault.read_disturb
-//       tier.enabled tier.sets tier.ways tier.replacement (lru|fifo|random)
-//       tier.write_policy (writeback|writethrough) tier.hit_read
-//       tier.hit_write tier.port tier.fault.enabled tier.fault.seed
-//       tier.fault.rate
+// Every key, with its range or spellings, is one row of the key table in
+// config_io.cc; README.md lists them all.
 SimConfig apply_overrides(SimConfig base, const KeyValueConfig& kv,
                           const std::vector<std::string>& harness_keys = {});
 

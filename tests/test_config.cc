@@ -8,8 +8,8 @@ namespace {
 TEST(KeyValueConfig, ParsesKeyValuePairs) {
   const auto cfg = KeyValueConfig::from_tokens(
       {"ranks=4", "seed=0x10", "rate=2.5", "verbose=true"});
-  EXPECT_EQ(cfg.get_int_or("ranks", 0), 4);
-  EXPECT_EQ(cfg.get_int_or("seed", 0), 16);
+  EXPECT_EQ(cfg.get_int_in("ranks", 0, 0, INT64_MAX), 4);
+  EXPECT_EQ(cfg.get_int_in("seed", 0, 0, INT64_MAX), 16);
   EXPECT_DOUBLE_EQ(cfg.get_double_or("rate", 0.0), 2.5);
   EXPECT_TRUE(cfg.get_bool_or("verbose", false));
 }
@@ -24,14 +24,14 @@ TEST(KeyValueConfig, PositionalArguments) {
 
 TEST(KeyValueConfig, LaterKeysOverride) {
   const auto cfg = KeyValueConfig::from_tokens({"a=1", "a=2"});
-  EXPECT_EQ(cfg.get_int_or("a", 0), 2);
+  EXPECT_EQ(cfg.get_int_in("a", 0, 0, INT64_MAX), 2);
 }
 
 TEST(KeyValueConfig, MissingKeysFallBack) {
   const KeyValueConfig cfg;
   EXPECT_FALSE(cfg.has("x"));
   EXPECT_EQ(cfg.get_string_or("x", "d"), "d");
-  EXPECT_EQ(cfg.get_int_or("x", -3), -3);
+  EXPECT_EQ(cfg.get_int_in("x", -3, 0, INT64_MAX), -3);
   EXPECT_FALSE(cfg.get_int("x").has_value());
 }
 

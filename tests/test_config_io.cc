@@ -142,7 +142,8 @@ TEST(ConfigIo, FaultKeysRejectBadValues) {
   for (const char* tok :
        {"fault.enabled=2", "fault.endurance=0", "fault.endurance=-1",
         "fault.sigma=-0.1", "fault.initial_wear=-0.5", "fault.max_retries=0",
-        "fault.read_disturb=1.5", "fault.read_disturb=-0.1"}) {
+        "fault.max_retries=4294967296", "fault.read_disturb=1.5",
+        "fault.read_disturb=-0.1"}) {
     EXPECT_THROW(apply_overrides(paper_config(),
                                  KeyValueConfig::from_tokens({tok})),
                  std::invalid_argument)
