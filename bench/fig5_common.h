@@ -19,6 +19,7 @@ inline int run_fig5(int argc, char** argv, const char* title,
       args.get_int_in("accesses", 100000, 1, INT64_MAX));
   const auto seed =
       static_cast<std::uint64_t>(args.get_int_in("seed", 42, 0, INT64_MAX));
+  const bool csv = args.get_bool_or("csv", false);  // checked before the run
   // jobs=J: sweep workers (0 = all hardware threads, 1 = serial). The cell
   // results are bit-identical regardless of J.
   const auto jobs = static_cast<unsigned>(args.get_int_in("jobs", 0, 0, 256));
@@ -49,7 +50,7 @@ inline int run_fig5(int argc, char** argv, const char* title,
   std::printf("%s\n", t.to_text().c_str());
   std::printf("paper averages: wom-pcm %.3f, pcm-refresh %.3f, wcpcm %.3f\n",
               paper_avg_wom, paper_avg_refresh, paper_avg_wcpcm);
-  if (args.get_bool_or("csv", false)) {
+  if (csv) {
     std::printf("\n%s", t.to_csv().c_str());
   }
   return 0;

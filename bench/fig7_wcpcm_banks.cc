@@ -29,6 +29,7 @@ int fig7_main(const KeyValueConfig& args) {
       args.get_int_in("accesses", 80000, 1, INT64_MAX));
   const auto seed =
       static_cast<std::uint64_t>(args.get_int_in("seed", 42, 0, INT64_MAX));
+  const bool csv = args.get_bool_or("csv", false);  // checked before the run
 
   std::printf(
       "Fig. 7: WCPCM write latency vs banks/rank, normalized to 4 banks\n"
@@ -72,7 +73,7 @@ int fig7_main(const KeyValueConfig& args) {
   std::printf("%s\n", t.to_text().c_str());
   std::printf(
       "expected shape (paper): write latency decreases as banks/rank grows\n");
-  if (args.get_bool_or("csv", false)) std::printf("\n%s", t.to_csv().c_str());
+  if (csv) std::printf("\n%s", t.to_csv().c_str());
   return 0;
 }
 

@@ -42,10 +42,15 @@ int mix_main(const KeyValueConfig& args) {
   const char* defaults[] = {"401.bzip2", "464.h264ref", "ocean",
                             "482.sphinx3", "qsort", "470.lbm",
                             "456.hmmer", "water-ns"};
+  // Core i's benchmark key, b<i>. append(), not "b" + to_string(i): GCC 12
+  // warns -Wrestrict on that.
+  auto core_key = [](std::size_t i) {
+    return std::string("b").append(std::to_string(i));
+  };
   std::vector<WorkloadProfile> mix;
   for (std::size_t i = 0; i < cores; ++i) {
     const std::string name = args.get_string_or(
-        "b" + std::to_string(i), defaults[i % std::size(defaults)]);
+        core_key(i), defaults[i % std::size(defaults)]);
     const auto p = find_profile(name);
     if (!p) {
       std::printf("unknown benchmark %s\n", name.c_str());
@@ -65,7 +70,7 @@ int mix_main(const KeyValueConfig& args) {
   double base_w = 0, base_r = 0;
   std::vector<std::string> harness_keys = {"cores", "accesses", "seed"};
   for (std::size_t i = 0; i < cores; ++i) {
-    harness_keys.push_back("b" + std::to_string(i));
+    harness_keys.push_back(core_key(i));
   }
   for (const char* preset : presets) {
     SimConfig cfg = apply_overrides(paper_config(), args, harness_keys);

@@ -13,6 +13,8 @@
 #include <exception>
 #include <map>
 #include <memory>
+#include <stdexcept>
+#include <string>
 
 #include "womcode.h"
 
@@ -36,9 +38,13 @@ int cmd_gen(const KeyValueConfig& args) {
     std::printf("unknown benchmark %s\n", bench.c_str());
     return 1;
   }
-  const auto format = args.get_string_or("format", "text") == "bin"
-                          ? TraceWriter::Format::kBinary
-                          : TraceWriter::Format::kText;
+  const std::string fmt = args.get_string_or("format", "text");
+  if (fmt != "text" && fmt != "bin") {
+    throw std::invalid_argument("bad value for format: " + fmt +
+                                " (must be text or bin)");
+  }
+  const auto format = fmt == "bin" ? TraceWriter::Format::kBinary
+                                   : TraceWriter::Format::kText;
   SyntheticTraceSource src(*profile, paper_config().geom, seed, accesses);
   TraceWriter writer(out, format);
   std::uint64_t n = 0;

@@ -11,14 +11,13 @@
 // hot hooks (touch / install / victim / invalidate) are an enum-switch over
 // inline state (ReplacementState) that the compiler flattens into the
 // callers — TagArray probes inline into CacheLayer and TierFront with no
-// indirect call per access. The virtual ReplacementPolicy interface below
-// is kept as the straight-line reference implementation; the
-// dispatch-equivalence suite is its only caller.
+// indirect call per access. tests/test_dispatch_equivalence.cc keeps a
+// one-class-per-scheme model of the same schemes and checks this state
+// against it call for call.
 #pragma once
 
 #include <cassert>
 #include <cstdint>
-#include <memory>
 #include <string>
 #include <vector>
 
@@ -39,36 +38,11 @@ enum class ReplacementKind : std::uint8_t {
 const char* to_string(ReplacementKind kind);
 bool replacement_kind_from_string(const std::string& s, ReplacementKind* out);
 
-// Victim-selection strategy for one TagArray: the reference (virtual)
-// implementation of the closed scheme set. Implementations keep only
-// recency/order metadata; validity and tags stay in the TagArray, which
-// always prefers an invalid way before consulting victim().
-class ReplacementPolicy {
- public:
-  virtual ~ReplacementPolicy() = default;
-  virtual const char* name() const = 0;
-  // A lookup hit on (set, way).
-  virtual void touch(unsigned set, unsigned way) = 0;
-  // A fill installed a new tag into (set, way).
-  virtual void install(unsigned set, unsigned way) = 0;
-  // The way to evict from a full set. May mutate internal state (the
-  // random policy draws from its RNG), so calls must be deterministic in
-  // program order.
-  virtual unsigned victim(unsigned set) = 0;
-  // (set, way) was invalidated; it will be preferred for the next fill.
-  virtual void invalidate(unsigned set, unsigned way) = 0;
-};
-
-// Reference factory. The seed only matters for kRandom; other kinds ignore
-// it. Throws std::invalid_argument for bank_tag with ways != 1.
-std::unique_ptr<ReplacementPolicy> make_replacement_policy(
-    ReplacementKind kind, unsigned sets, unsigned ways, std::uint64_t seed);
-
 // The monomorphized replacement state: one value type closed over the four
 // schemes, dispatched by enum-switch so every hook inlines into the tag
-// probe that calls it. Call-for-call identical to the ReplacementPolicy
-// reference classes (tests/test_dispatch_equivalence.cc drives both with
-// the same sequences and compares victim streams).
+// probe that calls it. Implementations keep only recency/order metadata;
+// validity and tags stay in the TagArray, which always prefers an invalid
+// way before consulting victim().
 class ReplacementState {
  public:
   // Throws std::invalid_argument for bank_tag with ways != 1 (the set

@@ -79,30 +79,38 @@ std::string KeyValueConfig::get_string_or(const std::string& key,
   return get_string(key).value_or(fallback);
 }
 
+void KeyValueConfig::bad_value(const std::string& key,
+                               const std::string& must) const {
+  throw std::invalid_argument("bad value for " + key + ": " + map_.at(key) +
+                              " (must be " + must + ")");
+}
+
 std::int64_t KeyValueConfig::get_int_in(const std::string& key,
                                         std::int64_t fallback, std::int64_t lo,
                                         std::int64_t hi) const {
   if (!has(key)) return fallback;
   const auto v = get_int(key);
   if (!v || *v < lo || *v > hi) {
-    std::string range = ">= " + std::to_string(lo);
-    if (hi != INT64_MAX) {
-      range = "in [" + std::to_string(lo) + ", " + std::to_string(hi) + "]";
-    }
-    throw std::invalid_argument("bad value for " + key + ": " +
-                                get_string_or(key, "") + " (must be " +
-                                range + ")");
+    bad_value(key, hi == INT64_MAX ? ">= " + std::to_string(lo)
+                                   : "in [" + std::to_string(lo) + ", " +
+                                         std::to_string(hi) + "]");
   }
   return *v;
 }
 
 double KeyValueConfig::get_double_or(const std::string& key,
                                      double fallback) const {
-  return get_double(key).value_or(fallback);
+  if (!has(key)) return fallback;
+  const auto v = get_double(key);
+  if (!v) bad_value(key, "a finite number");
+  return *v;
 }
 
 bool KeyValueConfig::get_bool_or(const std::string& key, bool fallback) const {
-  return get_bool(key).value_or(fallback);
+  if (!has(key)) return fallback;
+  const auto v = get_bool(key);
+  if (!v) bad_value(key, "true or false");
+  return *v;
 }
 
 }  // namespace wompcm

@@ -31,6 +31,8 @@ class KeyValueConfig {
 
   std::string get_string_or(const std::string& key,
                             const std::string& fallback) const;
+  // `fallback` when absent. A present value that does not parse throws
+  // ("bad value for csv: maybe (must be true or false)"), like get_int_in.
   double get_double_or(const std::string& key, double fallback) const;
   bool get_bool_or(const std::string& key, bool fallback) const;
 
@@ -45,6 +47,10 @@ class KeyValueConfig {
   const std::map<std::string, std::string>& entries() const { return map_; }
 
  private:
+  // Throws "bad value for <key>: <value> (must be <must>)".
+  [[noreturn]] void bad_value(const std::string& key,
+                              const std::string& must) const;
+
   std::map<std::string, std::string> map_;
   std::vector<std::string> positional_;
 };

@@ -1,6 +1,8 @@
 #include "controller/controller.h"
 
 #include <cassert>
+#include <cstdio>
+#include <cstdlib>
 #include <stdexcept>
 
 namespace wompcm {
@@ -54,7 +56,6 @@ MemoryController::MemoryController(const ControllerConfig& cfg,
   write_q_.configure(line_bytes_, nlocal, cfg_.queue_capacity);
   internal_q_.configure(line_bytes_, nlocal, cfg_.queue_capacity);
 
-  reference_ = cfg_.sched.scan_mode == ScanMode::kReference;
   refresh_active_ = refresh_.active(arch_);
   pausing_ = refresh_.write_pausing();
   dynamic_reads_ = arch_.read_route_dynamic();
@@ -191,7 +192,8 @@ bool MemoryController::issue_from(TransactionQueue& q, Tick now) {
 }
 
 // The straight-line scan: every entry in age order through the generic
-// pick_transaction, with per-entry routing and timing checks.
+// pick_transaction, with per-entry routing and timing checks. Only the
+// audit build calls it, as the check on find_pick.
 MemoryController::Pick MemoryController::find_pick_reference(
     const TransactionQueue& q, Tick now) const {
   Pick p;
@@ -206,6 +208,15 @@ MemoryController::Pick MemoryController::find_pick_reference(
   return p;
 }
 
+MemoryController::Pick MemoryController::find_pick(TransactionQueue& q,
+                                                   Tick now) {
+  const Pick p = find_pick_indexed(q, now);
+#ifdef WOMPCM_AUDIT
+  audit_pick(q, now, p, "pick mismatch");
+#endif
+  return p;
+}
+
 // The indexed scan. Picks the same entry as find_pick_reference, but:
 //  - bails in O(1) when the bus is held, or when no queued entry targets a
 //    ready bank (occupancy mask vs readiness bitmap; only valid when every
@@ -217,9 +228,8 @@ MemoryController::Pick MemoryController::find_pick_reference(
 //    touching the Transaction only to re-probe a dynamic route;
 //  - stops at the first not-yet-arrived entry when arrivals are monotone
 //    (everything after it in age order has not arrived either).
-MemoryController::Pick MemoryController::find_pick(TransactionQueue& q,
-                                                   Tick now) {
-  if (reference_) return find_pick_reference(q, now);
+MemoryController::Pick MemoryController::find_pick_indexed(
+    TransactionQueue& q, Tick now) {
   Pick fallback;
   if (q.empty() || bus_free_ > now) return fallback;
   if (q.unindexed() == 0 && !ready_.intersects(q.bank_mask())) return fallback;
@@ -382,7 +392,7 @@ void MemoryController::issue(Transaction tx, Tick now) {
   // A tick at bus-free time can only matter if something is left to issue;
   // with every queue empty the instant is a no-op, and any later arrival
   // that finds the bus held re-schedules it (see enqueue).
-  if (reference_ || !drained()) push_event(bus_free_);
+  if (!drained()) push_event(bus_free_);
 }
 
 void MemoryController::enqueue_tier_writeback(const DecodedAddr& victim,
@@ -460,9 +470,7 @@ void MemoryController::tick(Tick now) {
 
   // Run due PCM-refresh checks first: refresh only targets quiet ranks, so
   // pending demand work always wins.
-  if (refresh_active_ && (reference_ || refresh_.next_check() <= now)) {
-    run_refresh(now);
-  }
+  if (refresh_active_ && refresh_.next_check() <= now) run_refresh(now);
 
   // Issue until neither class can make progress at this instant. Internal
   // write-backs drain only when no demand transaction can go.
@@ -491,6 +499,49 @@ Tick MemoryController::next_event_after(Tick now) {
   next_event_ = events_.next_after(now);
   return next_event_;
 }
+
+#ifdef WOMPCM_AUDIT
+void MemoryController::audit_pick(const TransactionQueue& q, Tick now,
+                                  const Pick& got, const char* what) const {
+  const Pick want = find_pick_reference(q, now);
+  if (got.idx == want.idx && got.row_hit == want.row_hit &&
+      got.arrival == want.arrival) {
+    return;
+  }
+  auto show = [](const char* label, const Pick& p) {
+    if (p.idx == kNoPick) {
+      std::fprintf(stderr, " %s {none}", label);
+    } else {
+      std::fprintf(stderr, " %s {idx=%u row_hit=%d arrival=%llu}", label,
+                   p.idx, p.row_hit ? 1 : 0,
+                   static_cast<unsigned long long>(p.arrival));
+    }
+  };
+  const char* queue = &q == &read_q_    ? "read"
+                      : &q == &write_q_ ? "write"
+                                        : "internal";
+  std::fprintf(stderr, "controller audit: %s ch%u now=%llu %s queue:", what,
+               channel_, static_cast<unsigned long long>(now), queue);
+  show("indexed", got);
+  show("reference", want);
+  std::fputc('\n', stderr);
+  std::abort();
+}
+
+void MemoryController::audit_skipped(Tick now) const {
+  // Skipping the channel is the indexed path's claim that nothing can go.
+  for (const TransactionQueue* q : {&read_q_, &write_q_, &internal_q_}) {
+    audit_pick(*q, now, Pick{}, "skipped channel");
+  }
+  if (refresh_active_ && refresh_.next_check() <= now) {
+    std::fprintf(stderr, "controller audit: skipped channel ch%u now=%llu "
+                 "with a refresh check due at %llu\n", channel_,
+                 static_cast<unsigned long long>(now),
+                 static_cast<unsigned long long>(refresh_.next_check()));
+    std::abort();
+  }
+}
+#endif
 
 void MemoryController::publish_metrics(MetricsRegistry& reg) const {
   reg.set_counter(channel_metric(channel_, "bus_busy_ns"),

@@ -27,9 +27,12 @@
 // wakeup min-heap processed at each tick), caches each transaction's
 // routed bank in the queue at enqueue time (except dynamically-routed
 // reads), and caches the earliest scheduled event so the memory system can
-// skip channels with nothing due. SchedulerConfig::scan_mode selects
-// between this indexed path and the straight-line reference scan; both
-// must produce bit-identical results.
+// skip channels with nothing due.
+//
+// Audit build: the test suite links a variant of this library compiled
+// with WOMPCM_AUDIT. It checks every find_pick result against the
+// straight-line pick_transaction scan (find_pick_reference), and every
+// channel the memory system skips (audit_skipped); a failed check aborts.
 #pragma once
 
 #include <memory>
@@ -133,6 +136,11 @@ class MemoryController {
   // the system-wide refresh totals into the registry.
   void publish_metrics(MetricsRegistry& reg) const;
 
+  // Audit build only: aborts unless a tick at `now` would do nothing — no
+  // queue holds an entry the straight-line scan can issue, and no refresh
+  // check is due.
+  void audit_skipped(Tick now) const;
+
  private:
   struct Pick {
     TransactionQueue::Pos idx = kNoPick;
@@ -178,7 +186,12 @@ class MemoryController {
   bool can_issue(const Transaction& tx, Tick now) const;
   bool is_row_hit(const Transaction& tx) const;
   Pick find_pick(TransactionQueue& q, Tick now);
+  Pick find_pick_indexed(TransactionQueue& q, Tick now);
   Pick find_pick_reference(const TransactionQueue& q, Tick now) const;
+  // Audit build only: aborts, naming `what`, unless `got` is the
+  // straight-line scan's pick.
+  void audit_pick(const TransactionQueue& q, Tick now, const Pick& got,
+                  const char* what) const;
   bool issue_fcfs(Tick now);
   bool issue_from(TransactionQueue& q, Tick now);
   void issue(Transaction tx, Tick now);
@@ -247,7 +260,6 @@ class MemoryController {
   std::uint64_t next_internal_id_;
 
   // Configuration-derived constants hoisted off the hot path.
-  bool reference_ = false;      // scan_mode == kReference
   bool refresh_active_ = false; // refresh engine live for this arch
   bool pausing_ = false;        // write pausing hides refresh from readiness
   bool dynamic_reads_ = false;  // demand-read routing may change while queued

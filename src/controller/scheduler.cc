@@ -6,10 +6,6 @@ const char* to_string(SchedulingPolicy p) {
   return p == SchedulingPolicy::kFcfs ? "fcfs" : "read-priority";
 }
 
-const char* to_string(ScanMode m) {
-  return m == ScanMode::kIndexed ? "indexed" : "reference";
-}
-
 bool SchedulerConfig::valid(std::string* why) const {
   auto fail = [&](const char* msg) {
     if (why != nullptr) *why = msg;

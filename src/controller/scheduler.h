@@ -21,19 +21,6 @@ enum class SchedulingPolicy : std::uint8_t { kFcfs, kReadPriority };
 
 const char* to_string(SchedulingPolicy p);
 
-// How the controller locates issuable work each tick.
-//
-// kIndexed (the default) uses the queue's bank-occupancy masks, the
-// controller's bank-readiness bitmap, and cached per-entry routing to skip
-// provably non-issuable entries; the memory system also dispatches ticks
-// only to channels with a due event. kReference is the straight-line
-// age-order scan over every entry of every channel on every tick — slower
-// but trivially correct. Both modes must produce bit-identical simulation
-// results; tests/test_hotpath_equivalence.cc enforces that.
-enum class ScanMode : std::uint8_t { kIndexed, kReference };
-
-const char* to_string(ScanMode m);
-
 struct SchedulerConfig {
   SchedulingPolicy policy = SchedulingPolicy::kFcfs;
   // kReadPriority only — write-drain hysteresis: start draining when the
@@ -44,8 +31,6 @@ struct SchedulerConfig {
   bool row_hit_first = true;
   // How many queue entries (in age order) the scheduler considers per pass.
   unsigned scan_limit = 64;
-  // Candidate-scan implementation; results are identical either way.
-  ScanMode scan_mode = ScanMode::kIndexed;
 
   bool valid(std::string* why = nullptr) const;
 };
@@ -55,8 +40,8 @@ inline constexpr TransactionQueue::Pos kNoPick = TransactionQueue::kNoPos;
 // Selects the queue position to issue: the oldest issuable row-hit if
 // `row_hit_first`, otherwise the oldest issuable entry within the scan
 // window. `can_issue(tx)` must be side-effect free; `is_row_hit(tx)` is only
-// consulted for issuable entries. This is the reference scan; the
-// controller's indexed fast path must pick the same entry.
+// consulted for issuable entries. This is the straight-line scan; the
+// controller's indexed fast path must pick the same entry (audit build).
 template <typename CanIssue, typename IsRowHit>
 TransactionQueue::Pos pick_transaction(const TransactionQueue& q,
                                        const SchedulerConfig& cfg,

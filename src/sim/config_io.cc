@@ -259,9 +259,6 @@ const std::vector<Key>& keys() {
       uint_key("write_q_low", FIELD(sched.write_q_low)),
       bool_key("row_hit_first", FIELD(sched.row_hit_first)),
       uint_key("scan_limit", FIELD(sched.scan_limit)),
-      enum_key<ScanMode>("scan_mode", FIELD(sched.scan_mode),
-                         {{"indexed", ScanMode::kIndexed},
-                          {"reference", ScanMode::kReference}}),
       enum_key<RowPolicy>(
           "row_policy", FIELD(row_policy),
           {{"open", RowPolicy::kOpen}, {"closed", RowPolicy::kClosed}}),

@@ -16,7 +16,7 @@ namespace wompcm {
 
 // Applies the recognized keys from `kv` onto `base`. Strict: an unknown key
 // throws std::invalid_argument naming the key and the nearest valid key
-// ("config: unknown key 'scanmode' (did you mean 'scan_mode'?)"), so a typo
+// ("config: unknown key 'scanlimit' (did you mean 'scan_limit'?)"), so a typo
 // never silently runs the default configuration. Keys that belong to the
 // calling harness rather than the SimConfig (e.g. accesses/benchmark/jobs)
 // are passed in `harness_keys` and skipped. Throws std::invalid_argument

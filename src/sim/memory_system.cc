@@ -6,8 +6,7 @@
 namespace wompcm {
 
 MemorySystem::MemorySystem(const SimConfig& cfg)
-    : arch_(cfg.geom, cfg.timing, cfg.arch, cfg.fault),
-      dispatch_all_(cfg.sched.scan_mode == ScanMode::kReference) {
+    : arch_(cfg.geom, cfg.timing, cfg.arch, cfg.fault) {
   channels_.reserve(cfg.geom.channels);
   for (unsigned c = 0; c < cfg.geom.channels; ++c) {
     channels_.push_back(
@@ -30,16 +29,18 @@ Tick MemorySystem::next_event_after(Tick now) {
 }
 
 void MemorySystem::tick(Tick now) {
-  if (dispatch_all_) {
-    for (const auto& c : channels_) c->tick(now);
-    return;
-  }
   // Controllers are quiescent between their own scheduled events (every
   // wake condition — arrival, bank finish, bus free, refresh check or
   // completion — has a pushed event), so a channel with nothing due at
   // `now` would tick to no effect: skip it.
   for (const auto& c : channels_) {
-    if (c->pending_event() <= now) c->tick(now);
+    if (c->pending_event() <= now) {
+      c->tick(now);
+#ifdef WOMPCM_AUDIT
+    } else {
+      c->audit_skipped(now);
+#endif
+    }
   }
 }
 

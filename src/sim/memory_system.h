@@ -49,8 +49,8 @@ class MemorySystem {
   // Earliest future instant any channel could make progress (kNeverTick
   // when the whole system is quiescent).
   Tick next_event_after(Tick now);
-  // Ticks the channel controllers with work due at `now` (every controller
-  // in reference scan mode; monotone across calls).
+  // Ticks the channel controllers with work due at `now` (monotone across
+  // calls); the audit build checks each channel it skips.
   void tick(Tick now);
   bool drained() const;
   Tick last_completion() const;
@@ -74,9 +74,6 @@ class MemorySystem {
  private:
   Architecture arch_;
   SimStats stats_;
-  // Reference scan mode dispatches every tick to every channel instead of
-  // only the channels with a due event (see ScanMode).
-  bool dispatch_all_ = false;
   std::vector<std::unique_ptr<MemoryController>> channels_;
 };
 

@@ -1,5 +1,6 @@
 #include "sim/run.h"
 
+#include <algorithm>
 #include <future>
 #include <stdexcept>
 #include <utility>
@@ -127,7 +128,10 @@ std::vector<SweepRow> run_sweep(const RunRequest& base,
   const SimConfig& cfg = base.config;
   const std::uint64_t accesses = base.trace.accesses();
   const std::uint64_t seed = base.options.seed;
-  const unsigned jobs = base.options.jobs.resolved_jobs();
+  const std::size_t ncells = profiles.size() * archs.size();
+  // No more workers than cells: a spare worker would only start and idle.
+  const auto jobs = static_cast<unsigned>(
+      std::min<std::size_t>(base.options.jobs.resolved_jobs(), ncells));
 
   std::vector<SweepRow> rows(profiles.size());
   for (std::size_t i = 0; i < profiles.size(); ++i) {
@@ -149,7 +153,7 @@ std::vector<SweepRow> run_sweep(const RunRequest& base,
   // completion order.
   ThreadPool pool(jobs);
   std::vector<std::future<SimResult>> cells;
-  cells.reserve(profiles.size() * archs.size());
+  cells.reserve(ncells);
   for (std::size_t i = 0; i < profiles.size(); ++i) {
     for (std::size_t j = 0; j < archs.size(); ++j) {
       cells.push_back(pool.submit([&cfg, &archs, &profiles, accesses, seed, i,

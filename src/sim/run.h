@@ -13,8 +13,8 @@
 // two runs of an identical request produce identical SimResults. run()
 // itself is a thin client of SimService (sim/service.h): it opens the
 // trace and hands it to SimService::run_to_completion; interactive
-// clients use the service directly. Warmup and scan mode are config
-// fields (SimConfig::warmup_accesses, SimConfig::sched.scan_mode).
+// clients use the service directly. Warmup is a config field
+// (SimConfig::warmup_accesses).
 #pragma once
 
 #include <cstdint>

@@ -65,7 +65,9 @@ SessionId SimService::open_session(StreamSpec spec) {
   }
   const SessionId id = static_cast<SessionId>(sessions_.size());
   Session s;
-  s.name = spec.name.empty() ? "s" + std::to_string(id) : std::move(spec.name);
+  // append(), not "s" + to_string(id): GCC 12 warns -Wrestrict on that.
+  s.name = spec.name.empty() ? std::string("s").append(std::to_string(id))
+                             : std::move(spec.name);
   // A stream opened mid-run joins at the current instant: its clock is a
   // lower bound on future arrivals, and the merge may already have sealed
   // everything before now().

@@ -7,6 +7,10 @@
 #include "common/rng.h"
 
 namespace wompcm {
+
+// Names the mapping in ctest names (gtest would print the enum's byte).
+void PrintTo(AddressMapping m, std::ostream* os) { *os << to_string(m); }
+
 namespace {
 
 TEST(MemoryGeometry, PaperDefaultsAreValid) {

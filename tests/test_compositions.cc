@@ -71,45 +71,40 @@ TEST(ArchPresets, EveryPresetParsesAndRoundTripsThroughDescribe) {
 }
 
 TEST(CompositionEquivalence, BankTagPolicyCachePreservesGoldens) {
-  // PR 7 re-expressed the WOM cache's per-rank row/bank tag scheme as the
-  // bank_tag ReplacementPolicy behind arch/tag_array.h. The WCPCM cell —
-  // the composition that actually exercises tag lookups, victim selection
-  // and invalidation — must run with the cache in play under both scan
-  // modes, faults on and off, on a two-channel platform. The paper-scale
+  // The WOM cache's per-rank row/bank tag scheme is the bank_tag
+  // replacement scheme behind arch/tag_array.h. The WCPCM cell — the
+  // composition that actually exercises tag lookups, victim selection and
+  // invalidation — must run with the cache in play, faults on and off, on
+  // a two-channel platform. The paper-scale
   // golden snapshot itself is pinned by GoldenEquivalence in
   // test_reproduction.cc, and the two-channel books by the registry
   // corpus.
   const WorkloadProfile profile = *find_profile("401.bzip2");
-  for (const ScanMode scan : {ScanMode::kIndexed, ScanMode::kReference}) {
-    for (const bool faults : {false, true}) {
-      SimConfig cfg = small_config();
-      cfg.geom.channels = 2;
-      cfg.sched.scan_mode = scan;
-      cfg.arch.composition = arch_preset("wcpcm");
-      cfg.arch.code = "rs23-inv";
-      if (faults) {
-        cfg.fault.enabled = true;
-        cfg.fault.seed = 7;
-        cfg.fault.endurance = 400;
-        cfg.fault.sigma = 0.35;
-        cfg.fault.initial_wear = 0.75;
-        cfg.fault.spare_rows = 4;
-        cfg.fault.read_disturb = 0.0005;
-      }
-      SCOPED_TRACE(std::string("scan=") +
-                   std::to_string(static_cast<int>(scan)) + "/faults=" +
-                   (faults ? "on" : "off"));
-
-      RunRequest req;
-      req.config = cfg;
-      req.trace = TraceSpec::profile(profile, 4000);
-      req.options = RunOptions::with_seed(11);
-      const SimResult r = run(req);
-
-      // The cache is genuinely in play, not silently bypassed.
-      const auto& counters = r.stats.counters.all();
-      EXPECT_NE(counters.find("wcpcm.write_misses"), counters.end());
+  for (const bool faults : {false, true}) {
+    SimConfig cfg = small_config();
+    cfg.geom.channels = 2;
+    cfg.arch.composition = arch_preset("wcpcm");
+    cfg.arch.code = "rs23-inv";
+    if (faults) {
+      cfg.fault.enabled = true;
+      cfg.fault.seed = 7;
+      cfg.fault.endurance = 400;
+      cfg.fault.sigma = 0.35;
+      cfg.fault.initial_wear = 0.75;
+      cfg.fault.spare_rows = 4;
+      cfg.fault.read_disturb = 0.0005;
     }
+    SCOPED_TRACE(std::string("faults=") + (faults ? "on" : "off"));
+
+    RunRequest req;
+    req.config = cfg;
+    req.trace = TraceSpec::profile(profile, 4000);
+    req.options = RunOptions::with_seed(11);
+    const SimResult r = run(req);
+
+    // The cache is genuinely in play, not silently bypassed.
+    const auto& counters = r.stats.counters.all();
+    EXPECT_NE(counters.find("wcpcm.write_misses"), counters.end());
   }
 }
 
@@ -210,9 +205,9 @@ TEST(NovelCompositions, RunEndToEndFromConfigFiles) {
   }
 }
 
-// The sectioned code families as composition cells across scan modes x
-// faults: the per-section budget must be in play, and the codec
-// observability counters must surface in the SimResult.
+// The sectioned code families as composition cells, faults on and off: the
+// per-section budget must be in play, and the codec observability counters
+// must surface in the SimResult.
 TEST(SectionedCells, GoldensAcrossScanModesFaultsAndJobs) {
   struct Cell {
     const char* label;
@@ -233,43 +228,39 @@ TEST(SectionedCells, GoldensAcrossScanModesFaultsAndJobs) {
   };
   const WorkloadProfile profile = *find_profile("401.bzip2");
   for (const Cell& cell : cells) {
-    for (const ScanMode scan : {ScanMode::kIndexed, ScanMode::kReference}) {
-      for (const bool faults : {false, true}) {
-        SimConfig cfg = small_config();
-        cfg.geom.channels = 2;
-        cfg.sched.scan_mode = scan;
-        cfg.arch.composition = validate_composition(cell.comp);
-        cfg.arch.code = cell.code;
-        if (faults) {
-          cfg.fault.enabled = true;
-          cfg.fault.seed = 7;
-          cfg.fault.endurance = 400;
-          cfg.fault.sigma = 0.35;
-          cfg.fault.initial_wear = 0.75;
-          cfg.fault.spare_rows = 4;
-          cfg.fault.read_disturb = 0.0005;
-        }
-        SCOPED_TRACE(std::string(cell.label) + "/scan=" +
-                     std::to_string(static_cast<int>(scan)) + "/faults=" +
-                     (faults ? "on" : "off"));
+    for (const bool faults : {false, true}) {
+      SimConfig cfg = small_config();
+      cfg.geom.channels = 2;
+      cfg.arch.composition = validate_composition(cell.comp);
+      cfg.arch.code = cell.code;
+      if (faults) {
+        cfg.fault.enabled = true;
+        cfg.fault.seed = 7;
+        cfg.fault.endurance = 400;
+        cfg.fault.sigma = 0.35;
+        cfg.fault.initial_wear = 0.75;
+        cfg.fault.spare_rows = 4;
+        cfg.fault.read_disturb = 0.0005;
+      }
+      SCOPED_TRACE(std::string(cell.label) + "/faults=" +
+                   (faults ? "on" : "off"));
 
-        RunRequest req;
-        req.config = cfg;
-        req.trace = TraceSpec::profile(profile, 4000);
-        req.options = RunOptions::with_seed(11);
-        const SimResult r = run(req);
+      RunRequest req;
+      req.config = cfg;
+      req.trace = TraceSpec::profile(profile, 4000);
+      req.options = RunOptions::with_seed(11);
+      const SimResult r = run(req);
 
-        // The per-section budget is genuinely in play: in-budget rewrites
-        // outnumber alpha re-inits (t = 8 for both shipped cells, so the
-        // fast:alpha ratio is far above the rs23 cell's 1:1).
-        const auto& counters = r.stats.counters;
-        EXPECT_GT(counters.get("writes.fast"), counters.get("writes.alpha"));
-        // The LUT observability counters surface in the result.
-        if (cell.lut) {
-          EXPECT_GT(counters.get("codec.lut_hits"), 0u);
-        } else {
-          EXPECT_GT(counters.get("codec.lut_fallbacks"), 0u);
-        }
+      // The per-section budget is genuinely in play: in-budget rewrites
+      // outnumber alpha re-inits (t = 8 for both shipped cells, so the
+      // fast:alpha ratio is far above the rs23 cell's 1:1).
+      const auto& counters = r.stats.counters;
+      EXPECT_GT(counters.get("writes.fast"), counters.get("writes.alpha"));
+      // The LUT observability counters surface in the result.
+      if (cell.lut) {
+        EXPECT_GT(counters.get("codec.lut_hits"), 0u);
+      } else {
+        EXPECT_GT(counters.get("codec.lut_fallbacks"), 0u);
       }
     }
   }

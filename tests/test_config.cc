@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <stdexcept>
+
 #include "common/config.h"
 
 namespace wompcm {
@@ -39,6 +41,7 @@ TEST(KeyValueConfig, MalformedNumbersAreNullopt) {
   const auto cfg = KeyValueConfig::from_tokens({"n=12abc", "d=1.2.3"});
   EXPECT_FALSE(cfg.get_int("n").has_value());
   EXPECT_FALSE(cfg.get_double("d").has_value());
+  EXPECT_THROW(cfg.get_double_or("d", 0.0), std::invalid_argument);
   // But the raw string is still available.
   EXPECT_EQ(cfg.get_string_or("n", ""), "12abc");
 }
@@ -51,6 +54,9 @@ TEST(KeyValueConfig, BoolSpellings) {
   EXPECT_TRUE(cfg.get_bool_or("c", false));
   EXPECT_FALSE(cfg.get_bool_or("d", true));
   EXPECT_FALSE(cfg.get_bool("e").has_value());
+  // A present but malformed value is an error, not the fallback.
+  EXPECT_THROW(cfg.get_bool_or("e", false), std::invalid_argument);
+  EXPECT_TRUE(cfg.get_bool_or("absent", true));
 }
 
 TEST(KeyValueConfig, FromArgsSkipsProgramName) {

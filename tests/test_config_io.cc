@@ -88,12 +88,12 @@ TEST(ConfigIo, UnknownKeysRejectedWithNearestSuggestion) {
   // the offending key and the nearest valid one.
   try {
     apply_overrides(paper_config(),
-                    KeyValueConfig::from_tokens({"scanmode=reference"}));
+                    KeyValueConfig::from_tokens({"scanlimit=4"}));
     FAIL() << "unknown key accepted";
   } catch (const std::invalid_argument& e) {
     const std::string msg = e.what();
-    EXPECT_NE(msg.find("scanmode"), std::string::npos) << msg;
-    EXPECT_NE(msg.find("scan_mode"), std::string::npos) << msg;
+    EXPECT_NE(msg.find("'scanlimit'"), std::string::npos) << msg;
+    EXPECT_NE(msg.find("'scan_limit'"), std::string::npos) << msg;
   }
   EXPECT_THROW(apply_overrides(paper_config(),
                                KeyValueConfig::from_tokens({"rankz=4"})),
@@ -284,7 +284,6 @@ TEST(ConfigIo, EveryFieldRoundTripsThroughDescribe) {
   cfg.sched.write_q_low = 10;
   cfg.sched.row_hit_first = false;
   cfg.sched.scan_limit = 12;
-  cfg.sched.scan_mode = ScanMode::kReference;
   cfg.row_policy = RowPolicy::kClosed;
   cfg.queue_capacity = 77;  // per-channel bound
   cfg.read_forwarding = false;
@@ -357,7 +356,6 @@ TEST(ConfigIo, EveryFieldRoundTripsThroughDescribe) {
   EXPECT_EQ(back.sched.write_q_low, 10u);
   EXPECT_FALSE(back.sched.row_hit_first);
   EXPECT_EQ(back.sched.scan_limit, 12u);
-  EXPECT_EQ(back.sched.scan_mode, ScanMode::kReference);
   EXPECT_EQ(back.row_policy, RowPolicy::kClosed);
   EXPECT_EQ(back.queue_capacity, 77u);
   EXPECT_FALSE(back.read_forwarding);

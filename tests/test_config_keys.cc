@@ -32,7 +32,7 @@ TEST(ConfigIo, EveryKeyRejectsMalformedValue) {
           << e.what();
     }
   }
-  EXPECT_GE(checked, 60u);
+  EXPECT_GE(checked, 59u);
 }
 
 }  // namespace

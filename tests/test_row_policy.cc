@@ -7,6 +7,10 @@
 #include "controller/controller.h"
 
 namespace wompcm {
+
+// Names the policy in ctest names (gtest would print the enum's byte).
+void PrintTo(RowPolicy p, std::ostream* os) { *os << to_string(p); }
+
 namespace {
 
 MemoryGeometry small_geom() {

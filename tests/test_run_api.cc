@@ -115,18 +115,6 @@ TEST(RunApi, OversizedWarmupThrows) {
                std::invalid_argument);
 }
 
-TEST(RunApi, ScanModeOverrideIsObservationallyIdentical) {
-  SimConfig indexed = small_config();
-  indexed.arch.composition = arch_preset("refresh");
-  indexed.sched.scan_mode = ScanMode::kIndexed;
-  SimConfig reference = indexed;
-  reference.sched.scan_mode = ScanMode::kReference;
-  const auto trace = TraceSpec::benchmark("464.h264ref", 4000);
-  const RunOptions opts = RunOptions::with_seed(3);
-  expect_identical(run({indexed, trace, opts}),
-                   run({reference, trace, opts}));
-}
-
 TEST(RunApi, FileSpecReplaysTheRecordedStream) {
   const SimConfig cfg = small_config();
   const auto spec = TraceSpec::benchmark("mad", 2000);

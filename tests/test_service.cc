@@ -11,7 +11,6 @@
 #include <memory>
 #include <stdexcept>
 #include <string>
-#include <tuple>
 #include <vector>
 
 #include "sim/experiment.h"
@@ -337,23 +336,18 @@ TEST(ServiceSessions, PollReportsPerStreamBooks) {
 }
 
 // The headline contract: K live sessions, fed incrementally, produce the
-// bit-identical result of one batch run over the pre-merged mix — for
-// both scan modes, faults on and off. The middle parameter is a jobs axis
-// held at 1: the suite's ctest names embed the parameter bytes, so the
-// tuple keeps its shape.
-class ServiceEquivalence
-    : public testing::TestWithParam<std::tuple<ScanMode, unsigned, bool>> {};
+// bit-identical result of one batch run over the pre-merged mix, faults on
+// and off (the parameter).
+class ServiceEquivalence : public testing::TestWithParam<bool> {};
 
 TEST_P(ServiceEquivalence, KSessionsMatchPreMergedBatch) {
-  const ScanMode scan = std::get<0>(GetParam());
-  const bool faults = std::get<2>(GetParam());
+  const bool faults = GetParam();
   constexpr unsigned kStreams = 4;
   constexpr std::uint64_t kPerStream = 1200;
   constexpr std::uint64_t kSeed = 42;
 
   SimConfig cfg = small_config(/*channels=*/4);
   cfg.arch.composition = arch_preset("refresh");
-  cfg.sched.scan_mode = scan;
   cfg.warmup_accesses = 200;  // warmup ids must agree in merge order too
   if (faults) {
     cfg.fault.enabled = true;
@@ -431,15 +425,9 @@ TEST_P(ServiceEquivalence, KSessionsMatchPreMergedBatch) {
 }
 
 INSTANTIATE_TEST_SUITE_P(
-    ScanJobsFaults, ServiceEquivalence,
-    testing::Combine(testing::Values(ScanMode::kIndexed, ScanMode::kReference),
-                     testing::Values(1u),
-                     testing::Values(false, true)),
-    [](const testing::TestParamInfo<ServiceEquivalence::ParamType>& info) {
-      const ScanMode scan = std::get<0>(info.param);
-      return std::string(scan == ScanMode::kIndexed ? "indexed" : "reference") +
-             "_jobs" + std::to_string(std::get<1>(info.param)) +
-             (std::get<2>(info.param) ? "_faults" : "_nofaults");
+    Faults, ServiceEquivalence, testing::Bool(),
+    [](const testing::TestParamInfo<bool>& info) {
+      return std::string(info.param ? "faults" : "nofaults");
     });
 
 }  // namespace

@@ -19,16 +19,19 @@ constexpr PaperArch kArchs[] = {{"pcm", "pcm"},
                                 {"refresh", "pcm-refresh"},
                                 {"wcpcm", "wcpcm"}};
 
+// Case has no gtest printer, so each ctest name dumps its bytes. The arch
+// index leads so that the dump starts with a fixed value; the string's data
+// pointer (a heap address) comes after it.
 struct Case {
-  std::string benchmark;
   std::size_t arch;  // index into kArchs
+  std::string benchmark;
 };
 
 std::vector<Case> all_cases() {
   std::vector<Case> cases;
   for (const WorkloadProfile& p : benchmark_profiles()) {
     for (std::size_t a = 0; a < std::size(kArchs); ++a) {
-      cases.push_back({p.name, a});
+      cases.push_back({a, p.name});
     }
   }
   return cases;

@@ -1,4 +1,4 @@
-// TagArray + ReplacementPolicy unit contract (DESIGN.md "Tag arrays &
+// TagArray + replacement-scheme unit contract (DESIGN.md "Tag arrays &
 // tiered backends"): invalid ways fill before any victim is consulted,
 // LRU/FIFO/random order evictions as advertised, the random stream is a
 // pure function of its seed, and the bank_tag policy degenerates to the

@@ -2,7 +2,7 @@
 // per-scenario speedups: new rate / old rate per platform. The CI
 // perf-regression gate runs it against the committed JSON:
 //
-//   perf_diff old=BENCH_singlerun.json new=build/bench_now.json \
+//   perf_diff old=BENCH_singlerun.json new=build/bench_now.json
 //             min_ratio=0.7 gate=true
 //
 // gate=true exits 1 when any scenario's ratio falls below min_ratio —
@@ -12,6 +12,7 @@
 // correctness, not speed.
 #include <cstdio>
 #include <cstdlib>
+#include <exception>
 #include <fstream>
 #include <sstream>
 #include <string>
@@ -94,8 +95,15 @@ int main(int argc, char** argv) {
   const KeyValueConfig args = KeyValueConfig::from_args(argc, argv);
   const std::string old_path = args.get_string_or("old", "");
   const std::string new_path = args.get_string_or("new", "");
-  const double min_ratio = args.get_double_or("min_ratio", 0.0);
-  const bool gate = args.get_string_or("gate", "false") == "true";
+  double min_ratio = 0.0;
+  bool gate = false;
+  try {
+    min_ratio = args.get_double_or("min_ratio", 0.0);
+    gate = args.get_bool_or("gate", false);
+  } catch (const std::exception& e) {
+    std::fprintf(stderr, "perf_diff: %s\n", e.what());
+    return 2;
+  }
   if (old_path.empty() || new_path.empty()) {
     std::fprintf(stderr,
                  "usage: perf_diff old=FILE new=FILE [min_ratio=R] "
