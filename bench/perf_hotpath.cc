@@ -15,7 +15,7 @@ namespace {
 using namespace wompcm;
 
 // One mixed probe stream: lookup -> touch on hit, fill_way + install on
-// miss — the exact hook sequence CacheLayer and TierFront drive per access.
+// miss — the exact hook sequence TierFront drives per access.
 double tag_probe_rate(ReplacementKind kind, unsigned sets, unsigned ways,
                       std::uint64_t ops) {
   TagArray tags(sets, ways, kind, /*seed=*/1);
@@ -59,7 +59,6 @@ int hotpath_main(const KeyValueConfig& args) {
     unsigned sets, ways;
   };
   const Case cases[] = {
-      {"bank_tag 4096x1", ReplacementKind::kBankTag, 4096, 1},
       {"lru      1024x4", ReplacementKind::kLru, 1024, 4},
       {"lru       256x8", ReplacementKind::kLru, 256, 8},
       {"fifo     1024x4", ReplacementKind::kFifo, 1024, 4},

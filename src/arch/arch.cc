@@ -371,7 +371,7 @@ IssuePlan Architecture::plan_cache_write(const DecodedAddr& dec, IssuePlan p) {
     cache_->note_route_change();  // invalidation can flip a queued probe
     cache_->invalidate(ci, dec.row);
     cache_->mark_dead(ci, dec.row);
-    bump(ctr_dead_rows_, "wcpcm.dead_rows");
+    bump(ctr_dead_cache_rows_, "wcpcm.dead_rows");
     p.spawned.push_back(SpawnedWrite{dec});
     bump(ctr_bypass_writes_, "wcpcm.bypass_writes");
     return p;
@@ -532,11 +532,6 @@ double Architecture::write_hit_rate() const {
   const auto m = counters_.get("wcpcm.write_misses");
   return h + m == 0 ? 0.0
                     : static_cast<double>(h) / static_cast<double>(h + m);
-}
-
-const WomCode* Architecture::code() const {
-  const WomCode* main = main_coding_.code();
-  return main != nullptr || !cache_coding_ ? main : cache_coding_->code();
 }
 
 std::size_t Architecture::rat_size(unsigned flat_bank_idx) const {

@@ -225,9 +225,6 @@ class Architecture {
   const SpareRowRemapper* remapper() const { return remap_.get(); }
   const FaultModel* fault_model() const { return fault_.get(); }
 
-  // The symbol code behind the WOM-coded regions (main memory's first);
-  // null when none exists or the regions run a native block family.
-  const WomCode* code() const;
   // Test access: pending rows in one main bank's RAT.
   std::size_t rat_size(unsigned flat_bank_idx) const;
   double write_hit_rate() const;
@@ -347,7 +344,7 @@ class Architecture {
   std::uint64_t* ctr_victims_ = nullptr;
   std::uint64_t* ctr_read_hits_ = nullptr;
   std::uint64_t* ctr_read_misses_ = nullptr;
-  std::uint64_t* ctr_dead_rows_ = nullptr;
+  std::uint64_t* ctr_dead_cache_rows_ = nullptr;
   std::uint64_t* ctr_bypass_writes_ = nullptr;
   std::uint64_t* ctr_refresh_rows_ = nullptr;
 };

@@ -5,47 +5,52 @@
 namespace wompcm {
 
 CacheLayer::CacheLayer(const MemoryGeometry& geom)
-    : ranks_(geom.ranks),
+    : arrays_(geom.channels * geom.ranks),
+      ranks_(geom.ranks),
       rows_per_bank_(geom.rows_per_bank),
       words_per_row_((geom.lines_per_row() + 63) / 64) {
-  const unsigned arrays = geom.channels * geom.ranks;
-  tags_.reserve(arrays);
-  for (unsigned i = 0; i < arrays; ++i) {
-    tags_.emplace_back(geom.rows_per_bank, /*ways=*/1,
-                       ReplacementKind::kBankTag);
-  }
-  line_slab_.assign(static_cast<std::size_t>(arrays) * rows_per_bank_, 0);
+  row_slab_.assign(static_cast<std::size_t>(arrays_) * rows_per_bank_, 0);
 }
 
 bool CacheLayer::probe_read_hit(const DecodedAddr& dec) const {
-  const unsigned ci = index(dec.channel, dec.rank);
-  return tags_[ci].valid(dec.row, 0) &&
-         tags_[ci].tag(dec.row, 0) == dec.bank &&
-         line_set(ci, dec.row, dec.col);
+  const std::uint32_t id =
+      row_slab_[row_key(index(dec.channel, dec.rank), dec.row)];
+  if (id == 0) return false;
+  const std::uint64_t h = words_[entry(id)];
+  return (h & kValid) != 0 && (h & kBankMask) == dec.bank &&
+         ((words_[line_word(id, dec.col)] >> (dec.col % 64)) & 1) != 0;
+}
+
+void CacheLayer::evict_lines(unsigned cache_idx, unsigned row) {
+  const std::uint32_t id = row_slab_[row_key(cache_idx, row)];
+  if (id == 0) return;
+  const auto first =
+      words_.begin() + static_cast<std::ptrdiff_t>(line_word(id, 0));
+  std::fill(first, first + words_per_row_, 0);
+}
+
+void CacheLayer::invalidate(unsigned cache_idx, unsigned row) {
+  const std::uint32_t id = row_slab_[row_key(cache_idx, row)];
+  if (id == 0) return;
+  words_[entry(id)] &= ~kValid;
+  evict_lines(cache_idx, row);
 }
 
 void CacheLayer::install(unsigned cache_idx, unsigned row, unsigned bank,
                          unsigned line) {
-  TagArray& t = tags_[cache_idx];
-  if (t.valid(row, 0) && t.tag(row, 0) == bank) {
-    t.touch(row, 0);
-  } else {
-    t.install(row, 0, bank);
-  }
-  std::uint32_t& id = line_slab_[row_key(cache_idx, row)];
-  if (id == 0) {
-    line_words_.resize(line_words_.size() + words_per_row_, 0);
-    id = static_cast<std::uint32_t>(line_words_.size() / words_per_row_);
-  }
-  line_words_[word_index(id, line)] |= std::uint64_t{1} << (line % 64);
+  const std::uint32_t id = claim(cache_idx, row);
+  std::uint64_t& h = words_[entry(id)];
+  h = (h & kDead) | kValid | bank;
+  words_[line_word(id, line)] |= std::uint64_t{1} << (line % 64);
 }
 
-void CacheLayer::clear_lines(unsigned cache_idx, unsigned row) {
-  const std::uint32_t id = line_slab_[row_key(cache_idx, row)];
-  if (id == 0) return;
-  const auto first = line_words_.begin() +
-                     static_cast<std::ptrdiff_t>(word_index(id, 0));
-  std::fill(first, first + words_per_row_, 0);
+std::uint32_t CacheLayer::claim(unsigned cache_idx, unsigned row) {
+  std::uint32_t& id = row_slab_[row_key(cache_idx, row)];
+  if (id == 0) {
+    words_.resize(words_.size() + words_per_row_ + 1, 0);
+    id = static_cast<std::uint32_t>(words_.size() / (words_per_row_ + 1));
+  }
+  return id;
 }
 
 }  // namespace wompcm

@@ -1,23 +1,19 @@
-// The per-rank WOM-cache front end (Section 4): tag state of one bank-sized
-// array per rank, N_bank-way associative by bank address, with per-line
-// valid bits and a dead-row set for rows retired by the fault model.
+// The per-rank WOM-cache front end (Section 4): one bank-sized array per
+// rank, indexed by row, tagged by bank address, write-allocate.
 //
-// Tag/valid/victim bookkeeping lives in a TagArray per (channel, rank) —
-// 1-way sets indexed by row, tagged by bank, with bank_tag replacement
-// (ReplacementState) — so the WOM cache is one point in the same tag-array
-// design space as the DRAM front tier. The layer additionally owns the
-// per-line valid bitmaps (the cache row only holds the lines written since
-// the install). The cache's CodingPolicy and the access protocol (victim
-// spawning, bypass, fault pipeline, refresh scheduling) stay in the
-// Architecture.
+// Each cache row is one entry: a header word (occupant bank, valid bit,
+// dead bit) followed by the row's line-valid bitmap (the cache row only
+// holds the lines written since the install). A dense per-row index points
+// at the entry, which a row claims on first use: its first install(), or a
+// mark_dead() on a row that died on its first write. The cache's
+// CodingPolicy and the access protocol (victim spawning, bypass, fault
+// pipeline, refresh scheduling) stay in the Architecture.
 #pragma once
 
 #include <cstdint>
 #include <vector>
 
-#include "arch/tag_array.h"
 #include "common/address.h"
-#include "common/flat_map.h"
 
 namespace wompcm {
 
@@ -25,23 +21,23 @@ class CacheLayer final {
  public:
   explicit CacheLayer(const MemoryGeometry& geom);
 
-  unsigned arrays() const { return static_cast<unsigned>(tags_.size()); }
+  unsigned arrays() const { return arrays_; }
   unsigned index(unsigned channel, unsigned rank) const {
     return channel * ranks_ + rank;
   }
 
-  // Tag state of the single way of row-set `row` in array `cache_idx`.
+  // Tag state of row `row` in array `cache_idx`.
   bool valid(unsigned cache_idx, unsigned row) const {
-    return tags_[cache_idx].valid(row, 0);
+    return (header(cache_idx, row) & kValid) != 0;
   }
   unsigned installed_bank(unsigned cache_idx, unsigned row) const {
-    return static_cast<unsigned>(tags_[cache_idx].tag(row, 0));
+    return static_cast<unsigned>(header(cache_idx, row) & kBankMask);
   }
 
   bool line_set(unsigned cache_idx, unsigned row, unsigned line) const {
-    const std::uint32_t id = line_slab_[row_key(cache_idx, row)];
+    const std::uint32_t id = row_slab_[row_key(cache_idx, row)];
     if (id == 0) return false;
-    return (line_words_[word_index(id, line)] >> (line % 64)) & 1;
+    return (words_[line_word(id, line)] >> (line % 64)) & 1;
   }
 
   // A read hits only if this bank's row is installed AND the requested line
@@ -49,17 +45,12 @@ class CacheLayer final {
   // in main memory (whose copy of those lines is still current).
   bool probe_read_hit(const DecodedAddr& dec) const;
 
-  // Eviction flushed the previous occupant's lines; the tag itself is
+  // Eviction flushed the previous occupant's lines; the occupant itself is
   // rewritten by the install() that follows the fault pipeline.
-  void evict_lines(unsigned cache_idx, unsigned row) {
-    clear_lines(cache_idx, row);
-  }
+  void evict_lines(unsigned cache_idx, unsigned row);
 
   // Dead-row retirement: drop the occupant outright.
-  void invalidate(unsigned cache_idx, unsigned row) {
-    tags_[cache_idx].invalidate(row, 0);
-    clear_lines(cache_idx, row);
-  }
+  void invalidate(unsigned cache_idx, unsigned row);
 
   // Commit a write of `line`: (re)install `bank` as the row's occupant and
   // mark the line valid.
@@ -74,10 +65,10 @@ class CacheLayer final {
   // Cache rows have no spare pool behind them: a dead row is invalidated
   // and bypassed (writes latch through to main memory) instead of remapped.
   bool row_dead(unsigned cache_idx, unsigned row) const {
-    return dead_rows_.find(row_key(cache_idx, row)) != nullptr;
+    return (header(cache_idx, row) & kDead) != 0;
   }
   void mark_dead(unsigned cache_idx, unsigned row) {
-    dead_rows_[row_key(cache_idx, row)] = 1;
+    words_[entry(claim(cache_idx, row))] |= kDead;
   }
 
   // Monotone stamp advanced on every tag mutation that could flip a queued
@@ -87,26 +78,37 @@ class CacheLayer final {
   void note_route_change() { ++route_version_; }
 
  private:
-  // Word of slab `id` (nonzero) holding `line`'s valid bit.
-  std::size_t word_index(std::uint32_t id, unsigned line) const {
-    return (std::size_t{id} - 1) * words_per_row_ + line / 64;
-  }
-  void clear_lines(unsigned cache_idx, unsigned row);
+  // Header word of a row entry: the occupant bank in the low 32 bits.
+  static constexpr std::uint64_t kBankMask = 0xffffffffULL;
+  static constexpr std::uint64_t kValid = std::uint64_t{1} << 32;
+  static constexpr std::uint64_t kDead = std::uint64_t{1} << 33;
 
+  // First word (the header) of entry `id` (nonzero).
+  std::size_t entry(std::uint32_t id) const {
+    return (std::size_t{id} - 1) * (words_per_row_ + 1);
+  }
+  // Word of entry `id` holding `line`'s valid bit.
+  std::size_t line_word(std::uint32_t id, unsigned line) const {
+    return entry(id) + 1 + line / 64;
+  }
+  // The row's header; 0 (invalid, alive) before the row claims an entry.
+  std::uint64_t header(unsigned cache_idx, unsigned row) const {
+    const std::uint32_t id = row_slab_[row_key(cache_idx, row)];
+    return id == 0 ? 0 : words_[entry(id)];
+  }
+  // The row's entry id, claiming a zeroed entry on first use.
+  std::uint32_t claim(unsigned cache_idx, unsigned row);
+
+  unsigned arrays_;
   unsigned ranks_;
   unsigned rows_per_bank_;
   unsigned words_per_row_;  // 64-bit words of one row's line bitmap
-  // One 1-way bank_tag TagArray per (channel, rank) cache array.
-  std::vector<TagArray> tags_;
-  // Per-line valid bitmaps, keyed like row_key: line_slab_ holds a row's
-  // 1-based slab id into line_words_ (0: no line written yet), and a row
-  // claims its words_per_row_ words on its first install(). Cleared rows
-  // keep their slab and are zeroed instead.
-  std::vector<std::uint32_t> line_slab_;
-  std::vector<std::uint64_t> line_words_;
+  // row_slab_ holds each row's 1-based entry id into words_ (0: no entry
+  // yet), keyed like row_key. An entry is its header word followed by
+  // words_per_row_ line words; cleared rows keep their entry.
+  std::vector<std::uint32_t> row_slab_;
+  std::vector<std::uint64_t> words_;
   std::uint64_t route_version_ = 0;
-  // Keyed like row_key; only ever populated while faults are enabled.
-  FlatMap64<std::uint8_t> dead_rows_;
 };
 
 }  // namespace wompcm

@@ -66,20 +66,6 @@ bool coding_kind_from_string(const std::string& s, CodingKind* out) {
   return true;
 }
 
-WomCodePtr resolve_inverted_wom_code(const std::string& name) {
-  WomCodePtr code = make_code(name);
-  if (code == nullptr) {
-    throw std::invalid_argument("unknown WOM-code: " + name);
-  }
-  if (code->raises_bits()) {
-    throw std::invalid_argument(
-        "WOM architectures need an inverted code (RESET-only rewrites); "
-        "use e.g. \"" +
-        name + "-inv\"");
-  }
-  return code;
-}
-
 RegionCode resolve_region_code(CodingKind kind,
                                const std::string& override_name,
                                const std::string& legacy_code,
@@ -154,11 +140,6 @@ RegionCode resolve_region_code(CodingKind kind,
   rc.max_writes = info.max_writes;
   rc.wear_bound = info.wear_bound;
   rc.lut = info.lut;
-  if (kind != CodingKind::kTsConstrained) {
-    // The classic kinds (and polar) are symbol codes; keep the shared
-    // pointer for name()/diagnostic surfaces and the reference codecs.
-    rc.code = resolve_inverted_wom_code(name);
-  }
   return rc;
 }
 
@@ -188,7 +169,6 @@ CodingPolicy::CodingPolicy(CodingKind kind, const RegionContext& ctx,
         std::string("CodingPolicy: coding=") + to_string(kind) +
         " needs a resolved code (resolve_region_code)");
   }
-  code_ = std::move(code.code);
   code_name_ = std::move(code.name);
   coded_line_bits_ = ctx.line_bits * code.wits / code.data_bits;
   overhead_ = static_cast<double>(code.wits) / code.data_bits - 1.0;

@@ -34,7 +34,6 @@
 #include "pcm/energy.h"
 #include "pcm/timing.h"
 #include "stats/stats.h"
-#include "wom/wom_code.h"
 #include "wom/wom_tracker.h"
 
 namespace wompcm {
@@ -97,15 +96,9 @@ struct RegionContext {
   unsigned channels = 1;
 };
 
-// Resolves `name` to an inverted WOM code, throwing std::invalid_argument
-// (unknown code / conventional write direction) otherwise.
-WomCodePtr resolve_inverted_wom_code(const std::string& name);
-
 // The resolved code parameters one WOM-coded region runs under. The timing
 // simulator carries no data payloads, so a region needs only the code's
 // section geometry and classification parameters — not the codec itself.
-// `code` is the symbol code behind the classic kinds (and the bit-exact
-// reference codecs); native sectioned families (ts-constrained) have none.
 struct RegionCode {
   std::string name;
   unsigned data_bits = 0;    // k per section
@@ -113,7 +106,6 @@ struct RegionCode {
   unsigned max_writes = 0;   // t per section
   double wear_bound = 1.0;   // fraction of cells an in-budget write touches
   bool lut = false;          // EncodeLut fast path behind the encode
-  WomCodePtr code;           // null for native block families
 };
 
 // Resolves the code a WOM-coded region of `kind` runs: `override_name`
@@ -174,9 +166,6 @@ class CodingPolicy {
   // Only WOM-coded regions have generation state a refresh can restore.
   bool refreshable() const { return tracker_.has_value(); }
 
-  // The WOM code behind a WOM-coded region; null otherwise (and for the
-  // native block families).
-  const WomCode* code() const { return code_.get(); }
   // The resolved code name of a WOM-coded region; empty otherwise.
   const std::string& code_name() const { return code_name_; }
   // The generation tracker of a WOM-coded region (refreshable() only).
@@ -334,8 +323,7 @@ class CodingPolicy {
   // active_channel().
   double fnw_fast_fraction_ = 0.0;
   std::vector<Rng> fnw_rngs_;
-  // WOM kinds only (code_ may still be null: native block families).
-  WomCodePtr code_;
+  // WOM kinds only.
   std::string code_name_;
   double wear_bound_ = 1.0;
   bool lut_ = false;

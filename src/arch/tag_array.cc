@@ -6,8 +6,6 @@ namespace wompcm {
 
 const char* to_string(ReplacementKind kind) {
   switch (kind) {
-    case ReplacementKind::kBankTag:
-      return "bank_tag";
     case ReplacementKind::kLru:
       return "lru";
     case ReplacementKind::kFifo:
@@ -19,9 +17,7 @@ const char* to_string(ReplacementKind kind) {
 }
 
 bool replacement_kind_from_string(const std::string& s, ReplacementKind* out) {
-  if (s == "bank_tag") {
-    *out = ReplacementKind::kBankTag;
-  } else if (s == "lru") {
+  if (s == "lru") {
     *out = ReplacementKind::kLru;
   } else if (s == "fifo") {
     *out = ReplacementKind::kFifo;
@@ -36,11 +32,6 @@ bool replacement_kind_from_string(const std::string& s, ReplacementKind* out) {
 ReplacementState::ReplacementState(ReplacementKind kind, unsigned sets,
                                    unsigned ways, std::uint64_t seed)
     : kind_(kind), ways_(ways), rng_(seed) {
-  if (kind == ReplacementKind::kBankTag && ways != 1) {
-    throw std::invalid_argument(
-        "bank_tag replacement requires 1-way sets (the set index is the "
-        "row and the tag is the bank)");
-  }
   if (kind == ReplacementKind::kLru || kind == ReplacementKind::kFifo) {
     stamp_.assign(static_cast<std::size_t>(sets) * ways, 0);
   }

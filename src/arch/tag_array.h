@@ -1,17 +1,15 @@
-// Generic set-associative tag state with pluggable replacement.
+// Set-associative tag state with pluggable replacement: the tag layer of
+// the DRAM-timing front tier (lru / fifo / random).
 //
 // A TagArray owns only the tag/valid/dirty bookkeeping of sets x ways
 // frames; payloads live with the caller, keyed by the dense frame index
-// slot(set, way). Victim selection is delegated to a replacement scheme so
-// the same array serves both the paper's N_bank-way bank-tag WOM cache
-// (bank_tag: a 1-way array whose "policy" is the direct-mapped occupant)
-// and the DRAM-timing front tier (lru / fifo / random).
+// slot(set, way). Victim selection is delegated to a replacement scheme.
 //
 // Dispatch strategy: the replacement schemes form a *closed* set, so the
 // hot hooks (touch / install / victim / invalidate) are an enum-switch over
 // inline state (ReplacementState) that the compiler flattens into the
-// callers — TagArray probes inline into CacheLayer and TierFront with no
-// indirect call per access. tests/test_dispatch_equivalence.cc keeps a
+// callers — TagArray probes inline into TierFront with no indirect call
+// per access. tests/test_dispatch_equivalence.cc keeps a
 // one-class-per-scheme model of the same schemes and checks this state
 // against it call for call.
 #pragma once
@@ -25,11 +23,8 @@
 
 namespace wompcm {
 
-// Replacement schemes a TagArray can be built with. kBankTag is the WOM
-// cache's legacy scheme: one way per set, the set index is the row and the
-// tag is the bank, so "replacement" is simply overwriting the occupant.
+// Replacement schemes a TagArray can be built with.
 enum class ReplacementKind : std::uint8_t {
-  kBankTag,
   kLru,
   kFifo,
   kRandom,
@@ -38,15 +33,13 @@ enum class ReplacementKind : std::uint8_t {
 const char* to_string(ReplacementKind kind);
 bool replacement_kind_from_string(const std::string& s, ReplacementKind* out);
 
-// The monomorphized replacement state: one value type closed over the four
+// The monomorphized replacement state: one value type closed over the three
 // schemes, dispatched by enum-switch so every hook inlines into the tag
 // probe that calls it. Implementations keep only recency/order metadata;
 // validity and tags stay in the TagArray, which always prefers an invalid
 // way before consulting victim().
 class ReplacementState {
  public:
-  // Throws std::invalid_argument for bank_tag with ways != 1 (the set
-  // index is the row and the tag is the bank; there is nothing to choose).
   ReplacementState(ReplacementKind kind, unsigned sets, unsigned ways,
                    std::uint64_t seed);
 
@@ -67,8 +60,6 @@ class ReplacementState {
 
   unsigned victim(unsigned set) {
     switch (kind_) {
-      case ReplacementKind::kBankTag:
-        return 0;  // 1-way: the only possible victim is the occupant
       case ReplacementKind::kLru:
       case ReplacementKind::kFifo:
         return min_stamp_way(set);

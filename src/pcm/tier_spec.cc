@@ -26,12 +26,6 @@ bool TierSpec::valid(std::string* why) const {
   if (!enabled) return true;
   if (sets == 0) return fail("tier.sets must be positive");
   if (ways == 0) return fail("tier.ways must be positive");
-  if (replacement == ReplacementKind::kBankTag) {
-    return fail(
-        "tier.replacement: bank_tag is the WOM cache's row/bank scheme and "
-        "needs the cache composition (cache.enabled=true); the tier takes "
-        "lru, fifo or random");
-  }
   if (timing.hit_read_ns == 0 || timing.hit_write_ns == 0) {
     return fail("tier hit latencies must be positive");
   }

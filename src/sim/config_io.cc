@@ -280,15 +280,8 @@ const std::vector<Key>& keys() {
       bool_key("tier.enabled", FIELD(tier.enabled)),
       uint_key("tier.sets", FIELD(tier.sets), 1),
       uint_key("tier.ways", FIELD(tier.ways), 1),
-      then(named_key("tier.replacement", FIELD(tier.replacement),
-                     replacement_kind_from_string),
-           [](SimConfig& c) {
-             if (c.tier.replacement != ReplacementKind::kBankTag) return;
-             throw std::invalid_argument(
-                 "config: tier.replacement=bank_tag is the WOM cache's "
-                 "row/bank scheme (select it with cache.enabled=true); the "
-                 "tier takes lru, fifo or random");
-           }),
+      named_key("tier.replacement", FIELD(tier.replacement),
+                replacement_kind_from_string),
       named_key("tier.write_policy", FIELD(tier.write_policy),
                 tier_write_policy_from_string),
       tick_key("tier.hit_read", FIELD(tier.timing.hit_read_ns)),
@@ -327,9 +320,11 @@ void reject_unknown_keys(const KeyValueConfig& kv,
     (void)value;
     if (std::find(known.begin(), known.end(), key) != known.end()) continue;
     // Suggest the nearest valid key (config keys first, then the harness's
-    // own keys) so a typo points at its likely target.
+    // own keys) so a typo points at its likely target, but only when it is
+    // within a third of the typo's length: a removed key gets no hint
+    // rather than an unrelated one.
     std::string nearest;
-    std::size_t best = std::string::npos;
+    std::size_t best = std::max<std::size_t>(1, key.size() / 3) + 1;
     for (const std::string& cand : known) {
       const std::size_t d = edit_distance(key, cand);
       if (d < best) {
@@ -337,8 +332,9 @@ void reject_unknown_keys(const KeyValueConfig& kv,
         nearest = cand;
       }
     }
-    throw std::invalid_argument("config: unknown key '" + key +
-                                "' (did you mean '" + nearest + "'?)");
+    std::string msg = "config: unknown key '" + key + "'";
+    if (!nearest.empty()) msg += " (did you mean '" + nearest + "'?)";
+    throw std::invalid_argument(msg);
   }
 }
 

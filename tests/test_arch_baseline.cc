@@ -89,7 +89,8 @@ TEST(BaselinePcm, IgnoresUnresolvableCodeName) {
   ArchConfig cfg = baseline_cfg();
   cfg.code = "no-such-code";
   Architecture arch(small_geom(), PcmTiming{}, cfg);
-  EXPECT_EQ(arch.code(), nullptr);
+  EXPECT_EQ(arch.name(), "pcm");
+  EXPECT_DOUBLE_EQ(arch.capacity_overhead(), 0.0);
 }
 
 TEST(FlipNWrite, DefaultNeverFast) {

@@ -1,9 +1,10 @@
 // Tests of the WOM-code cached PCM composition (Section 4): tag/valid
 // protocol, victim write-backs, per-line validity, parallel read probing,
-// and the cache's own refresh.
+// and the cache's own refresh; and the cache's per-row entry on its own.
 #include <gtest/gtest.h>
 
 #include "arch/arch.h"
+#include "arch/cache_layer.h"
 
 namespace wompcm {
 namespace {
@@ -199,6 +200,61 @@ TEST_F(WcpcmTest, RejectsBadCode) {
   EXPECT_THROW(
       Architecture(geom_, PcmTiming{}, wcpcm_cfg(5, "no-such-code")),
       std::invalid_argument);
+}
+
+// The per-row entry, driven directly: a miss re-banks the occupant,
+// invalidation drops the occupant and its lines, and a row can die before
+// it was ever installed. 128 lines per row, so each entry spans two line
+// words and neighbouring entries sit back to back.
+TEST(CacheRowEntry, InstallRebankInvalidateAndDeath) {
+  MemoryGeometry g = small_geom();
+  g.cols_per_row = 1024;
+  ASSERT_EQ(g.lines_per_row(), 128u);
+  CacheLayer cache(g);
+  ASSERT_EQ(cache.arrays(), 2u);
+  EXPECT_FALSE(cache.valid(1, 3));
+  EXPECT_FALSE(cache.row_dead(1, 3));
+  EXPECT_FALSE(cache.line_set(1, 3, 5));
+
+  cache.install(1, 3, /*bank=*/2, /*line=*/5);
+  cache.install(1, 3, /*bank=*/2, /*line=*/127);
+  cache.install(1, 4, /*bank=*/1, /*line=*/70);
+  EXPECT_TRUE(cache.valid(1, 3));
+  EXPECT_EQ(cache.installed_bank(1, 3), 2u);
+  EXPECT_TRUE(cache.line_set(1, 3, 5));
+  EXPECT_TRUE(cache.line_set(1, 3, 127));
+  EXPECT_FALSE(cache.line_set(1, 3, 70));
+  EXPECT_TRUE(cache.probe_read_hit(DecodedAddr{0, 1, 2, 3, 127}));
+  EXPECT_FALSE(cache.probe_read_hit(DecodedAddr{0, 1, 1, 3, 127}));
+  EXPECT_FALSE(cache.probe_read_hit(DecodedAddr{0, 1, 2, 3, 6}));
+  EXPECT_EQ(cache.installed_bank(1, 4), 1u);
+  EXPECT_TRUE(cache.line_set(1, 4, 70));
+  EXPECT_FALSE(cache.line_set(1, 4, 127));
+  EXPECT_FALSE(cache.valid(0, 3));  // the other rank's array is untouched
+
+  // A miss: eviction flushes the lines, the install re-banks the row.
+  cache.evict_lines(1, 3);
+  cache.install(1, 3, /*bank=*/3, /*line=*/1);
+  EXPECT_EQ(cache.installed_bank(1, 3), 3u);
+  EXPECT_TRUE(cache.line_set(1, 3, 1));
+  EXPECT_FALSE(cache.line_set(1, 3, 5));
+  EXPECT_FALSE(cache.line_set(1, 3, 127));
+  EXPECT_TRUE(cache.line_set(1, 4, 70));  // the neighbour keeps its lines
+
+  // Retirement: the occupant and its lines go, the row stays dead.
+  cache.invalidate(1, 3);
+  cache.mark_dead(1, 3);
+  EXPECT_FALSE(cache.valid(1, 3));
+  EXPECT_FALSE(cache.line_set(1, 3, 1));
+  EXPECT_TRUE(cache.row_dead(1, 3));
+  EXPECT_FALSE(cache.row_dead(1, 4));
+  EXPECT_TRUE(cache.valid(1, 4));
+
+  // A row can die on its first write, before any install.
+  cache.mark_dead(0, 7);
+  EXPECT_TRUE(cache.row_dead(0, 7));
+  EXPECT_FALSE(cache.valid(0, 7));
+  EXPECT_FALSE(cache.row_dead(0, 6));
 }
 
 }  // namespace

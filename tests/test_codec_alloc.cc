@@ -1,9 +1,11 @@
-// Allocation audit of the codec hot path.
+// Allocation audit of the codec hot path and of architecture setup.
 //
 // Lives in its own test binary (womcode_pcm_alloc_tests) because it
 // replaces the global allocator with a counting wrapper: steady-state
 // PageCodec::write must perform zero heap allocations per access, which is
 // what keeps the energy ablations and functional sweeps off the allocator.
+// The wrapper also totals the bytes requested, which bounds what building
+// an architecture costs before the first access.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -15,24 +17,24 @@
 #include "common/rng.h"
 #include "controller/controller.h"
 #include "controller/queues.h"
+#include "sim/experiment.h"
 #include "wom/page_codec.h"
 #include "wom/registry.h"
 
 namespace {
 std::atomic<std::uint64_t> g_allocations{0};
+std::atomic<std::uint64_t> g_bytes{0};
+
+void* counted_malloc(std::size_t size) {
+  g_allocations.fetch_add(1, std::memory_order_relaxed);
+  g_bytes.fetch_add(size, std::memory_order_relaxed);
+  if (void* p = std::malloc(size)) return p;
+  throw std::bad_alloc();
+}
 }  // namespace
 
-void* operator new(std::size_t size) {
-  g_allocations.fetch_add(1, std::memory_order_relaxed);
-  if (void* p = std::malloc(size)) return p;
-  throw std::bad_alloc();
-}
-
-void* operator new[](std::size_t size) {
-  g_allocations.fetch_add(1, std::memory_order_relaxed);
-  if (void* p = std::malloc(size)) return p;
-  throw std::bad_alloc();
-}
+void* operator new(std::size_t size) { return counted_malloc(size); }
+void* operator new[](std::size_t size) { return counted_malloc(size); }
 
 void operator delete(void* p) noexcept { std::free(p); }
 void operator delete[](void* p) noexcept { std::free(p); }
@@ -243,6 +245,25 @@ TEST(QueueAllocation, StuckHeadChurnAtCapacityIsAllocationFree) {
       << (after - before) << " allocations across 10000 push/take cycles";
   EXPECT_EQ(q.size(), kCapacity);
   EXPECT_EQ(q.at(q.first()).id, 1u);
+}
+
+// Building the paper WCPCM architecture (16 ranks x 32 banks x 32768 rows,
+// one WOM-cache array per rank) sizes its per-row indexes up front but
+// claims cache-row entries, wear and generation state only on first use,
+// so setup stays a few MiB rather than one frame per cache row.
+TEST(ArchitectureAllocation, PaperWcpcmSetupIsUnderFourMiB) {
+  const SimConfig cfg = paper_config();
+  ArchConfig acfg;
+  acfg.composition = arch_preset("wcpcm");
+  acfg.code = "rs23-inv";
+
+  const std::uint64_t bytes_before = g_bytes.load();
+  const std::uint64_t allocs_before = g_allocations.load();
+  { const Architecture arch(cfg.geom, cfg.timing, acfg); }
+  const std::uint64_t bytes = g_bytes.load() - bytes_before;
+  EXPECT_LT(bytes, std::uint64_t{4} << 20)
+      << bytes << " bytes in " << (g_allocations.load() - allocs_before)
+      << " allocations";
 }
 
 }  // namespace

@@ -70,12 +70,12 @@ TEST(ArchPresets, EveryPresetParsesAndRoundTripsThroughDescribe) {
   EXPECT_THROW(arch_preset("dram"), std::invalid_argument);
 }
 
-TEST(CompositionEquivalence, BankTagPolicyCachePreservesGoldens) {
-  // The WOM cache's per-rank row/bank tag scheme is the bank_tag
-  // replacement scheme behind arch/tag_array.h. The WCPCM cell — the
-  // composition that actually exercises tag lookups, victim selection and
-  // invalidation — must run with the cache in play, faults on and off, on
-  // a two-channel platform. The paper-scale
+TEST(CompositionEquivalence, WomCacheRowEntryPreservesGoldens) {
+  // The WOM cache keeps one entry per cache row (occupant bank, valid and
+  // dead bits, line-valid bits; arch/cache_layer.h). The WCPCM cell — the
+  // composition that actually exercises tag lookups, victim write-backs and
+  // dead-row invalidation — must run with the cache in play, faults on and
+  // off, on a two-channel platform. The paper-scale
   // golden snapshot itself is pinned by GoldenEquivalence in
   // test_reproduction.cc, and the two-channel books by the registry
   // corpus.
@@ -208,7 +208,7 @@ TEST(NovelCompositions, RunEndToEndFromConfigFiles) {
 // The sectioned code families as composition cells, faults on and off: the
 // per-section budget must be in play, and the codec observability counters
 // must surface in the SimResult.
-TEST(SectionedCells, GoldensAcrossScanModesFaultsAndJobs) {
+TEST(SectionedCells, GoldensWithFaultsOnAndOff) {
   struct Cell {
     const char* label;
     Composition comp;

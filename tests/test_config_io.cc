@@ -98,6 +98,17 @@ TEST(ConfigIo, UnknownKeysRejectedWithNearestSuggestion) {
   EXPECT_THROW(apply_overrides(paper_config(),
                                KeyValueConfig::from_tokens({"rankz=4"})),
                std::invalid_argument);
+  // No key is within a third of the typo's length: no hint, rather than
+  // one that points at an unrelated key.
+  try {
+    apply_overrides(paper_config(),
+                    KeyValueConfig::from_tokens({"scan_mode=indexed"}));
+    FAIL() << "unknown key accepted";
+  } catch (const std::invalid_argument& e) {
+    const std::string msg = e.what();
+    EXPECT_NE(msg.find("'scan_mode'"), std::string::npos) << msg;
+    EXPECT_EQ(msg.find("did you mean"), std::string::npos) << msg;
+  }
 }
 
 TEST(ConfigIo, HarnessKeysAreExempt) {
@@ -186,15 +197,16 @@ TEST(ConfigIo, TierKeysRejectBadValues) {
 }
 
 TEST(ConfigIo, TierRejectsBankTagReplacement) {
-  // bank_tag is the WOM cache's row/bank scheme, owned by the cache
-  // composition; the tier must point the user there instead of accepting a
-  // policy that cannot index a multi-way set.
+  // bank_tag is not a replacement scheme (the WOM cache is direct-mapped
+  // by row and replaces nothing by choice): it fails as any unknown
+  // spelling does, and the tier takes lru, fifo or random.
   try {
     apply_overrides(paper_config(), KeyValueConfig::from_tokens(
                                         {"tier.replacement=bank_tag"}));
     FAIL() << "bank_tag accepted as a tier policy";
   } catch (const std::invalid_argument& e) {
-    EXPECT_NE(std::string(e.what()).find("cache.enabled=true"),
+    EXPECT_NE(std::string(e.what()).find(
+                  "bad value for tier.replacement: bank_tag"),
               std::string::npos)
         << e.what();
   }

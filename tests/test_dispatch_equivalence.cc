@@ -2,7 +2,7 @@
 //
 // TagArray's replacement hooks run through the enum-switched
 // ReplacementState value type. This suite keeps its own straight-line
-// model of the four schemes, one class per scheme behind a virtual
+// model of the three schemes, one class per scheme behind a virtual
 // interface, drives it and ReplacementState through identical call
 // sequences, and requires identical victim streams call for call.
 #include <gtest/gtest.h>
@@ -34,16 +34,6 @@ class ReplacementModel {
   virtual unsigned victim(unsigned set) = 0;
   // (set, way) was invalidated; it will be preferred for the next fill.
   virtual void invalidate(unsigned set, unsigned way) = 0;
-};
-
-// The WOM cache's scheme: 1-way sets indexed by row, tagged by bank. The
-// only possible victim is the occupant, so every hook is a no-op.
-class BankTagModel final : public ReplacementModel {
- public:
-  void touch(unsigned, unsigned) override {}
-  void install(unsigned, unsigned) override {}
-  unsigned victim(unsigned) override { return 0; }
-  void invalidate(unsigned, unsigned) override {}
 };
 
 // Per-frame stamps from one monotone clock; the victim is the least
@@ -98,8 +88,6 @@ std::unique_ptr<ReplacementModel> make_model(ReplacementKind kind,
                                              unsigned sets, unsigned ways,
                                              std::uint64_t seed) {
   switch (kind) {
-    case ReplacementKind::kBankTag:
-      return std::make_unique<BankTagModel>();
     case ReplacementKind::kLru:
       return std::make_unique<StampModel>(sets, ways, true);
     case ReplacementKind::kFifo:
@@ -148,7 +136,6 @@ void drive_replacement(ReplacementKind kind, unsigned sets, unsigned ways,
 }
 
 TEST(DispatchEquivalence, ReplacementStateMatchesVirtualPolicies) {
-  drive_replacement(ReplacementKind::kBankTag, 64, 1, 7, 101);
   drive_replacement(ReplacementKind::kLru, 16, 4, 7, 102);
   drive_replacement(ReplacementKind::kLru, 1, 8, 9, 103);
   drive_replacement(ReplacementKind::kFifo, 16, 4, 7, 104);

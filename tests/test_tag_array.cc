@@ -1,8 +1,7 @@
 // TagArray + replacement-scheme unit contract (DESIGN.md "Tag arrays &
 // tiered backends"): invalid ways fill before any victim is consulted,
-// LRU/FIFO/random order evictions as advertised, the random stream is a
-// pure function of its seed, and the bank_tag policy degenerates to the
-// WOM cache's 1-way overwrite scheme.
+// LRU/FIFO/random order evictions as advertised, and the random stream is
+// a pure function of its seed.
 #include <gtest/gtest.h>
 
 #include <set>
@@ -21,14 +20,16 @@ TagArray make(ReplacementKind kind, unsigned sets, unsigned ways,
 
 TEST(TagArray, KindStringsRoundTrip) {
   for (const ReplacementKind k :
-       {ReplacementKind::kBankTag, ReplacementKind::kLru,
-        ReplacementKind::kFifo, ReplacementKind::kRandom}) {
+       {ReplacementKind::kLru, ReplacementKind::kFifo,
+        ReplacementKind::kRandom}) {
     ReplacementKind parsed;
     ASSERT_TRUE(replacement_kind_from_string(to_string(k), &parsed));
     EXPECT_EQ(parsed, k);
   }
   ReplacementKind parsed;
   EXPECT_FALSE(replacement_kind_from_string("plru", &parsed));
+  // The WOM cache's row entry is not a tag-array scheme.
+  EXPECT_FALSE(replacement_kind_from_string("bank_tag", &parsed));
 }
 
 TEST(TagArray, LookupInstallInvalidate) {
@@ -104,24 +105,6 @@ TEST(TagArray, RandomVictimStreamIsSeedDeterministic) {
   };
   EXPECT_EQ(victims(7), victims(7));   // same seed, same stream
   EXPECT_NE(victims(7), victims(8));   // 8^32 draws: collision ~ impossible
-}
-
-TEST(TagArray, BankTagIsOneWayOverwrite) {
-  // The WOM cache's scheme: sets indexed by row, single way tagged by bank,
-  // replacement == overwriting the occupant.
-  TagArray t = make(ReplacementKind::kBankTag, 8, 1);
-  EXPECT_EQ(t.fill_way(3), 0u);
-  t.install(3, 0, /*bank=*/5);
-  EXPECT_EQ(t.lookup(3, 5), 0u);
-  EXPECT_EQ(t.lookup(3, 6), TagArray::kNoWay);
-  EXPECT_EQ(t.fill_way(3), 0u);  // the only possible victim is the occupant
-  t.install(3, 0, /*bank=*/6);
-  EXPECT_EQ(t.lookup(3, 5), TagArray::kNoWay);
-  EXPECT_EQ(t.lookup(3, 6), 0u);
-}
-
-TEST(TagArray, BankTagRejectsMultiWaySets) {
-  EXPECT_THROW(make(ReplacementKind::kBankTag, 8, 2), std::invalid_argument);
 }
 
 TEST(TagArray, RejectsEmptyGeometry) {
