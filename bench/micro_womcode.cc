@@ -4,6 +4,7 @@
 
 #include <benchmark/benchmark.h>
 
+#include "arch/row_table.h"
 #include "common/rng.h"
 #include "sim/experiment.h"
 #include "trace/profiles.h"
@@ -11,7 +12,6 @@
 #include "wom/page_codec.h"
 #include "wom/registry.h"
 #include "wom/rs_code.h"
-#include "wom/wom_tracker.h"
 
 namespace {
 
@@ -108,15 +108,18 @@ void BM_PageCodecReadTsc(benchmark::State& state) {
 }
 BENCHMARK(BM_PageCodecReadTsc);
 
-void BM_TrackerRecordWrite(benchmark::State& state) {
-  WomStateTracker tracker(2, 256);
+// One WOM-coded write's generation update: claim the row (one hash
+// lookup), then record the write under a t = 2 code.
+void BM_RowTableRecordWrite(benchmark::State& state) {
+  RowTable rows(256, /*generations=*/true, /*fault_states=*/false);
   Rng rng(11);
   for (auto _ : state) {
-    benchmark::DoNotOptimize(tracker.record_write(
-        rng.next_below(4096), static_cast<unsigned>(rng.next_below(256))));
+    const std::uint32_t id = rows.claim(rng.next_below(4096));
+    benchmark::DoNotOptimize(rows.record_write(
+        id, static_cast<unsigned>(rng.next_below(256)), 2));
   }
 }
-BENCHMARK(BM_TrackerRecordWrite);
+BENCHMARK(BM_RowTableRecordWrite);
 
 void BM_ZipfSample(benchmark::State& state) {
   ZipfSampler zipf(1u << 20, 1.1);

@@ -4,6 +4,7 @@
 
 #include "arch/cache_layer.h"
 #include "arch/refresh_policy.h"
+#include "pcm/endurance.h"
 
 namespace wompcm {
 
@@ -130,9 +131,14 @@ Architecture::Architecture(const MemoryGeometry& geom, const PcmTiming& timing,
     : geom_(checked_geometry(geom, timing, cfg)),
       mapper_(geom),
       timing_(timing),
-      wear_(geom.lines_per_row()),
       row_key_stride_(geom.rows_per_bank + 1),
       comp_(validate_composition(cfg.composition)),
+      // Generation slabs only when some region is WOM-coded, fault-state
+      // slabs only with the fault model on.
+      rows_(geom.lines_per_row(),
+            is_wom_coding(comp_.main_coding) ||
+                (comp_.cache_enabled && is_wom_coding(comp_.cache_coding)),
+            fault.enabled),
       // Each WOM-coded region resolves its code (main.code= / cache.code=
       // override, else the shared legacy code= key or the family default).
       // A raw/fnw composition builds even with an unresolvable cfg.code:
@@ -141,7 +147,7 @@ Architecture::Architecture(const MemoryGeometry& geom, const PcmTiming& timing,
       main_coding_(comp_.main_coding, region_context(),
                    resolve_region_code(comp_.main_coding, cfg.main_code,
                                        cfg.code, line_bits()),
-                   geom.lines_per_row(), /*erased_start=*/false,
+                   /*erased_start=*/false,
                    cfg.fnw_fast_fraction, cfg.seed) {
   // One energy bucket per channel, folded in channel order (see
   // pcm/energy.h; the registry corpus pins the folded totals).
@@ -155,7 +161,7 @@ Architecture::Architecture(const MemoryGeometry& geom, const PcmTiming& timing,
                           resolve_region_code(comp_.cache_coding,
                                               cfg.cache_code, cfg.code,
                                               line_bits()),
-                          geom.lines_per_row(), /*erased_start=*/true,
+                          /*erased_start=*/true,
                           cfg.fnw_fast_fraction, cfg.seed);
     cache_ = std::make_unique<CacheLayer>(geom);
   }
@@ -298,20 +304,18 @@ unsigned Architecture::route(const DecodedAddr& dec, AccessType type,
 
 IssuePlan Architecture::plan_main_write(const DecodedAddr& dec, bool internal,
                                         IssuePlan p) {
-  std::uint64_t key = row_key_for(p.resource, p.row);
-  const CodingPolicy::WriteBegin rec =
-      main_coding_.begin_write(key, dec.col, &p);
-  const FaultOutcome f =
-      fault_on_write(p.resource, dec.channel, dec.col, /*allow_remap=*/true,
-                     &p);
+  RowKey key = row_key_for(p.resource, p.row);
+  CodingPolicy::WriteBegin rec = main_coding_.begin_write(key, dec.col, &p);
+  const FaultOutcome f = fault_on_write(p.resource, rec.id, dec.channel,
+                                        dec.col, /*allow_remap=*/true, &p);
   if (f.remapped) {
     // The row moved to a fresh spare: start its generation there so the
     // rewrite budget tracks the cells actually being programmed.
     key = row_key_for(p.resource, p.row);
-    main_coding_.note_remap(key, dec.col);
+    main_coding_.note_remap(key, dec.col, &rec);
   }
-  const bool at_limit = main_coding_.finish_write(rec, f.demoted, key, key,
-                                                 dec.col, internal, &p);
+  const bool at_limit =
+      main_coding_.finish_write(rec, f.demoted, dec.col, internal, &p);
   if (at_limit && main_rat_ != nullptr) main_rat_->touch(p.resource, key);
   return p;
 }
@@ -352,25 +356,23 @@ IssuePlan Architecture::plan_cache_write(const DecodedAddr& dec, IssuePlan p) {
     bump(ctr_victims_, "wcpcm.victims");
     cache_->evict_lines(ci, dec.row);
   }
-  const std::uint64_t track_key = cache_->row_key(ci, dec.row);
   const CodingPolicy::WriteBegin rec =
-      cache_coding_->begin_write(track_key, dec.col, &p);
+      cache_coding_->begin_write(cache_row_key(ci, dec.row), dec.col, &p);
   // No spare pool behind the cache array: a dead verdict is handled below
-  // by invalidate-and-bypass.
-  const FaultOutcome f = fault_on_write(main_banks() + ci, dec.channel,
-                                        dec.col, /*allow_remap=*/false, &p);
-  const bool at_limit = cache_coding_->finish_write(
-      rec, f.demoted, track_key, cache_wear_key(ci, dec.row), dec.col,
-      /*internal=*/false, &p);
+  // by retire-and-bypass.
+  const FaultOutcome f =
+      fault_on_write(main_banks() + ci, rec.id, dec.channel, dec.col,
+                     /*allow_remap=*/false, &p);
+  const bool at_limit = cache_coding_->finish_write(rec, f.demoted, dec.col,
+                                                    /*internal=*/false, &p);
   if (f.dead_unmapped) {
     // The row can no longer be programmed reliably: retire it from cache
     // service. A miss already flushed the previous occupant; on a hit the
     // bypass write below refreshes the same main-memory row, so the entry
-    // is invalidated outright and the demand line re-queued to main. The
-    // dead set makes every later write bypass before touching the tags.
-    cache_->note_route_change();  // invalidation can flip a queued probe
-    cache_->invalidate(ci, dec.row);
-    cache_->mark_dead(ci, dec.row);
+    // is dropped outright and the demand line re-queued to main. The dead
+    // bit makes every later write bypass before touching the entry.
+    cache_->note_route_change();  // retirement can flip a queued probe
+    cache_->retire(ci, dec.row);
     bump(ctr_dead_cache_rows_, "wcpcm.dead_rows");
     p.spawned.push_back(SpawnedWrite{dec});
     bump(ctr_bypass_writes_, "wcpcm.bypass_writes");
@@ -471,7 +473,7 @@ Architecture::RefreshWork Architecture::perform_refresh(
       const unsigned resource = base + b;
       if (!unit_ready(resource)) continue;  // demand in flight: skip the bank
       if (main_rat_->refresh_one(resource, [&](std::uint64_t key) {
-            return main_coding_.refresh_row(key, key);
+            return main_coding_.refresh_row(key);
           })) {
         ++work.rows;
         work.resources.push_back(resource);
@@ -489,8 +491,7 @@ Architecture::RefreshWork Architecture::perform_refresh(
             const unsigned r = static_cast<unsigned>(row);
             // Retired rows have nothing to refresh.
             if (faults_enabled() && cache_->row_dead(ci, r)) return false;
-            return cache_coding_->refresh_row(cache_->row_key(ci, r),
-                                              cache_wear_key(ci, r));
+            return cache_coding_->refresh_row(cache_row_key(ci, r));
           })) {
         ++work.rows;
         work.resources.push_back(resource);
@@ -557,20 +558,18 @@ unsigned Architecture::physical_row(const DecodedAddr& dec, AccessType type,
   return resolved_row(flat_bank(dec), row);
 }
 
-Architecture::FaultOutcome Architecture::fault_on_write(unsigned keyed_bank,
-                                                        unsigned channel,
-                                                        unsigned line,
-                                                        bool allow_remap,
-                                                        IssuePlan* p) {
+Architecture::FaultOutcome Architecture::fault_on_write(
+    unsigned keyed_bank, std::uint32_t id, unsigned channel, unsigned line,
+    bool allow_remap, IssuePlan* p) {
   FaultOutcome out;
   if (fault_ == nullptr) return out;
   FaultTally& tally = fault_by_channel_[channel];
-  const std::uint64_t key = row_key_for(keyed_bank, p->row);
   // Original array rows carry the configured initial wear; the Start-Gap
   // spare and the fault spares (row >= rows_per_bank) are fresh stock.
   const bool pre_aged = p->row < geom_.rows_per_bank;
-  const FaultModel::Observation obs =
-      fault_->observe_write(key, line, wear_.line_wear(key, line), pre_aged);
+  const FaultModel::Observation obs = fault_->observe_write(
+      row_key_for(keyed_bank, p->row), line, rows_.line_wear(id, line),
+      pre_aged, rows_.fault_state(id, line));
   if (obs.transitioned) ++tally.injected;
   if (obs.state == FaultModel::LineState::kHealthy) return out;
   // Stuck cells break the monotone 0->1 WOM rewrite: a fast-path write is
@@ -588,7 +587,7 @@ Architecture::FaultOutcome Architecture::fault_on_write(unsigned keyed_bank,
       dead ? fault_->config().max_retries : fault_->retry_draw(channel);
   p->post_ns += retries * (p->program_ns + timing_.col_read_ns);
   tally.retries += retries;
-  wear_.on_write_pulses(key, line, retries * kAlphaWearPerCell);
+  rows_.add_wear(id, line, retries * kAlphaWearPerCell);
   if (!dead) return out;
   if (obs.transitioned) ++tally.dead_rows;
   if (!allow_remap || remap_ == nullptr) {
@@ -624,9 +623,10 @@ void Architecture::publish_metrics(MetricsRegistry& reg, Tick end_time) const {
   reg.set_gauge("energy.read_pj", energy_.read_pj());
   reg.set_gauge("energy.write_pj", energy_.write_pj());
   reg.set_gauge("energy.refresh_pj", energy_.refresh_pj());
-  reg.set_gauge("wear.max_line", wear_.max_line_wear());
-  reg.set_gauge("wear.mean_line", wear_.mean_line_wear());
-  reg.set_gauge("wear.lifetime_years", wear_.lifetime_years(end_time));
+  reg.set_gauge("wear.max_line", rows_.max_line_wear());
+  reg.set_gauge("wear.mean_line", rows_.mean_line_wear());
+  reg.set_gauge("wear.lifetime_years",
+                lifetime_years(rows_.max_line_wear(), end_time));
   if (fault_ != nullptr) {
     // Published only when the fault model is installed, so the off-path
     // registry stays bit-identical to a build without faults.

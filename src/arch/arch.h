@@ -21,11 +21,11 @@
 #include <vector>
 
 #include "arch/coding_policy.h"
+#include "arch/row_table.h"
 #include "common/address.h"
 #include "common/types.h"
 #include "controller/remap_table.h"
 #include "controller/wear_leveling.h"
-#include "pcm/endurance.h"
 #include "pcm/fault_model.h"
 #include "pcm/energy.h"
 #include "pcm/timing.h"
@@ -211,7 +211,8 @@ class Architecture {
 
   const CounterSet& counters() const { return counters_; }
   const EnergyCounters& energy() const { return energy_; }
-  const WearTracker& wear() const { return wear_; }
+  // Generations, wear and fault states of every row either region wrote.
+  const RowTable& rows() const { return rows_; }
   const MemoryGeometry& geometry() const { return geom_; }
 
   // Publishes the architecture's end-of-run scalars (energy, wear,
@@ -234,23 +235,25 @@ class Architecture {
   unsigned flat_bank(const DecodedAddr& dec) const {
     return mapper_.flat_bank(dec);
   }
-  std::uint64_t row_key_for(unsigned bank, unsigned row) const {
+  // The row table's key of `row` in bank-like resource `bank` (a main
+  // bank, or a cache array keyed as a bank after the main banks).
+  RowKey row_key_for(unsigned bank, unsigned row) const {
     // Physical rows may include the Start-Gap spare (== rows_per_bank) and,
     // with faults enabled, the bank's fault spares — the stride widens to
     // cover them (see the constructor), so keys never collide across banks.
     // With faults off the stride is rows_per_bank + 1, unchanged.
-    return static_cast<std::uint64_t>(bank) * row_key_stride_ + row;
+    return static_cast<RowKey>(bank) * row_key_stride_ + row;
   }
   std::uint64_t line_bits() const { return geom_.line_bytes() * 8ull; }
   // The books a region's CodingPolicy publishes into: this architecture's.
   RegionContext region_context() {
-    return {&timing_,    &counters_,       &energy_,      &wear_,
+    return {&timing_,    &counters_,       &energy_,      &rows_,
             line_bits(), &active_channel_, geom_.channels};
   }
   unsigned cache_resource(unsigned channel, unsigned rank) const;
-  // Wear/fault row key for a cache row, disjoint from main-memory keys
-  // (cache arrays are keyed as banks appended after the main banks).
-  std::uint64_t cache_wear_key(unsigned cache_idx, unsigned row) const {
+  // Row key of a cache row, disjoint from main-memory keys (cache arrays
+  // are keyed as banks appended after the main banks).
+  RowKey cache_row_key(unsigned cache_idx, unsigned row) const {
     return row_key_for(main_banks() + cache_idx, row);
   }
 
@@ -283,10 +286,12 @@ class Architecture {
   // Write-path hook. Call after plan->row / write_class / program_ns are
   // settled and *before* energy/wear accounting, so demotion and remapping
   // are charged at the rates the cells actually saw. `keyed_bank` is the
-  // row_key_for bank index (a cache array index for WCPCM cache rows);
-  // `allow_remap` is false for rows with no spare pool behind them.
-  FaultOutcome fault_on_write(unsigned keyed_bank, unsigned channel,
-                              unsigned line, bool allow_remap, IssuePlan* p);
+  // row_key_for bank index (main_banks() + the array index for WCPCM cache
+  // rows) and `id` the row's slab id claimed by begin_write; `allow_remap`
+  // is false for rows with no spare pool behind them.
+  FaultOutcome fault_on_write(unsigned keyed_bank, std::uint32_t id,
+                              unsigned channel, unsigned line,
+                              bool allow_remap, IssuePlan* p);
 
   // Read-path hook: transient read-disturb draw; a disturbed read pays one
   // corrective re-read.
@@ -317,7 +322,6 @@ class Architecture {
   PcmTiming timing_;
   CounterSet counters_;
   EnergyCounters energy_;
-  WearTracker wear_;
   std::vector<StartGapRemapper> start_gap_;  // per main bank; empty = off
   std::unique_ptr<FaultModel> fault_;        // null = faults off
   std::unique_ptr<SpareRowRemapper> remap_;  // null = no spare pool
@@ -331,6 +335,7 @@ class Architecture {
   // stream — energy buckets, the FNW draw RNGs. The registry corpus pins
   // the results of this per-channel accounting.
   unsigned active_channel_ = 0;
+  RowTable rows_;
   CodingPolicy main_coding_;
   std::unique_ptr<CacheLayer> cache_;             // null = no front end
   std::optional<CodingPolicy> cache_coding_;      // engaged iff cache_

@@ -14,7 +14,7 @@ CacheLayer::CacheLayer(const MemoryGeometry& geom)
 
 bool CacheLayer::probe_read_hit(const DecodedAddr& dec) const {
   const std::uint32_t id =
-      row_slab_[row_key(index(dec.channel, dec.rank), dec.row)];
+      row_slab_[row_index(index(dec.channel, dec.rank), dec.row)];
   if (id == 0) return false;
   const std::uint64_t h = words_[entry(id)];
   return (h & kValid) != 0 && (h & kBankMask) == dec.bank &&
@@ -22,17 +22,15 @@ bool CacheLayer::probe_read_hit(const DecodedAddr& dec) const {
 }
 
 void CacheLayer::evict_lines(unsigned cache_idx, unsigned row) {
-  const std::uint32_t id = row_slab_[row_key(cache_idx, row)];
+  const std::uint32_t id = row_slab_[row_index(cache_idx, row)];
   if (id == 0) return;
   const auto first =
       words_.begin() + static_cast<std::ptrdiff_t>(line_word(id, 0));
   std::fill(first, first + words_per_row_, 0);
 }
 
-void CacheLayer::invalidate(unsigned cache_idx, unsigned row) {
-  const std::uint32_t id = row_slab_[row_key(cache_idx, row)];
-  if (id == 0) return;
-  words_[entry(id)] &= ~kValid;
+void CacheLayer::retire(unsigned cache_idx, unsigned row) {
+  words_[entry(claim(cache_idx, row))] = kDead;
   evict_lines(cache_idx, row);
 }
 
@@ -45,7 +43,7 @@ void CacheLayer::install(unsigned cache_idx, unsigned row, unsigned bank,
 }
 
 std::uint32_t CacheLayer::claim(unsigned cache_idx, unsigned row) {
-  std::uint32_t& id = row_slab_[row_key(cache_idx, row)];
+  std::uint32_t& id = row_slab_[row_index(cache_idx, row)];
   if (id == 0) {
     words_.resize(words_.size() + words_per_row_ + 1, 0);
     id = static_cast<std::uint32_t>(words_.size() / (words_per_row_ + 1));

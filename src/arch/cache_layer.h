@@ -5,7 +5,7 @@
 // dead bit) followed by the row's line-valid bitmap (the cache row only
 // holds the lines written since the install). A dense per-row index points
 // at the entry, which a row claims on first use: its first install(), or a
-// mark_dead() on a row that died on its first write. The cache's
+// retire() of a row that died on its first write. The cache's
 // CodingPolicy and the access protocol (victim spawning, bypass, fault
 // pipeline, refresh scheduling) stay in the Architecture.
 #pragma once
@@ -35,7 +35,7 @@ class CacheLayer final {
   }
 
   bool line_set(unsigned cache_idx, unsigned row, unsigned line) const {
-    const std::uint32_t id = row_slab_[row_key(cache_idx, row)];
+    const std::uint32_t id = row_slab_[row_index(cache_idx, row)];
     if (id == 0) return false;
     return (words_[line_word(id, line)] >> (line % 64)) & 1;
   }
@@ -49,31 +49,22 @@ class CacheLayer final {
   // rewritten by the install() that follows the fault pipeline.
   void evict_lines(unsigned cache_idx, unsigned row);
 
-  // Dead-row retirement: drop the occupant outright.
-  void invalidate(unsigned cache_idx, unsigned row);
-
   // Commit a write of `line`: (re)install `bank` as the row's occupant and
   // mark the line valid.
   void install(unsigned cache_idx, unsigned row, unsigned bank, unsigned line);
 
-  // Tracker key of a cache row — local to the cache arrays (the wear/fault
-  // key space is the owning architecture's row_key_for, disjoint from this).
-  std::uint64_t row_key(unsigned cache_idx, unsigned row) const {
-    return static_cast<std::uint64_t>(cache_idx) * rows_per_bank_ + row;
-  }
-
-  // Cache rows have no spare pool behind them: a dead row is invalidated
-  // and bypassed (writes latch through to main memory) instead of remapped.
+  // Cache rows have no spare pool behind them: a dead row is retired and
+  // bypassed (writes latch through to main memory) instead of remapped.
   bool row_dead(unsigned cache_idx, unsigned row) const {
     return (header(cache_idx, row) & kDead) != 0;
   }
-  void mark_dead(unsigned cache_idx, unsigned row) {
-    words_[entry(claim(cache_idx, row))] |= kDead;
-  }
+  // Dead-row retirement: the row loses its occupant and its lines, and
+  // stays dead.
+  void retire(unsigned cache_idx, unsigned row);
 
   // Monotone stamp advanced on every tag mutation that could flip a queued
   // demand read's probe outcome (install, re-bank, new valid line,
-  // invalidation) — see Architecture::route_version.
+  // retirement) — see Architecture::route_version.
   std::uint64_t route_version() const { return route_version_; }
   void note_route_change() { ++route_version_; }
 
@@ -83,6 +74,10 @@ class CacheLayer final {
   static constexpr std::uint64_t kValid = std::uint64_t{1} << 32;
   static constexpr std::uint64_t kDead = std::uint64_t{1} << 33;
 
+  // Position of a row in the dense per-row index.
+  std::size_t row_index(unsigned cache_idx, unsigned row) const {
+    return static_cast<std::size_t>(cache_idx) * rows_per_bank_ + row;
+  }
   // First word (the header) of entry `id` (nonzero).
   std::size_t entry(std::uint32_t id) const {
     return (std::size_t{id} - 1) * (words_per_row_ + 1);
@@ -93,7 +88,7 @@ class CacheLayer final {
   }
   // The row's header; 0 (invalid, alive) before the row claims an entry.
   std::uint64_t header(unsigned cache_idx, unsigned row) const {
-    const std::uint32_t id = row_slab_[row_key(cache_idx, row)];
+    const std::uint32_t id = row_slab_[row_index(cache_idx, row)];
     return id == 0 ? 0 : words_[entry(id)];
   }
   // The row's entry id, claiming a zeroed entry on first use.
@@ -104,7 +99,7 @@ class CacheLayer final {
   unsigned rows_per_bank_;
   unsigned words_per_row_;  // 64-bit words of one row's line bitmap
   // row_slab_ holds each row's 1-based entry id into words_ (0: no entry
-  // yet), keyed like row_key. An entry is its header word followed by
+  // yet), indexed by row_index. An entry is its header word followed by
   // words_per_row_ line words; cleared rows keep their entry.
   std::vector<std::uint32_t> row_slab_;
   std::vector<std::uint64_t> words_;

@@ -144,10 +144,12 @@ RegionCode resolve_region_code(CodingKind kind,
 }
 
 CodingPolicy::CodingPolicy(CodingKind kind, const RegionContext& ctx,
-                           RegionCode code, unsigned lines_per_row,
-                           bool erased_start, double fnw_fast_fraction,
-                           std::uint64_t seed)
-    : kind_(kind), ctx_(ctx), coded_line_bits_(ctx.line_bits) {
+                           RegionCode code, bool erased_start,
+                           double fnw_fast_fraction, std::uint64_t seed)
+    : kind_(kind),
+      ctx_(ctx),
+      coded_line_bits_(ctx.line_bits),
+      initial_gen_(erased_start ? 0 : RowTable::kUnknownGen) {
   if (kind == CodingKind::kFlipNWrite) {
     // One generator per channel, so the fast/slow draw sequence each
     // channel sees depends only on that channel's own write order, like
@@ -174,14 +176,15 @@ CodingPolicy::CodingPolicy(CodingKind kind, const RegionContext& ctx,
   overhead_ = static_cast<double>(code.wits) / code.data_bits - 1.0;
   wear_bound_ = code.wear_bound;
   lut_ = code.lut;
-  tracker_.emplace(code.max_writes, lines_per_row, erased_start);
+  t_ = code.max_writes;
 }
 
-bool CodingPolicy::refresh_row(std::uint64_t track_key,
-                               std::uint64_t wear_key) {
-  if (!tracker_ || !tracker_->refresh(track_key)) return false;
+bool CodingPolicy::refresh_row(RowKey key) {
+  if (t_ == 0) return false;
+  const std::uint32_t id = ctx_.rows->find(key);
+  if (id == 0 || !ctx_.rows->erase(id)) return false;
   ctx_.energy->on_refresh(coded_line_bits_);
-  ctx_.wear->on_refresh(wear_key);
+  ctx_.rows->add_row_wear(id, kRefreshWearPerCell);
   return true;
 }
 

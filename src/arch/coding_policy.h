@@ -1,16 +1,19 @@
 // Coding policies: how one memory region (main memory or the per-rank
 // WOM-cache) stores its lines, classed per write.
 //
-// A CodingPolicy owns the region's generation tracking, write classing and
-// program-latency selection, plus the per-write counter/energy/wear
-// accounting. It deliberately does NOT own routing, fault injection or
-// refresh scheduling — those stay in the Architecture so one fault
-// pipeline and one refresh engine serve every composition. The write path
-// is split around the fault pipeline:
+// A CodingPolicy owns the region's write classing and program-latency
+// selection, plus the per-write counter/energy/wear accounting; the
+// generations and wear it updates live in the owning Architecture's
+// RowTable (arch/row_table.h). It deliberately does NOT own routing, fault
+// injection or refresh scheduling — those stay in the Architecture so one
+// fault pipeline and one refresh engine serve every composition. The write
+// path is split around the fault pipeline:
 //
-//   begin_write()   record the write, settle write_class / program_ns
-//   (fault pipeline runs: may demote the fast path, may remap the row)
-//   note_remap()    re-record at the spare's key after a remap
+//   begin_write()   claim the row, record the write, settle write_class /
+//                   program_ns
+//   (fault pipeline runs on the claimed row: may demote the fast path, may
+//   remap the row)
+//   note_remap()    claim the spare and re-record there after a remap
 //   finish_write()  counters, energy, wear, organization extras
 //
 // so demotion and remapping are charged at the rates the cells actually
@@ -23,10 +26,10 @@
 #pragma once
 
 #include <cstdint>
-#include <optional>
 #include <string>
 #include <vector>
 
+#include "arch/row_table.h"
 #include "common/address.h"
 #include "common/rng.h"
 #include "common/types.h"
@@ -34,7 +37,6 @@
 #include "pcm/energy.h"
 #include "pcm/timing.h"
 #include "stats/stats.h"
-#include "wom/wom_tracker.h"
 
 namespace wompcm {
 
@@ -78,12 +80,12 @@ inline bool is_wom_coding(CodingKind k) {
 
 // The accounting surface a policy publishes into. The pointers alias the
 // owning Architecture's own state, so both regions of a composition write
-// one set of books.
+// one set of books and one row table.
 struct RegionContext {
   const PcmTiming* timing = nullptr;
   CounterSet* counters = nullptr;
   EnergyCounters* energy = nullptr;
-  WearTracker* wear = nullptr;
+  RowTable* rows = nullptr;
   std::uint64_t line_bits = 0;  // uncoded bits per line
   // Channel of the access currently being planned (aliases the owning
   // architecture's cursor, kept current across plan()/perform_refresh()).
@@ -138,45 +140,45 @@ RegionCode resolve_region_code(CodingKind kind,
 //              (polar, ts-constrained) split a line into several codewords,
 //              but a line write advances all of them, alpha re-initializes
 //              all of them, and a refresh erases the whole row, so the
-//              sections of a line always share its generation: one tracker
-//              slot per line classifies them all.
+//              sections of a line always share its generation: one
+//              generation per line classifies them all.
 class CodingPolicy {
  public:
   // The decision made before the fault pipeline runs: the class the coding
-  // scheme chose (faults may later demote kResetOnly to kAlpha) and
-  // whether it was a cold alpha (first touch of an unknown-state line).
+  // scheme chose (faults may later demote kResetOnly to kAlpha), whether it
+  // was a cold alpha (first touch of an unknown-state line), and the row
+  // the write claimed.
   struct WriteBegin {
     WriteClass cls = WriteClass::kAlpha;
     bool cold = false;
+    std::uint32_t id = 0;  // the row's slab id in the row table
   };
 
   // Builds the coding of `kind`. `code` must be resolved
   // (resolve_region_code) for the WOM kinds and is ignored by the others;
-  // `erased_start` seeds untouched rows as erased (the boot-formatted
-  // WOM-cache) instead of unknown; `fnw_fast_fraction` is Flip-N-Write's
-  // probability that a write needs no SET pulse, drawn from per-channel
-  // generators derived from `seed`. Throws std::invalid_argument for a WOM
-  // kind without a resolved code.
+  // `erased_start` seeds the generations of the rows this region claims as
+  // erased (the boot-formatted WOM-cache) instead of unknown;
+  // `fnw_fast_fraction` is Flip-N-Write's probability that a write needs no
+  // SET pulse, drawn from per-channel generators derived from `seed`.
+  // Throws std::invalid_argument for a WOM kind without a resolved code.
   CodingPolicy(CodingKind kind, const RegionContext& ctx, RegionCode code,
-               unsigned lines_per_row, bool erased_start,
-               double fnw_fast_fraction, std::uint64_t seed);
+               bool erased_start, double fnw_fast_fraction,
+               std::uint64_t seed);
 
   // Capacity overhead of this coding relative to uncoded storage.
   double overhead() const { return overhead_; }
   // Only WOM-coded regions have generation state a refresh can restore.
-  bool refreshable() const { return tracker_.has_value(); }
+  bool refreshable() const { return t_ > 0; }
 
   // The resolved code name of a WOM-coded region; empty otherwise.
   const std::string& code_name() const { return code_name_; }
-  // The generation tracker of a WOM-coded region (refreshable() only).
-  const WomStateTracker& tracker() const { return *tracker_; }
 
-  // Records the write in the region's generation state and settles
-  // plan->write_class / plan->program_ns. `track_key` identifies the
-  // (bank, row) in the region's tracker key space.
-  WriteBegin begin_write(std::uint64_t track_key, unsigned line,
-                         IssuePlan* p) {
+  // Claims row `key` in the row table, records the write in its
+  // generations (WOM kinds) and settles plan->write_class /
+  // plan->program_ns.
+  WriteBegin begin_write(RowKey key, unsigned line, IssuePlan* p) {
     WriteBegin rec;
+    rec.id = ctx_.rows->claim(key, initial_gen_);
     switch (kind_) {
       case CodingKind::kRaw:
         rec.cls = WriteClass::kAlpha;
@@ -195,9 +197,10 @@ class CodingPolicy {
       case CodingKind::kWomHidden:
       case CodingKind::kPolar:
       case CodingKind::kTsConstrained: {
-        const WomStateTracker::WriteRecord r =
-            tracker_->record_write(track_key, line);
-        rec = {r.cls, r.cold};
+        const RowTable::WriteRecord r =
+            ctx_.rows->record_write(rec.id, line, t_);
+        rec.cls = r.cls;
+        rec.cold = r.cold;
         break;
       }
     }
@@ -206,25 +209,24 @@ class CodingPolicy {
     return rec;
   }
 
-  // The fault pipeline moved the row onto a fresh spare: re-record there so
-  // the rewrite budget tracks the cells actually being programmed. Only the
-  // WOM tracker has generation state to move.
-  void note_remap(std::uint64_t track_key, unsigned line) {
-    if (tracker_) tracker_->record_write(track_key, line);
+  // The fault pipeline moved the row onto a fresh spare `key`: claim it
+  // and, for the WOM kinds, re-record the write there so the rewrite budget
+  // tracks the cells actually being programmed. The rest of the write is
+  // charged to the spare.
+  void note_remap(RowKey key, unsigned line, WriteBegin* rec) {
+    rec->id = ctx_.rows->claim(key, initial_gen_);
+    if (t_ > 0) ctx_.rows->record_write(rec->id, line, t_);
   }
 
   // Counters, energy, wear and organization extras. `demoted` is the fault
   // pipeline's fast-path demotion verdict; `internal` marks controller-
   // spawned writes (cache victims and dead-row bypasses), which count as
-  // "writes.victim" instead of the demand classes. `wear_key` is the
-  // region's wear/fault key for the row (identical to track_key for main
-  // memory; disjoint for the cache, whose tracker keys are array-local).
-  // Returns true when the write left the row with lines at the rewrite
-  // limit — a refresh candidate.
-  bool finish_write(const WriteBegin& rec, bool demoted,
-                    std::uint64_t track_key, std::uint64_t wear_key,
-                    unsigned line, bool internal, IssuePlan* p) {
-    if (!tracker_) {
+  // "writes.victim" instead of the demand classes. Returns true when the
+  // write left the row with lines at the rewrite limit — a refresh
+  // candidate.
+  bool finish_write(const WriteBegin& rec, bool demoted, unsigned line,
+                    bool internal, IssuePlan* p) {
+    if (t_ == 0) {
       // raw / symmetric / fnw: counted by the class the coding chose, so a
       // fault-demoted symmetric write still counts as fast; charged at the
       // post-fault class.
@@ -240,8 +242,8 @@ class CodingPolicy {
       const bool fnw = kind_ == CodingKind::kFlipNWrite;
       ctx_.energy->on_write(p->write_class,
                             fnw ? ctx_.line_bits / 2 : ctx_.line_bits);
-      ctx_.wear->on_write_pulses(
-          wear_key, line,
+      ctx_.rows->add_wear(
+          rec.id, line,
           fnw ? kResetOnlyWearPerCell / 2 : kResetOnlyWearPerCell);
       return false;
     }
@@ -263,18 +265,14 @@ class CodingPolicy {
       bump(ctr_lut_fallbacks_, "codec.lut_fallbacks");
     }
     ctx_.energy->on_write(p->write_class, coded_line_bits_);
-    if (wear_bound_ == 1.0) {
-      ctx_.wear->on_write(wear_key, line, p->write_class);
-    } else {
-      // A wear-bounded family (time-space constrained) touches at most
-      // wear_bound_ of the region's cells per write — scale the per-cell
-      // wear rates accordingly.
-      ctx_.wear->on_write_pulses(
-          wear_key, line,
-          (p->write_class == WriteClass::kResetOnly ? kResetOnlyWearPerCell
-                                                    : kAlphaWearPerCell) *
-              wear_bound_);
-    }
+    // A wear-bounded family (time-space constrained) touches at most
+    // wear_bound_ of the region's cells per write — scale the per-cell
+    // wear rates accordingly (the others' bound is 1).
+    ctx_.rows->add_wear(rec.id, line,
+                        (p->write_class == WriteClass::kResetOnly
+                             ? kResetOnlyWearPerCell
+                             : kAlphaWearPerCell) *
+                            wear_bound_);
     if (kind_ == CodingKind::kWomHidden) {
       // The upper half-codeword lives in a hidden page the controller
       // reserves in a parallel bank region, so its program overlaps the
@@ -283,7 +281,7 @@ class CodingPolicy {
       p->post_ns += ctx_.timing->burst_ns() + ctx_.timing->tag_check_ns;
       bump(ctr_hidden_writes_, "hidden_page.extra_writes");
     }
-    return tracker_->row_has_limit_lines(track_key);
+    return ctx_.rows->has_limit_lines(rec.id);
   }
 
   // Read-path energy (the caller owns the read counters) and organization
@@ -298,10 +296,10 @@ class CodingPolicy {
     bump(ctr_hidden_reads_, "hidden_page.extra_reads");
   }
 
-  // PCM-refresh support: re-initializes one row's codewords. Returns false
-  // when the scheme has no refreshable generation state, or when the row
-  // had no lines at the limit (a stale RAT entry).
-  bool refresh_row(std::uint64_t track_key, std::uint64_t wear_key);
+  // PCM-refresh support: re-initializes the codewords of row `key`.
+  // Returns false when the scheme has no refreshable generation state, or
+  // when the row had no lines at the limit (a stale RAT entry).
+  bool refresh_row(RowKey key);
 
  private:
   // Cached counter increment (same contract as Architecture::bump).
@@ -323,11 +321,13 @@ class CodingPolicy {
   // active_channel().
   double fnw_fast_fraction_ = 0.0;
   std::vector<Rng> fnw_rngs_;
-  // WOM kinds only.
+  // WOM kinds only (t_ == 0 for the others): the code's rewrite limit.
+  unsigned t_ = 0;
   std::string code_name_;
   double wear_bound_ = 1.0;
   bool lut_ = false;
-  std::optional<WomStateTracker> tracker_;  // engaged iff WOM-coded
+  // Generation of every line of a row this region claims.
+  std::uint8_t initial_gen_;
 
   std::uint64_t* ctr_victim_ = nullptr;
   std::uint64_t* ctr_fast_ = nullptr;

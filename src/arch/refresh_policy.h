@@ -3,7 +3,7 @@
 //
 // A RAT is a small per-unit ring of entries pending burst re-initialization
 // ("unit" is a main bank or one per-rank cache array; an entry is whatever
-// key the region refreshes by — a wear key for main rows, a row index for
+// key the region refreshes by — a row key for main rows, a row index for
 // cache rows). Touching an entry moves it to the back; the oldest entry
 // falls off when the table is full. The two paper designs drain their
 // tables from opposite ends: main memory serves the most recently recorded

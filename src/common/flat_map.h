@@ -1,12 +1,13 @@
 // Insert-only open-addressing hash map with 64-bit keys.
 //
-// The wear and WOM-generation trackers key sparse per-row state by flat
-// row ids on the per-write hot path (and 256 times per refreshed row), and
-// never erase or iterate. For that access pattern a linear-probe table
-// with a strong mixing hash beats std::unordered_map by several times per
-// lookup: one cache line per probe, no chained nodes, no allocator traffic
-// after reserve(). The trade-offs this makes — no erase(), no iteration,
-// pointer/reference invalidation on growth — match those trackers exactly.
+// The row table (arch/row_table.h) keys sparse per-row state by flat row
+// ids on the per-write hot path, and the spare-row remap table
+// (controller/remap_table.h) keys retired rows; neither erases or
+// iterates. For that access pattern a linear-probe table with a strong
+// mixing hash beats std::unordered_map by several times per lookup: one
+// cache line per probe, no chained nodes, no allocator traffic after
+// reserve(). The trade-offs this makes — no erase(), no iteration,
+// pointer/reference invalidation on growth — match those users exactly.
 //
 // Replacing std::unordered_map with this table cannot change any reported
 // statistic: values, update order, and size() are identical; only the

@@ -13,8 +13,8 @@ using Tick = std::uint64_t;
 // Physical byte address as seen by the memory controller.
 using Addr = std::uint64_t;
 
-// Flat row identifier (bank-and-row folded into one key) used by the WOM
-// generation tracker and the wear tracker.
+// Flat row identifier (bank-and-row folded into one key) that keys the
+// per-row generation, wear and fault state (arch/row_table.h).
 using RowKey = std::uint64_t;
 
 // Sentinel for "no scheduled time".

@@ -48,9 +48,7 @@ FaultModel::FaultModel(const FaultConfig& cfg, unsigned lines_per_row,
                        unsigned channels)
     : cfg_(cfg),
       lines_(lines_per_row == 0 ? 1 : lines_per_row),
-      events_(channels == 0 ? 1 : channels, 0) {
-  state_.reserve(1 << 12);
-}
+      events_(channels == 0 ? 1 : channels, 0) {}
 
 double FaultModel::line_endurance(RowKey row, unsigned line) const {
   if (cfg_.sigma <= 0.0) return cfg_.endurance;
@@ -75,9 +73,9 @@ FaultModel::LineState FaultModel::classify(RowKey row, unsigned line,
 }
 
 FaultModel::Observation FaultModel::observe_write(RowKey row, unsigned line,
-                                                  double wear, bool pre_aged) {
+                                                  double wear, bool pre_aged,
+                                                  std::uint8_t& recorded) {
   Observation obs;
-  std::uint8_t& recorded = state_[line_key(row, line)];
   obs.previous = static_cast<LineState>(recorded);
   const LineState computed = classify(row, line, wear, pre_aged);
   // Sticky: wear only grows, but the recorded state also survives a row

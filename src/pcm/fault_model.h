@@ -1,6 +1,6 @@
 // Seeded cell-failure model: the endurance story made an active event.
 //
-// The wear tracker (pcm/endurance.h) passively accounts pulses per cell;
+// The row table (arch/row_table.h) passively accounts pulses per cell;
 // this model lets lines actually fail. Each coded line draws an endurance
 // budget from a lognormal centered on a configurable median (process
 // variation: some lines die orders of magnitude earlier than the spec
@@ -13,7 +13,7 @@
 //                          bounded retry;
 //   degraded -> dead     : verify can never pass; the controller retires
 //                          the whole row to a spare (controller/remap_table)
-//                          or, for a WOM-cache row, invalidates and
+//                          or, for a WOM-cache row, retires and
 //                          bypasses it.
 //
 // Determinism contract: every draw is a pure function of the fault seed.
@@ -21,19 +21,21 @@
 // independent of access order; per-event draws (verify retries, transient
 // read disturb) use one sequential event counter *per channel*, which is
 // reproducible because each channel controller's issue order is itself
-// deterministic and scan-mode invariant. Keying the stream by channel —
-// rather than one global counter — makes the draws independent of
-// cross-channel interleaving; the registry corpus pins the resulting
-// faults. Channel 0's stream is the legacy global stream, so
-// single-channel runs are unchanged. Two runs with the same seed — under
-// either scan mode, or inside a jobs=N sweep — observe identical faults.
+// deterministic. Keying the stream by channel — rather than one global
+// counter — makes the draws independent of cross-channel interleaving;
+// the registry corpus pins the resulting faults. Channel 0's stream is the
+// legacy global stream, so single-channel runs are unchanged. Two runs
+// with the same seed — alone or inside a jobs=N sweep — observe identical
+// faults.
+//
+// The model keeps no per-line state of its own: each line's sticky state
+// is a byte in the caller's row table, passed to observe_write().
 #pragma once
 
 #include <cstdint>
 #include <string>
 #include <vector>
 
-#include "common/flat_map.h"
 #include "common/types.h"
 #include "pcm/endurance.h"
 
@@ -86,11 +88,12 @@ class FaultModel {
   // function of (seed, row, line), independent of access order.
   double line_endurance(RowKey row, unsigned line) const;
 
-  // Classifies the line given its tracked wear and records the sticky
-  // state. `pre_aged` marks lines that carry the configured initial wear
-  // (original array rows); spares are fresh. States only ever advance.
+  // Classifies the line given its tracked wear and advances its sticky
+  // state `recorded` (a LineState byte, kHealthy for a line never
+  // observed). `pre_aged` marks lines that carry the configured initial
+  // wear (original array rows); spares are fresh. States only ever advance.
   Observation observe_write(RowKey row, unsigned line, double wear,
-                            bool pre_aged);
+                            bool pre_aged, std::uint8_t& recorded);
 
   // Verify retries consumed by a write to a degraded line, in
   // [1, max_retries]. Sequential-event draw on `channel`'s stream.
@@ -112,7 +115,6 @@ class FaultModel {
 
   FaultConfig cfg_;
   unsigned lines_;
-  FlatMap64<std::uint8_t> state_;  // line key -> last recorded LineState
   std::vector<std::uint64_t> events_;  // per-channel event-draw counters
 };
 

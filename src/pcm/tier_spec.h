@@ -39,7 +39,7 @@ struct TierTiming {
 // a pure function of (seed, channel, frame), which the registry corpus
 // pins. A failed frame is retired before ever holding data:
 // its accesses bypass the tier, mirroring the WOM cache's
-// invalidate-and-bypass degradation.
+// retire-and-bypass degradation.
 struct TierFaultConfig {
   bool enabled = false;
   std::uint64_t seed = 1;

@@ -3,7 +3,7 @@
 // A BlockCodec encodes, decodes, and classifies one fixed-width *section* of
 // a page at a time, with per-section write generations and per-section pulse
 // accounting. A page image is a concatenation of equally sized sections; the
-// caller (PageCodec, or an architecture's per-line generation tracker) owns
+// caller (PageCodec, or an architecture's row table of line generations) owns
 // the section -> generation map and streams sections through the codec.
 //
 // Two kinds of implementations exist:

@@ -203,7 +203,7 @@ TEST_F(WcpcmTest, RejectsBadCode) {
 }
 
 // The per-row entry, driven directly: a miss re-banks the occupant,
-// invalidation drops the occupant and its lines, and a row can die before
+// retirement drops the occupant and its lines, and a row can die before
 // it was ever installed. 128 lines per row, so each entry spans two line
 // words and neighbouring entries sit back to back.
 TEST(CacheRowEntry, InstallRebankInvalidateAndDeath) {
@@ -242,8 +242,7 @@ TEST(CacheRowEntry, InstallRebankInvalidateAndDeath) {
   EXPECT_TRUE(cache.line_set(1, 4, 70));  // the neighbour keeps its lines
 
   // Retirement: the occupant and its lines go, the row stays dead.
-  cache.invalidate(1, 3);
-  cache.mark_dead(1, 3);
+  cache.retire(1, 3);
   EXPECT_FALSE(cache.valid(1, 3));
   EXPECT_FALSE(cache.line_set(1, 3, 1));
   EXPECT_TRUE(cache.row_dead(1, 3));
@@ -251,7 +250,7 @@ TEST(CacheRowEntry, InstallRebankInvalidateAndDeath) {
   EXPECT_TRUE(cache.valid(1, 4));
 
   // A row can die on its first write, before any install.
-  cache.mark_dead(0, 7);
+  cache.retire(0, 7);
   EXPECT_TRUE(cache.row_dead(0, 7));
   EXPECT_FALSE(cache.valid(0, 7));
   EXPECT_FALSE(cache.row_dead(0, 6));

@@ -9,14 +9,13 @@
 #include <vector>
 
 #include "arch/coding_policy.h"
+#include "arch/row_table.h"
 #include "common/rng.h"
-#include "pcm/endurance.h"
 #include "pcm/energy.h"
 #include "pcm/timing.h"
 #include "stats/stats.h"
 #include "wom/page_codec.h"
 #include "wom/registry.h"
-#include "wom/wom_tracker.h"
 
 namespace wompcm {
 namespace {
@@ -215,35 +214,33 @@ INSTANTIATE_TEST_SUITE_P(AllBlockCodecs, SectionIndependence,
 
 TEST(SectionedTracking, WomCodingTracksOneGenerationPerLine) {
   // Every write, remap and refresh touches all sections of a line together,
-  // so the sections share the line's generation: a sectioned region's
-  // tracker is sized like a whole-line one, not lines x sections.
+  // so the sections share the line's generation: a sectioned region's rows
+  // hold one generation per line, not lines x sections.
   constexpr std::uint64_t kLineBits = 512;
   constexpr unsigned kLinesPerRow = 8;
   PcmTiming timing;
   CounterSet counters;
   EnergyCounters energy;
-  WearTracker wear{kLinesPerRow};
-  const RegionContext ctx{&timing, &counters, &energy, &wear, kLineBits};
   for (const CodingKind kind :
        {CodingKind::kPolar, CodingKind::kTsConstrained}) {
+    RowTable rows(kLinesPerRow, /*generations=*/true, /*fault_states=*/false);
+    const RegionContext ctx{&timing, &counters, &energy, &rows, kLineBits};
     RegionCode rc = resolve_region_code(kind, "", "", kLineBits);
     ASSERT_GT(kLineBits / rc.data_bits, 1u) << rc.name;  // really sectioned
     const std::string name = rc.name;
-    CodingPolicy coding(kind, ctx, std::move(rc), kLinesPerRow,
-                        /*erased_start=*/false, /*fnw_fast_fraction=*/0.0,
-                        /*seed=*/1);
-    const WomStateTracker& t = coding.tracker();
-    EXPECT_EQ(t.lines_per_row(), kLinesPerRow) << name;
+    CodingPolicy coding(kind, ctx, std::move(rc), /*erased_start=*/false,
+                        /*fnw_fast_fraction=*/0.0, /*seed=*/1);
 
     IssuePlan plan;
-    EXPECT_EQ(coding.begin_write(/*track_key=*/3, /*line=*/5, &plan).cls,
-              WriteClass::kAlpha)
-        << name;  // cold: never written
-    EXPECT_EQ(t.generation(3, 5), 1u) << name;
-    EXPECT_EQ(t.generation(3, 4), WomStateTracker::kUnknownGen) << name;
-    EXPECT_EQ(coding.begin_write(3, 5, &plan).cls, WriteClass::kResetOnly)
-        << name;
-    EXPECT_EQ(t.writes(), 2u) << name;  // one per line write
+    const auto first = coding.begin_write(/*key=*/3, /*line=*/5, &plan);
+    EXPECT_EQ(first.cls, WriteClass::kAlpha) << name;  // cold: never written
+    EXPECT_EQ(rows.generation(first.id, 5), 1u) << name;
+    EXPECT_EQ(rows.generation(first.id, 4), RowTable::kUnknownGen) << name;
+    const auto second = coding.begin_write(3, 5, &plan);
+    EXPECT_EQ(second.cls, WriteClass::kResetOnly) << name;
+    EXPECT_EQ(second.id, first.id) << name;
+    EXPECT_EQ(rows.generation(first.id, 5), 2u) << name;  // one per write
+    EXPECT_EQ(rows.rows(), 1u) << name;
   }
 }
 
@@ -255,26 +252,27 @@ TEST(SectionedTracking, RefreshRestoresTheWholeLineBudget) {
   PcmTiming timing;
   CounterSet counters;
   EnergyCounters energy;
-  WearTracker wear{kLinesPerRow};
-  const RegionContext ctx{&timing, &counters, &energy, &wear, kLineBits};
   for (const CodingKind kind :
        {CodingKind::kPolar, CodingKind::kTsConstrained}) {
+    RowTable rows(kLinesPerRow, /*generations=*/true, /*fault_states=*/false);
+    const RegionContext ctx{&timing, &counters, &energy, &rows, kLineBits};
     RegionCode rc = resolve_region_code(kind, "", "", kLineBits);
     const std::string name = rc.name;
     const unsigned t_max = rc.max_writes;
-    CodingPolicy coding(kind, ctx, std::move(rc), kLinesPerRow,
-                        /*erased_start=*/false, /*fnw_fast_fraction=*/0.0,
-                        /*seed=*/1);
-    const WomStateTracker& t = coding.tracker();
+    CodingPolicy coding(kind, ctx, std::move(rc), /*erased_start=*/false,
+                        /*fnw_fast_fraction=*/0.0, /*seed=*/1);
 
     IssuePlan plan;
-    for (unsigned i = 0; i < t_max; ++i) coding.begin_write(9, 2, &plan);
-    EXPECT_EQ(t.generation(9, 2), t_max) << name;
-    EXPECT_TRUE(t.row_has_limit_lines(9)) << name;
+    std::uint32_t id = 0;
+    for (unsigned i = 0; i < t_max; ++i) {
+      id = coding.begin_write(9, 2, &plan).id;
+    }
+    EXPECT_EQ(rows.generation(id, 2), t_max) << name;
+    EXPECT_TRUE(rows.has_limit_lines(id)) << name;
 
-    EXPECT_TRUE(coding.refresh_row(/*track_key=*/9, /*wear_key=*/9)) << name;
-    EXPECT_FALSE(t.row_has_limit_lines(9)) << name;
-    EXPECT_EQ(t.generation(9, 2), 0u) << name;
+    EXPECT_TRUE(coding.refresh_row(/*key=*/9)) << name;
+    EXPECT_FALSE(rows.has_limit_lines(id)) << name;
+    EXPECT_EQ(rows.generation(id, 2), 0u) << name;
     EXPECT_EQ(coding.begin_write(9, 2, &plan).cls, WriteClass::kResetOnly)
         << name;
   }
@@ -288,18 +286,18 @@ TEST(SectionedTracking, ErasedStartMakesTheFirstLineWriteResetOnly) {
   PcmTiming timing;
   CounterSet counters;
   EnergyCounters energy;
-  WearTracker wear{kLinesPerRow};
-  const RegionContext ctx{&timing, &counters, &energy, &wear, kLineBits};
+  RowTable rows(kLinesPerRow, /*generations=*/true, /*fault_states=*/false);
+  const RegionContext ctx{&timing, &counters, &energy, &rows, kLineBits};
   CodingPolicy coding(
       CodingKind::kPolar, ctx,
       resolve_region_code(CodingKind::kPolar, "", "", kLineBits),
-      kLinesPerRow, /*erased_start=*/true, /*fnw_fast_fraction=*/0.0,
-      /*seed=*/1);
+      /*erased_start=*/true, /*fnw_fast_fraction=*/0.0, /*seed=*/1);
   IssuePlan plan;
   const auto rec = coding.begin_write(0, 0, &plan);
   EXPECT_EQ(rec.cls, WriteClass::kResetOnly);
   EXPECT_FALSE(rec.cold);
-  EXPECT_EQ(coding.tracker().generation(0, 0), 1u);
+  EXPECT_EQ(rows.generation(rec.id, 0), 1u);
+  EXPECT_EQ(rows.generation(rec.id, 1), 0u);  // the rest of the row: erased
 }
 
 // --- Polar family properties ---

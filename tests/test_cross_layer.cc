@@ -1,15 +1,15 @@
-// Cross-layer consistency: the timing model's write classification
-// (WomStateTracker) must agree with the bit-exact functional codec
-// (PageCodec) on arbitrary write sequences — the guarantee that lets the
-// timing simulator skip data payloads.
+// Cross-layer consistency: the timing model's write classification (the
+// row table's generation rule, arch/row_table.h) must agree with the
+// bit-exact functional codec (PageCodec) on arbitrary write sequences — the
+// guarantee that lets the timing simulator skip data payloads.
 #include <gtest/gtest.h>
 
 #include <map>
 
+#include "arch/row_table.h"
 #include "common/rng.h"
 #include "wom/page_codec.h"
 #include "wom/registry.h"
-#include "wom/wom_tracker.h"
 
 namespace wompcm {
 namespace {
@@ -32,8 +32,10 @@ TEST_P(CrossLayer, TrackerMatchesCodecOnRandomStreams) {
   const std::size_t line_bits = code->data_bits() * 8;
 
   // Timing layer: per-line generations, erased start (so the codec's
-  // initialized wit image matches the tracker's state).
-  WomStateTracker tracker(code->max_writes(), kLines, /*erased_start=*/true);
+  // initialized wit image matches the table's state), claimed and recorded
+  // the way CodingPolicy drives them.
+  const unsigned t = code->max_writes();
+  RowTable rows(kLines, /*generations=*/true, /*fault_states=*/false);
   // Functional layer: one codec per (row, line).
   std::map<std::pair<unsigned, unsigned>, PageCodec> codecs;
 
@@ -44,7 +46,7 @@ TEST_P(CrossLayer, TrackerMatchesCodecOnRandomStreams) {
 
     // Occasionally refresh a whole row in both layers.
     if (rng.next_bool(0.05)) {
-      tracker.refresh(row);
+      if (const std::uint32_t id = rows.find(row)) rows.erase(id);
       for (unsigned l = 0; l < kLines; ++l) {
         const auto it = codecs.find({row, l});
         if (it != codecs.end()) it->second.refresh();
@@ -58,7 +60,8 @@ TEST_P(CrossLayer, TrackerMatchesCodecOnRandomStreams) {
 
     const BitVec data = random_bits(rng, line_bits);
     const PageWriteResult fr = codec.write(data);
-    const auto tr = tracker.record_write(row, line);
+    const std::uint32_t id = rows.claim(row, /*initial_gen=*/0);
+    const auto tr = rows.record_write(id, line, t);
 
     ASSERT_EQ(tr.cls, fr.write_class)
         << GetParam() << " step " << step << " row " << row << " line "
@@ -68,7 +71,7 @@ TEST_P(CrossLayer, TrackerMatchesCodecOnRandomStreams) {
       EXPECT_EQ(fr.set_pulses, 0u);
     }
     EXPECT_EQ(codec.read(), data);
-    EXPECT_EQ(tracker.generation(row, line), codec.generation());
+    EXPECT_EQ(rows.generation(id, line), codec.generation());
   }
 }
 

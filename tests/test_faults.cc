@@ -117,24 +117,26 @@ TEST(FaultModel, StatesAdvanceAndStick) {
   cfg.sigma = 0.0;
   FaultModel m(cfg, 4);
   using LS = FaultModel::LineState;
+  std::uint8_t recorded = 0;  // the line's state byte in a row table
   // Below budget: healthy.
-  auto obs = m.observe_write(5, 0, 50.0, /*pre_aged=*/false);
+  auto obs = m.observe_write(5, 0, 50.0, /*pre_aged=*/false, recorded);
   EXPECT_EQ(obs.state, LS::kHealthy);
   EXPECT_FALSE(obs.transitioned);
   // Past budget: degraded, and the transition is flagged exactly once.
-  obs = m.observe_write(5, 0, 120.0, false);
+  obs = m.observe_write(5, 0, 120.0, false, recorded);
   EXPECT_EQ(obs.state, LS::kDegraded);
   EXPECT_TRUE(obs.transitioned);
-  obs = m.observe_write(5, 0, 130.0, false);
+  obs = m.observe_write(5, 0, 130.0, false, recorded);
   EXPECT_EQ(obs.state, LS::kDegraded);
   EXPECT_FALSE(obs.transitioned);
   // Past 1.5x budget: dead, sticky even if asked about lower wear.
-  obs = m.observe_write(5, 0, 160.0, false);
+  obs = m.observe_write(5, 0, 160.0, false, recorded);
   EXPECT_EQ(obs.state, LS::kDead);
   EXPECT_TRUE(obs.transitioned);
-  obs = m.observe_write(5, 0, 0.0, false);
+  obs = m.observe_write(5, 0, 0.0, false, recorded);
   EXPECT_EQ(obs.state, LS::kDead);
   EXPECT_FALSE(obs.transitioned);
+  EXPECT_EQ(recorded, static_cast<std::uint8_t>(LS::kDead));
 }
 
 TEST(FaultModel, PreAgingOnlyAffectsOriginalRows) {
@@ -145,9 +147,11 @@ TEST(FaultModel, PreAgingOnlyAffectsOriginalRows) {
   FaultModel m(cfg, 4);
   using LS = FaultModel::LineState;
   // A pre-aged row starts past its budget; a fresh spare does not.
-  EXPECT_EQ(m.observe_write(1, 0, 0.0, /*pre_aged=*/true).state,
+  std::uint8_t original = 0;
+  std::uint8_t spare = 0;
+  EXPECT_EQ(m.observe_write(1, 0, 0.0, /*pre_aged=*/true, original).state,
             LS::kDegraded);
-  EXPECT_EQ(m.observe_write(2, 0, 0.0, /*pre_aged=*/false).state,
+  EXPECT_EQ(m.observe_write(2, 0, 0.0, /*pre_aged=*/false, spare).state,
             LS::kHealthy);
 }
 
