@@ -1,16 +1,22 @@
 // Trace utility: generates a synthetic benchmark trace into a file (text or
-// binary), inspects an existing trace, or replays a trace file through a
-// chosen architecture. Demonstrates the drop-in path for real Pin traces.
+// binary), converts a trace between the two formats, inspects an existing
+// trace, or replays a trace file through a chosen architecture.
+// Demonstrates the drop-in path for real Pin traces.
 //
 // Usage:
-//   trace_tool gen   out=FILE [benchmark=NAME] [accesses=N] [format=text|bin]
-//   trace_tool info  in=FILE
-//   trace_tool stats in=FILE      (locality metrics the WOM path cares about)
-//   trace_tool run   in=FILE [arch=pcm|wom|refresh|wcpcm]
+//   trace_tool gen     out=FILE [benchmark=NAME] [accesses=N] [format=text|bin]
+//   trace_tool convert in=FILE out=FILE [format=text|bin]
+//   trace_tool info    in=FILE
+//   trace_tool stats   in=FILE    (locality metrics the WOM path cares about)
+//   trace_tool run     in=FILE [arch=pcm|wom|refresh|wcpcm]
+//
+// Every command but run reads and writes addresses under the paper
+// geometry.
 
 #include <cstdint>
 #include <cstdio>
 #include <exception>
+#include <filesystem>
 #include <map>
 #include <memory>
 #include <stdexcept>
@@ -21,6 +27,16 @@
 using namespace wompcm;
 
 namespace {
+
+TraceWriter::Format format_arg(const KeyValueConfig& args) {
+  const std::string fmt = args.get_string_or("format", "text");
+  if (fmt != "text" && fmt != "bin") {
+    throw std::invalid_argument("bad value for format: " + fmt +
+                                " (must be text or bin)");
+  }
+  return fmt == "bin" ? TraceWriter::Format::kBinary
+                      : TraceWriter::Format::kText;
+}
 
 int cmd_gen(const KeyValueConfig& args) {
   const std::string out = args.get_string_or("out", "");
@@ -38,19 +54,48 @@ int cmd_gen(const KeyValueConfig& args) {
     std::printf("unknown benchmark %s\n", bench.c_str());
     return 1;
   }
-  const std::string fmt = args.get_string_or("format", "text");
-  if (fmt != "text" && fmt != "bin") {
-    throw std::invalid_argument("bad value for format: " + fmt +
-                                " (must be text or bin)");
-  }
-  const auto format = fmt == "bin" ? TraceWriter::Format::kBinary
-                                   : TraceWriter::Format::kText;
-  SyntheticTraceSource src(*profile, paper_config().geom, seed, accesses);
-  TraceWriter writer(out, format);
+  const MemoryGeometry geom = paper_config().geom;
+  SyntheticTraceSource src(*profile, geom, seed, accesses);
+  TraceWriter writer(out, format_arg(args), geom);
   std::uint64_t n = 0;
   while (const auto rec = src.next()) {
     writer.write(*rec);
     ++n;
+  }
+  std::printf("wrote %llu records to %s\n",
+              static_cast<unsigned long long>(n), out.c_str());
+  return 0;
+}
+
+// Copies a trace file record by record, as the file holds them: addresses
+// are never decoded, so one beyond the geometry's capacity survives.
+int cmd_convert(const KeyValueConfig& args) {
+  const std::string in = args.get_string_or("in", "");
+  const std::string out = args.get_string_or("out", "");
+  if (in.empty() || out.empty()) {
+    std::printf("convert: missing in=FILE or out=FILE\n");
+    return 1;
+  }
+  if (std::filesystem::exists(out) && std::filesystem::equivalent(in, out)) {
+    throw std::invalid_argument("convert: in and out are the same file");
+  }
+  const TraceWriter::Format format = format_arg(args);
+  const MemoryGeometry geom = paper_config().geom;
+  std::uint64_t n = 0;
+  auto copy = [&](auto& src) {
+    TraceWriter writer(out, format, geom);
+    FileRecord rec;
+    while (src.next_raw(&rec)) {
+      writer.write(rec);
+      ++n;
+    }
+  };
+  if (is_binary_trace(in)) {
+    MmapTraceSource src(in, geom);
+    copy(src);
+  } else {
+    FileTraceSource src(in, geom);
+    copy(src);
   }
   std::printf("wrote %llu records to %s\n",
               static_cast<unsigned long long>(n), out.c_str());
@@ -63,15 +108,16 @@ int cmd_info(const KeyValueConfig& args) {
     std::printf("info: missing in=FILE\n");
     return 1;
   }
-  FileTraceSource src(in);
+  const bool binary = is_binary_trace(in);
+  const auto src = open_trace(in, paper_config().geom);
   std::uint64_t reads = 0, writes = 0;
   Tick span = 0;
-  while (const auto rec = src.next()) {
+  while (const auto rec = src->next()) {
     span += rec->gap;
     (rec->type == AccessType::kWrite ? writes : reads) += 1;
   }
   std::printf("%s: %s format, %llu reads, %llu writes, %.3f ms span\n",
-              in.c_str(), src.binary() ? "binary" : "text",
+              in.c_str(), binary ? "binary" : "text",
               static_cast<unsigned long long>(reads),
               static_cast<unsigned long long>(writes),
               static_cast<double>(span) / 1e6);
@@ -85,21 +131,21 @@ int cmd_stats(const KeyValueConfig& args) {
     return 1;
   }
   const MemoryGeometry geom = paper_config().geom;
-  AddressMapper mapper(geom);
-  FileTraceSource src(in);
+  const AddressMapper mapper(geom);
+  const auto src = open_trace(in, geom);
 
   std::uint64_t reads = 0, writes = 0;
   Tick span = 0;
-  std::map<Addr, std::uint64_t> write_counts;
+  std::map<std::uint64_t, std::uint64_t> write_counts;  // by line id
   std::map<std::uint64_t, std::uint64_t> row_writes;
   Log2Histogram gap_hist;
-  while (const auto rec = src.next()) {
+  while (const auto rec = src->next()) {
     span += rec->gap;
     gap_hist.add(rec->gap);
     if (rec->type == AccessType::kWrite) {
       ++writes;
-      ++write_counts[rec->addr / geom.line_bytes()];
-      const DecodedAddr d = mapper.decode(rec->addr);
+      const DecodedAddr& d = rec->dec;
+      ++write_counts[mapper.line_id(d)];
       ++row_writes[(static_cast<std::uint64_t>(mapper.flat_bank(d))
                     << 32) |
                    d.row];
@@ -162,15 +208,17 @@ int cmd_run(const KeyValueConfig& args) {
 int tool_main(const KeyValueConfig& args) {
   if (args.positional().empty()) {
     std::printf(
-        "usage: trace_tool gen|info|stats|run key=value...\n"
-        "  gen   out=FILE [benchmark=NAME] [accesses=N] [format=text|bin]\n"
-        "  info  in=FILE\n"
-        "  stats in=FILE\n"
-        "  run   in=FILE [arch=pcm|wom|refresh|wcpcm|fnw|symmetric]\n");
+        "usage: trace_tool gen|convert|info|stats|run key=value...\n"
+        "  gen     out=FILE [benchmark=NAME] [accesses=N] [format=text|bin]\n"
+        "  convert in=FILE out=FILE [format=text|bin]\n"
+        "  info    in=FILE\n"
+        "  stats   in=FILE\n"
+        "  run     in=FILE [arch=pcm|wom|refresh|wcpcm|fnw|symmetric]\n");
     return 1;
   }
   const std::string& cmd = args.positional().front();
   if (cmd == "gen") return cmd_gen(args);
+  if (cmd == "convert") return cmd_convert(args);
   if (cmd == "info") return cmd_info(args);
   if (cmd == "stats") return cmd_stats(args);
   if (cmd == "run") return cmd_run(args);

@@ -6,6 +6,7 @@
 // 64 bits per beat and a DDR3 burst of 8 beats moves a 64-byte line.
 #pragma once
 
+#include <array>
 #include <cstddef>
 #include <string>
 
@@ -83,10 +84,23 @@ class AddressMapper {
   // A flat, unique index for the (channel, rank, bank) triple.
   unsigned flat_bank(const DecodedAddr& d) const;
   unsigned num_flat_banks() const;
-
-  const MemoryGeometry& geometry() const { return geom_; }
+  // A unique index for the line at `d`, packed from its coordinates: flat
+  // bank, then row, then column. Coordinates must be in range.
+  std::uint64_t line_id(const DecodedAddr& d) const {
+    std::uint64_t id = d.channel;
+    id = id << rank_bits_ | d.rank;
+    id = id << bank_bits_ | d.bank;
+    id = id << row_bits_ | d.row;
+    return id << col_bits_ | d.col;
+  }
 
  private:
+  // One coordinate's slice of the address.
+  struct Field {
+    unsigned DecodedAddr::*member;
+    unsigned bits;
+  };
+
   MemoryGeometry geom_;
   unsigned offset_bits_;
   unsigned col_bits_;
@@ -94,6 +108,8 @@ class AddressMapper {
   unsigned rank_bits_;
   unsigned row_bits_;
   unsigned channel_bits_;
+  // The coordinates in address order, from the bit above the line offset.
+  std::array<Field, 5> fields_;
 };
 
 // Number of bits needed to address `n` items; `n` must be a power of two.

@@ -51,10 +51,10 @@ MemoryController::MemoryController(const ControllerConfig& cfg,
   wake_heap_.reserve(2 * static_cast<std::size_t>(nlocal) + 16);
   refresh_touched_.reserve(nlocal);
   events_.reserve(4 * static_cast<std::size_t>(cfg_.queue_capacity) + 64);
-  line_bytes_ = cfg_.geom.line_bytes();
-  read_q_.configure(line_bytes_, nlocal, cfg_.queue_capacity);
-  write_q_.configure(line_bytes_, nlocal, cfg_.queue_capacity);
-  internal_q_.configure(line_bytes_, nlocal, cfg_.queue_capacity);
+  read_q_.configure(nlocal, cfg_.queue_capacity);
+  // Only the write queue is probed by line (read forwarding).
+  write_q_.configure(nlocal, cfg_.queue_capacity, &cfg_.geom);
+  internal_q_.configure(nlocal, cfg_.queue_capacity);
 
   refresh_active_ = refresh_.active(arch_);
   pausing_ = refresh_.write_pausing();
@@ -137,7 +137,7 @@ void MemoryController::enqueue(Transaction tx) {
     }
   }
   if (tx.type == AccessType::kRead) {
-    if (cfg_.read_forwarding && write_q_.contains_line(tx.addr, line_bytes_)) {
+    if (cfg_.read_forwarding && write_q_.contains_line(tx.dec)) {
       // The freshest copy sits in the write queue: forward it at buffer
       // latency without touching the array.
       const Tick latency = cfg_.timing.col_read_ns + cfg_.timing.burst_ns();
@@ -377,7 +377,6 @@ void MemoryController::issue(Transaction tx, Tick now) {
     Transaction victim;
     victim.id = next_internal_id_++;
     victim.dec = s.dec;
-    victim.addr = 0;  // internal writes are routed by decoded coordinates
     victim.type = AccessType::kWrite;
     victim.arrival = now;
     victim.internal = true;
@@ -400,7 +399,6 @@ void MemoryController::enqueue_tier_writeback(const DecodedAddr& victim,
   Transaction wb;
   wb.id = next_internal_id_++;
   wb.dec = victim;
-  wb.addr = 0;  // background writes are routed by decoded coordinates
   wb.type = AccessType::kWrite;
   wb.arrival = now;
   wb.background = true;

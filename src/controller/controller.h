@@ -263,7 +263,6 @@ class MemoryController {
   bool refresh_active_ = false; // refresh engine live for this arch
   bool pausing_ = false;        // write pausing hides refresh from readiness
   bool dynamic_reads_ = false;  // demand-read routing may change while queued
-  unsigned line_bytes_ = 64;
   RefreshEngine::BankResolver refresh_bank_of_;  // built once, not per tick
   std::function<bool(unsigned)> refresh_ready_fn_;
 

@@ -12,16 +12,11 @@ std::size_t pow2_at_least(std::size_t n) {
 
 }  // namespace
 
-TransactionQueue::TransactionQueue() {
-  grow_slab(16);
-  lines_.assign(64, LineCell{});
-  line_mask_ = lines_.size() - 1;
-}
+TransactionQueue::TransactionQueue() { grow_slab(16); }
 
-void TransactionQueue::configure(unsigned line_bytes, unsigned resources,
-                                 std::size_t capacity) {
+void TransactionQueue::configure(unsigned resources, std::size_t capacity,
+                                 const MemoryGeometry* line_geom) {
   assert(empty());
-  line_bytes_ = line_bytes == 0 ? 64 : line_bytes;
   counts_.assign(resources, 0);
   mask_.resize(resources, false);
   unindexed_ = 0;
@@ -31,10 +26,15 @@ void TransactionQueue::configure(unsigned line_bytes, unsigned resources,
   prev_.clear();
   head_ = tail_ = free_ = kNoPos;
   grow_slab(cap);
-  // 4x line-table slack so probes stay short at full occupancy.
-  lines_.assign(pow2_at_least(cap * 4), LineCell{});
-  line_mask_ = lines_.size() - 1;
+  line_ids_.reset();
+  lines_.clear();
   line_used_ = 0;
+  if (line_geom != nullptr) {
+    line_ids_.emplace(*line_geom);
+    // 4x line-table slack so probes stay short at full occupancy.
+    lines_.assign(pow2_at_least(cap * 4), LineCell{});
+    line_mask_ = lines_.size() - 1;
+  }
   monotone_ = true;
   has_pushed_ = false;
   last_push_arrival_ = 0;
@@ -77,7 +77,7 @@ void TransactionQueue::push_impl(const Transaction& tx, unsigned resource) {
   if (has_pushed_ && tx.arrival < last_push_arrival_) monotone_ = false;
   has_pushed_ = true;
   last_push_arrival_ = tx.arrival;
-  line_add(tx.addr / line_bytes_);
+  if (line_ids_) line_add(line_ids_->line_id(tx.dec));
   if (resource != kNoResource && resource < counts_.size()) {
     k.resource = resource;
     if (counts_[resource]++ == 0) mask_.set(resource);
@@ -104,7 +104,7 @@ Transaction TransactionQueue::take(Pos p) {
   }
   --live_;
   const Transaction& tx = slab_[p];
-  line_remove(tx.addr / line_bytes_);
+  if (line_ids_) line_remove(line_ids_->line_id(tx.dec));
   if (k.resource != kNoResource) {
     if (--counts_[k.resource] == 0) mask_.clear(k.resource);
   } else {
@@ -116,16 +116,6 @@ Transaction TransactionQueue::take(Pos p) {
   return tx;
 }
 
-bool TransactionQueue::contains_line(Addr addr, unsigned line_bytes) const {
-  if (line_bytes == line_bytes_) return line_find(addr / line_bytes_);
-  // Query at a granularity the index is not keyed for: scan instead.
-  const Addr line = addr / line_bytes;
-  for (Pos p = first(); p != kNoPos; p = next(p)) {
-    if (slab_[p].addr / line_bytes == line) return true;
-  }
-  return false;
-}
-
 Tick TransactionQueue::oldest_arrival() const {
   Tick t = kNeverTick;
   for (Pos p = first(); p != kNoPos; p = next(p)) {
@@ -135,7 +125,7 @@ Tick TransactionQueue::oldest_arrival() const {
   return t;
 }
 
-void TransactionQueue::line_add(Addr line) {
+void TransactionQueue::line_add(std::uint64_t line) {
   if ((line_used_ + 1) * 2 > lines_.size()) grow_lines();
   std::size_t i = line_hash(line) & line_mask_;
   while (lines_[i].count != 0) {
@@ -150,7 +140,7 @@ void TransactionQueue::line_add(Addr line) {
   ++line_used_;
 }
 
-void TransactionQueue::line_remove(Addr line) {
+void TransactionQueue::line_remove(std::uint64_t line) {
   std::size_t i = line_hash(line) & line_mask_;
   while (lines_[i].count != 0 && lines_[i].line != line) {
     i = (i + 1) & line_mask_;
@@ -173,7 +163,7 @@ void TransactionQueue::line_remove(Addr line) {
   lines_[hole].count = 0;
 }
 
-bool TransactionQueue::line_find(Addr line) const {
+bool TransactionQueue::line_find(std::uint64_t line) const {
   std::size_t i = line_hash(line) & line_mask_;
   while (lines_[i].count != 0) {
     if (lines_[i].line == line) return true;

@@ -1,9 +1,9 @@
 // Read / write transaction queues with age order and indexed lookup.
 //
-// The queue is the controller's hottest data structure: every enqueue
-// probes the write queue for read-forwarding, and every scheduler scan
-// walks entries in age order. The representation is built for those two
-// paths:
+// The queue is the controller's hottest data structure: every read
+// enqueue probes the write queue for read-forwarding, and every scheduler
+// scan walks entries in age order. The representation is built for those
+// two paths:
 //
 //  - Storage is a slab of slots sized to the configured capacity. Live
 //    slots are threaded oldest-to-newest by a doubly-linked age list and
@@ -18,9 +18,10 @@
 //    dynamic route with its stamp) sits in a packed 32-byte key parallel
 //    to the slab, so a scan touches the full Transaction only when it must
 //    re-probe a dynamic route.
-//  - A linear-probe hash of line addresses (with per-line counts and
-//    backward-shift deletion) makes contains_line() O(1) instead of a
-//    scan over the queue.
+//  - A queue configured with a line index (the write queue) keeps a
+//    linear-probe hash of packed line ids (AddressMapper::line_id, with
+//    per-line counts and backward-shift deletion), so contains_line() is
+//    O(1) instead of a scan over the queue. Other queues skip the index.
 //  - Entries pushed with a resource id maintain per-resource counts and a
 //    BankBitmap occupancy mask, so a scheduler can test "does this queue
 //    target any ready bank?" in a few word operations before touching a
@@ -38,6 +39,7 @@
 #include <cassert>
 #include <cstddef>
 #include <cstdint>
+#include <optional>
 #include <vector>
 
 #include "controller/transaction.h"
@@ -58,11 +60,12 @@ class TransactionQueue {
   TransactionQueue();
 
   // Sizes the slab and indexes for a queue holding up to `capacity`
-  // entries over `resources` bank-shaped resources, with the line index
-  // keyed at `line_bytes` granularity. Allocates; must be called while
-  // empty. Exceeding `capacity` is allowed but allocates on push.
-  void configure(unsigned line_bytes, unsigned resources,
-                 std::size_t capacity);
+  // entries over `resources` bank-shaped resources. With `line_geom`, the
+  // queue also indexes its entries' lines under that geometry, for
+  // contains_line(). Allocates; must be called while empty. Exceeding
+  // `capacity` is allowed but allocates on push.
+  void configure(unsigned resources, std::size_t capacity,
+                 const MemoryGeometry* line_geom = nullptr);
 
   void push(const Transaction& tx) { push_impl(tx, kNoResource); }
   void push(const Transaction& tx, unsigned resource) {
@@ -104,10 +107,13 @@ class TransactionQueue {
 
   Transaction take(Pos p);
 
-  // True if some queued transaction covers the same line address
-  // (used for write-to-read forwarding). O(1) via the line index when
-  // `line_bytes` matches the configured granularity.
-  bool contains_line(Addr addr, unsigned line_bytes) const;
+  // True if some queued transaction targets the line at `d` (used for
+  // write-to-read forwarding). O(1) via the line index; the queue must
+  // have been configured with one.
+  bool contains_line(const DecodedAddr& d) const {
+    assert(line_ids_.has_value());
+    return line_find(line_ids_->line_id(d));
+  }
 
   // Oldest arrival time in the queue (kNeverTick when empty).
   Tick oldest_arrival() const;
@@ -145,7 +151,7 @@ class TransactionQueue {
   static_assert(sizeof(ScanKey) == 32, "scan key must stay packed");
 
   struct LineCell {
-    Addr line = 0;
+    std::uint64_t line = 0;
     std::uint32_t count = 0;  // 0 marks an empty cell
   };
 
@@ -160,13 +166,13 @@ class TransactionQueue {
   // slots onto the free list.
   void grow_slab(std::size_t slots);
 
-  static std::size_t line_hash(Addr line) {
+  static std::size_t line_hash(std::uint64_t line) {
     std::uint64_t h = static_cast<std::uint64_t>(line) * 0x9E3779B97F4A7C15ull;
     return static_cast<std::size_t>(h ^ (h >> 29));
   }
-  void line_add(Addr line);
-  void line_remove(Addr line);
-  bool line_find(Addr line) const;
+  void line_add(std::uint64_t line);
+  void line_remove(std::uint64_t line);
+  bool line_find(std::uint64_t line) const;
   void grow_lines();
 
   // Slot-parallel arrays: the entry, its scan key, and its older
@@ -179,10 +185,12 @@ class TransactionQueue {
   Pos free_ = kNoPos;  // most recently freed slot
   std::size_t live_ = 0;
 
-  std::vector<LineCell> lines_;  // linear-probe hash, power-of-two size
+  // The line index, when configured: line ids are packed under
+  // `line_ids_`'s geometry into a linear-probe hash of power-of-two size.
+  std::optional<AddressMapper> line_ids_;
+  std::vector<LineCell> lines_;
   std::size_t line_mask_ = 0;
   std::size_t line_used_ = 0;
-  unsigned line_bytes_ = 64;
 
   std::vector<std::uint32_t> counts_;  // live entries per resource
   BankBitmap mask_;

@@ -10,7 +10,6 @@ namespace wompcm {
 
 struct Transaction {
   std::uint64_t id = 0;
-  Addr addr = 0;
   DecodedAddr dec;
   AccessType type = AccessType::kRead;
   Tick arrival = 0;     // when the transaction entered the controller

@@ -70,7 +70,7 @@ std::unique_ptr<TraceSource> TraceSpec::open(const MemoryGeometry& geom,
     case Kind::kFile:
       // Format-dispatching: binary traces get the zero-copy mmap reader,
       // text traces the buffered parser (trace/binary_source.h).
-      return open_trace(name_);
+      return open_trace(name_, geom);
   }
   throw std::invalid_argument("run: bad TraceSpec kind");
 }

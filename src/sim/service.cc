@@ -24,12 +24,33 @@ const SimConfig& checked(const SimConfig& cfg) {
   return cfg;
 }
 
+// Throws unless every coordinate of `d` is below `limit`'s: records come
+// from outside the simulator, and the controller indexes banks and rows by
+// them.
+void check_in_range(const DecodedAddr& d, const DecodedAddr& limit,
+                    std::size_t record) {
+  auto check = [&](const char* field, unsigned value, unsigned bound) {
+    if (value < bound) return;
+    throw std::invalid_argument("SimService::submit: record " +
+                                std::to_string(record) + " has " + field +
+                                " " + std::to_string(value) +
+                                ", out of range [0, " + std::to_string(bound) +
+                                ")");
+  };
+  check("channel", d.channel, limit.channel);
+  check("rank", d.rank, limit.rank);
+  check("bank", d.bank, limit.bank);
+  check("row", d.row, limit.row);
+  check("col", d.col, limit.col);
+}
+
 }  // namespace
 
 SimService::SimService(const SimConfig& cfg, ServiceOptions /*opts*/)
     : cfg_(checked(cfg)),
       system_(std::make_unique<MemorySystem>(cfg)),
-      mapper_(cfg.geom),
+      limit_{cfg.geom.channels, cfg.geom.ranks, cfg.geom.banks_per_rank,
+             cfg.geom.rows_per_bank, cfg.geom.lines_per_row()},
       warmup_(cfg.warmup_accesses.value_or(0)),
       deferred_(cfg.geom.channels, 0),
       codec_ns_start_(perf::codec_ns()),
@@ -88,21 +109,21 @@ Accepted SimService::submit(SessionId id, const TraceRecord* records,
                                 ") is closed");
   }
   const std::uint64_t t0 = perf::now_ticks();
-  std::size_t took = 0;
-  // Decode the accepted prefix straight into the ring: arrival clocks
-  // accumulate per stream (rec.gap is relative to the stream's previous
-  // record), addresses decode once, here, like the batch front end.
-  while (took < n && s.count < s.ring.size()) {
-    const TraceRecord& rec = records[took];
+  const std::size_t took = std::min(n, s.ring.size() - s.count);
+  for (std::size_t i = 0; i < took; ++i) {
+    check_in_range(records[i].dec, limit_, i);
+  }
+  // Copy the accepted prefix into the ring: arrival clocks accumulate per
+  // stream (rec.gap is relative to the stream's previous record).
+  for (std::size_t i = 0; i < took; ++i) {
+    const TraceRecord& rec = records[i];
     Transaction tx;
-    tx.addr = rec.addr;
-    tx.dec = mapper_.decode(rec.addr);
+    tx.dec = rec.dec;
     tx.type = rec.type;
     s.clock += rec.gap;
     tx.arrival = s.clock;
     tx.stream = s.tag;
     s.push(tx);
-    ++took;
   }
   trace_gen_ticks_ += perf::now_ticks() - t0;
   s.submitted += took;

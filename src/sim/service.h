@@ -146,7 +146,9 @@ class SimService {
 
   // Feeds records to a session, accepting a prefix bounded by the
   // session's free buffer capacity. Throws std::invalid_argument for an
-  // unknown or closed session. Zero records is a valid no-op.
+  // unknown or closed session, or when a record of that prefix has a
+  // coordinate outside the geometry (the error names the field and value;
+  // nothing is accepted). Zero records is a valid no-op.
   Accepted submit(SessionId id, const TraceRecord* records, std::size_t n);
   Accepted submit(SessionId id, const std::vector<TraceRecord>& records) {
     return submit(id, records.data(), records.size());
@@ -187,8 +189,8 @@ class SimService {
     bool publish = true;     // emit "stream<N>.*" metrics at drain
     std::uint32_t tag = 0;   // Transaction::stream value; 0 = untagged
     Tick clock = 0;          // arrival of the last accepted record
-    // Fixed-capacity ring of decoded, not-yet-injected transactions
-    // (ids are assigned at injection, in merge order).
+    // Fixed-capacity ring of not-yet-injected transactions (ids are
+    // assigned at injection, in merge order).
     std::vector<Transaction> ring;
     std::size_t head = 0;
     std::size_t count = 0;
@@ -233,7 +235,7 @@ class SimService {
 
   SimConfig cfg_;
   std::unique_ptr<MemorySystem> system_;
-  AddressMapper mapper_;
+  DecodedAddr limit_;  // one past the largest coordinate, per field
   Clock clock_;
   std::uint64_t warmup_ = 0;
   std::uint64_t next_id_ = 1;

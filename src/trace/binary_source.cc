@@ -4,8 +4,6 @@
 #include <cstring>
 #include <stdexcept>
 
-#include "trace/file_source.h"
-
 #if defined(__unix__) || defined(__APPLE__)
 #define WOMPCM_HAVE_MMAP 1
 #include <fcntl.h>
@@ -53,7 +51,9 @@ bool is_binary_trace(const std::string& path) {
          std::memcmp(magic, kTraceMagic, sizeof(magic)) == 0;
 }
 
-MmapTraceSource::MmapTraceSource(const std::string& path) {
+MmapTraceSource::MmapTraceSource(const std::string& path,
+                                 const MemoryGeometry& geom)
+    : mapper_(geom) {
   std::size_t file_size = 0;
 #if WOMPCM_HAVE_MMAP
   const int fd = ::open(path.c_str(), O_RDONLY);
@@ -118,41 +118,31 @@ MmapTraceSource::~MmapTraceSource() {
   if (mapped_) unmap(map_addr_, map_len_);
 }
 
-std::optional<TraceRecord> MmapTraceSource::next() {
-  if (pos_ >= records_) return std::nullopt;
+bool MmapTraceSource::next_raw(FileRecord* out) {
+  if (pos_ >= records_) return false;
   const std::uint8_t* b = base_ + pos_ * kRecordBytes;
   ++pos_;
-  TraceRecord rec;
-  rec.gap = load_le64(b);
-  rec.type = b[8] != 0 ? AccessType::kWrite : AccessType::kRead;
-  rec.addr = load_le64(b + 9);
-  return rec;
+  out->gap = load_le64(b);
+  out->type = b[8] != 0 ? AccessType::kWrite : AccessType::kRead;
+  out->addr = load_le64(b + 9);
+  return true;
 }
 
 std::size_t MmapTraceSource::next_block(TraceRecord* out, std::size_t max) {
-  const std::size_t n =
-      static_cast<std::size_t>(std::min<std::uint64_t>(max, records_ - pos_));
-  const std::uint8_t* b = base_ + pos_ * kRecordBytes;
-  // Pull the block after this one toward the cache while we decode: the
-  // madvise readahead keeps the pages resident, the prefetch keeps the
-  // lines warm (records are 17 bytes, so touch every line of the block).
-  for (std::size_t off = 0; off < n * kRecordBytes; off += 64) {
-    __builtin_prefetch(b + n * kRecordBytes + off);
+  std::size_t n = 0;
+  FileRecord raw;
+  for (; n < max && next_raw(&raw); ++n) {
+    out[n] = {raw.gap, raw.type, mapper_.decode(raw.addr)};
   }
-  for (std::size_t i = 0; i < n; ++i, b += kRecordBytes) {
-    out[i].gap = load_le64(b);
-    out[i].type = b[8] != 0 ? AccessType::kWrite : AccessType::kRead;
-    out[i].addr = load_le64(b + 9);
-  }
-  pos_ += n;
   return n;
 }
 
-std::unique_ptr<TraceSource> open_trace(const std::string& path) {
+std::unique_ptr<TraceSource> open_trace(const std::string& path,
+                                        const MemoryGeometry& geom) {
   if (is_binary_trace(path)) {
-    return std::make_unique<MmapTraceSource>(path);
+    return std::make_unique<MmapTraceSource>(path, geom);
   }
-  return std::make_unique<FileTraceSource>(path);
+  return std::make_unique<FileTraceSource>(path, geom);
 }
 
 }  // namespace wompcm

@@ -9,10 +9,9 @@ namespace wompcm {
 
 namespace {
 
-// Manual field parsers over [p, end), replacing the per-line sscanf. They
-// accept the same inputs the old "%" SCNu64 " %c %" SCNx64 format did for
-// well-formed traces: leading whitespace before every field and an
-// optional 0x/0X prefix on the hex address.
+// Manual field parsers over [p, end): leading whitespace before every
+// field and an optional 0x/0X prefix on the hex address. A value that does
+// not fit in 64 bits fails the parse instead of wrapping.
 bool skip_space(const char*& p, const char* end) {
   while (p != end && std::isspace(static_cast<unsigned char>(*p))) ++p;
   return p != end;
@@ -23,7 +22,9 @@ bool parse_dec_u64(const char*& p, const char* end, std::uint64_t* out) {
   if (!std::isdigit(static_cast<unsigned char>(*p))) return false;
   std::uint64_t v = 0;
   while (p != end && std::isdigit(static_cast<unsigned char>(*p))) {
-    v = v * 10 + static_cast<std::uint64_t>(*p - '0');
+    const auto d = static_cast<std::uint64_t>(*p - '0');
+    if (v > (~std::uint64_t{0} - d) / 10) return false;
+    v = v * 10 + d;
     ++p;
   }
   *out = v;
@@ -47,6 +48,7 @@ bool parse_hex_u64(const char*& p, const char* end, std::uint64_t* out) {
   if (d < 0) return false;
   std::uint64_t v = 0;
   do {
+    if (v >> 60 != 0) return false;
     v = (v << 4) | static_cast<std::uint64_t>(d);
     ++p;
   } while (p != end && (d = hex_digit(*p)) >= 0);
@@ -56,18 +58,14 @@ bool parse_hex_u64(const char*& p, const char* end, std::uint64_t* out) {
 
 }  // namespace
 
-FileTraceSource::FileTraceSource(const std::string& path) {
+FileTraceSource::FileTraceSource(const std::string& path,
+                                 const MemoryGeometry& geom)
+    : mapper_(geom) {
   f_ = std::fopen(path.c_str(), "rb");
   if (f_ == nullptr) {
     throw std::runtime_error("cannot open trace file: " + path);
   }
   buf_.resize(kBufSize);
-  refill();
-  if (end_ >= sizeof(kTraceMagic) &&
-      std::memcmp(buf_.data(), kTraceMagic, sizeof(kTraceMagic)) == 0) {
-    binary_ = true;
-    pos_ = sizeof(kTraceMagic);
-  }
 }
 
 FileTraceSource::~FileTraceSource() {
@@ -89,11 +87,16 @@ bool FileTraceSource::refill() {
   return got > 0;
 }
 
-std::optional<TraceRecord> FileTraceSource::next() {
-  return binary_ ? next_binary() : next_text();
+std::size_t FileTraceSource::next_block(TraceRecord* out, std::size_t max) {
+  std::size_t n = 0;
+  FileRecord raw;
+  for (; n < max && next_raw(&raw); ++n) {
+    out[n] = {raw.gap, raw.type, mapper_.decode(raw.addr)};
+  }
+  return n;
 }
 
-std::optional<TraceRecord> FileTraceSource::next_text() {
+bool FileTraceSource::next_raw(FileRecord* out) {
   for (;;) {
     const char* nl = static_cast<const char*>(
         std::memchr(buf_.data() + pos_, '\n', end_ - pos_));
@@ -101,7 +104,7 @@ std::optional<TraceRecord> FileTraceSource::next_text() {
       refill();
       continue;
     }
-    if (pos_ == end_) return std::nullopt;
+    if (pos_ == end_) return false;
     const char* p = buf_.data() + pos_;
     const char* line_end = nl != nullptr ? nl : buf_.data() + end_;
     pos_ = nl != nullptr ? static_cast<std::size_t>(nl - buf_.data()) + 1
@@ -119,45 +122,22 @@ std::optional<TraceRecord> FileTraceSource::next_text() {
       ok = false;
     }
     ok = ok && parse_hex_u64(p, line_end, &addr);
+    // Only a comment may follow the address.
+    ok = ok && (!skip_space(p, line_end) || *p == '#');
     if (!ok || (type != 'R' && type != 'W' && type != 'r' && type != 'w')) {
       throw std::runtime_error("malformed trace line " + std::to_string(line_));
     }
-    TraceRecord rec;
-    rec.gap = gap;
-    rec.type = (type == 'W' || type == 'w') ? AccessType::kWrite
-                                            : AccessType::kRead;
-    rec.addr = addr;
-    return rec;
+    out->gap = gap;
+    out->type = (type == 'W' || type == 'w') ? AccessType::kWrite
+                                             : AccessType::kRead;
+    out->addr = addr;
+    return true;
   }
 }
 
-std::optional<TraceRecord> FileTraceSource::next_binary() {
-  constexpr std::size_t kRecordBytes = 17;  // u64 gap, u8 type, u64 addr
-  while (end_ - pos_ < kRecordBytes && refill()) {
-  }
-  const std::size_t avail = end_ - pos_;
-  if (avail == 0) return std::nullopt;
-  if (avail < kRecordBytes) {
-    throw std::runtime_error("truncated binary trace record");
-  }
-  const auto* b = reinterpret_cast<const std::uint8_t*>(buf_.data() + pos_);
-  pos_ += kRecordBytes;
-  auto u64 = [&](std::size_t off) {
-    std::uint64_t v = 0;
-    for (int i = 7; i >= 0; --i) {
-      v = (v << 8) | b[off + static_cast<std::size_t>(i)];
-    }
-    return v;
-  };
-  TraceRecord rec;
-  rec.gap = u64(0);
-  rec.type = b[8] != 0 ? AccessType::kWrite : AccessType::kRead;
-  rec.addr = u64(9);
-  return rec;
-}
-
-TraceWriter::TraceWriter(const std::string& path, Format format)
-    : format_(format) {
+TraceWriter::TraceWriter(const std::string& path, Format format,
+                         const MemoryGeometry& geom)
+    : mapper_(geom), format_(format) {
   f_ = std::fopen(path.c_str(), format == Format::kBinary ? "wb" : "w");
   if (f_ == nullptr) {
     throw std::runtime_error("cannot create trace file: " + path);
@@ -181,6 +161,10 @@ void TraceWriter::close() {
 }
 
 void TraceWriter::write(const TraceRecord& rec) {
+  write(FileRecord{rec.gap, rec.type, mapper_.encode(rec.dec)});
+}
+
+void TraceWriter::write(const FileRecord& rec) {
   if (f_ == nullptr) throw std::logic_error("TraceWriter: already closed");
   if (format_ == Format::kBinary) {
     std::uint8_t buf[17];

@@ -6,12 +6,15 @@
 //
 // Binary format: 8-byte magic "WOMPCMT1" followed by packed records of
 // { u64 gap, u8 type (0=read, 1=write), u64 addr } in little-endian order.
-// The reader auto-detects the format from the magic.
+//
+// Files hold physical addresses; readers decode each one under the run's
+// geometry as they read it, and TraceWriter encodes. This header has the
+// text reader and the writer; binary_source.h has the binary reader and
+// open_trace(), which picks the reader by the file's magic.
 #pragma once
 
 #include <cstddef>
 #include <cstdio>
-#include <memory>
 #include <string>
 #include <vector>
 
@@ -21,36 +24,45 @@ namespace wompcm {
 
 inline constexpr char kTraceMagic[8] = {'W', 'O', 'M', 'P', 'C', 'M', 'T', '1'};
 
+// A record as a trace file stores it, address not yet decoded. Converting
+// between formats copies these, so an address beyond the geometry's
+// capacity survives a round trip.
+struct FileRecord {
+  Tick gap = 0;
+  AccessType type = AccessType::kRead;
+  Addr addr = 0;
+};
+
+// Reader of the text format.
 class FileTraceSource final : public TraceSource {
  public:
-  // Throws std::runtime_error if the file cannot be opened or the header is
-  // malformed.
-  explicit FileTraceSource(const std::string& path);
+  // Throws std::runtime_error if the file cannot be opened.
+  FileTraceSource(const std::string& path, const MemoryGeometry& geom);
   ~FileTraceSource() override;
 
   FileTraceSource(const FileTraceSource&) = delete;
   FileTraceSource& operator=(const FileTraceSource&) = delete;
 
-  std::optional<TraceRecord> next() override;
-
-  bool binary() const { return binary_; }
+  // Both throw std::runtime_error("malformed trace line N") on a line that
+  // is not a record, a comment or blank.
+  std::size_t next_block(TraceRecord* out, std::size_t max) override;
+  // The next record as the file holds it; false at end of file.
+  bool next_raw(FileRecord* out);
 
  private:
-  std::optional<TraceRecord> next_text();
-  std::optional<TraceRecord> next_binary();
   // Pulls the next chunk from the file into buf_, compacting the unread
   // tail first. Returns false at end of file.
   bool refill();
 
+  AddressMapper mapper_;
   std::FILE* f_ = nullptr;
-  bool binary_ = false;
   std::size_t line_ = 0;
 
   // Records are parsed out of a chunked read buffer instead of per-record
   // stream extraction: one fread per kBufSize bytes, then memchr/pointer
   // scans in memory (trace parsing is on the hot path — it shows up as
   // trace_gen_ns in SimResult::phases). buf_ grows only in the pathological
-  // case of a single line/record longer than the buffer.
+  // case of a single line longer than the buffer.
   static constexpr std::size_t kBufSize = 256 * 1024;
   std::vector<char> buf_;
   std::size_t pos_ = 0;  // next unread byte in buf_
@@ -58,22 +70,25 @@ class FileTraceSource final : public TraceSource {
   bool eof_ = false;
 };
 
-// Trace writer (both formats), used by tests and by the trace-conversion
-// example.
+// Trace writer (both formats), used by tests and by trace_tool.
 class TraceWriter {
  public:
   enum class Format { kText, kBinary };
 
-  TraceWriter(const std::string& path, Format format);
+  // Records are encoded under `geom`.
+  TraceWriter(const std::string& path, Format format,
+              const MemoryGeometry& geom);
   ~TraceWriter();
 
   TraceWriter(const TraceWriter&) = delete;
   TraceWriter& operator=(const TraceWriter&) = delete;
 
   void write(const TraceRecord& rec);
+  void write(const FileRecord& rec);
   void close();
 
  private:
+  AddressMapper mapper_;
   std::FILE* f_ = nullptr;
   Format format_;
 };

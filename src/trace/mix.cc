@@ -23,26 +23,25 @@ void MixTraceSource::refill(std::size_t src) {
   const auto rec = sources_[src]->next();
   if (!rec) return;
   clocks_[src] += rec->gap;
-  heads_.push(Head{clocks_[src], src, rec->addr, rec->type});
+  heads_.push(Head{clocks_[src], src, *rec});
 }
 
-std::optional<TraceRecord> MixTraceSource::next() {
+std::size_t MixTraceSource::next_block(TraceRecord* out, std::size_t max) {
   if (!primed_) {
     primed_ = true;
     for (std::size_t i = 0; i < sources_.size(); ++i) refill(i);
   }
-  if (heads_.empty()) return std::nullopt;
-  const Head h = heads_.top();
-  heads_.pop();
-  refill(h.src);
-
-  TraceRecord rec;
-  rec.gap = h.time - last_emitted_;
-  rec.addr = h.addr;
-  rec.type = h.type;
-  last_emitted_ = h.time;
-  ++contributed_[h.src];
-  return rec;
+  std::size_t n = 0;
+  for (; n < max && !heads_.empty(); ++n) {
+    const Head h = heads_.top();
+    heads_.pop();
+    refill(h.src);
+    out[n] = h.rec;
+    out[n].gap = h.time - last_emitted_;
+    last_emitted_ = h.time;
+    ++contributed_[h.src];
+  }
+  return n;
 }
 
 }  // namespace wompcm

@@ -20,7 +20,7 @@ class MixTraceSource final : public TraceSource {
   // Takes ownership of the component sources. At least one is required.
   explicit MixTraceSource(std::vector<std::unique_ptr<TraceSource>> sources);
 
-  std::optional<TraceRecord> next() override;
+  std::size_t next_block(TraceRecord* out, std::size_t max) override;
 
   // How many records each component contributed so far.
   const std::vector<std::uint64_t>& contributed() const {
@@ -31,8 +31,7 @@ class MixTraceSource final : public TraceSource {
   struct Head {
     Tick time;         // absolute arrival of the pending record
     std::size_t src;   // component index
-    Addr addr;
-    AccessType type;
+    TraceRecord rec;
 
     bool operator>(const Head& o) const {
       return time != o.time ? time > o.time : src > o.src;

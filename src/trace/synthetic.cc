@@ -1,5 +1,6 @@
 #include "trace/synthetic.h"
 
+#include <algorithm>
 #include <stdexcept>
 
 namespace wompcm {
@@ -39,7 +40,7 @@ SyntheticTraceSource::SyntheticTraceSource(const WorkloadProfile& profile,
                                            std::uint64_t seed,
                                            std::uint64_t num_accesses)
     : profile_(profile),
-      mapper_(geom),
+      geom_(geom),
       rng_(seed),
       placement_salt_(seed * 0x9e3779b97f4a7c15ULL + 0x1234567),
       write_pages_(profile.footprint_pages, profile.write_zipf),
@@ -66,8 +67,9 @@ std::uint64_t splitmix(std::uint64_t x) {
 
 }  // namespace
 
-Addr SyntheticTraceSource::page_to_addr(std::uint64_t page, unsigned line) {
-  const MemoryGeometry& g = mapper_.geometry();
+DecodedAddr SyntheticTraceSource::place(std::uint64_t page,
+                                        unsigned line) const {
+  const MemoryGeometry& g = geom_;
   DecodedAddr d;
   d.col = line % g.lines_per_row();
 
@@ -107,7 +109,7 @@ Addr SyntheticTraceSource::page_to_addr(std::uint64_t page, unsigned line) {
     d.channel = static_cast<unsigned>((hp >> 24) % g.channels);
     d.row = static_cast<unsigned>((hp >> 32) % g.rows_per_bank);
   }
-  return mapper_.encode(d);
+  return d;
 }
 
 SyntheticTraceSource::PageLine SyntheticTraceSource::pick_fresh(
@@ -127,11 +129,16 @@ void SyntheticTraceSource::remember_write(const PageLine& pl) {
   history_pos_ = (history_pos_ + 1) % history_.size();
 }
 
-std::optional<TraceRecord> SyntheticTraceSource::next() {
-  if (remaining_ == 0) return std::nullopt;
-  --remaining_;
+std::size_t SyntheticTraceSource::next_block(TraceRecord* out,
+                                             std::size_t max) {
+  const std::size_t n =
+      static_cast<std::size_t>(std::min<std::uint64_t>(max, remaining_));
+  for (std::size_t i = 0; i < n; ++i) generate(out[i]);
+  remaining_ -= n;
+  return n;
+}
 
-  TraceRecord rec;
+void SyntheticTraceSource::generate(TraceRecord& rec) {
   const bool is_write = rng_.next_bool(profile_.write_fraction);
   rec.type = is_write ? AccessType::kWrite : AccessType::kRead;
 
@@ -184,14 +191,13 @@ std::optional<TraceRecord> SyntheticTraceSource::next() {
     fresh = true;
   }
   stream_started_[s] = true;
-  const unsigned line = cur.line % mapper_.geometry().lines_per_row();
+  const unsigned line = cur.line % geom_.lines_per_row();
   // Only fresh locations enter the reuse history: re-inserting sampled
   // rewrites would turn the ring into a preferential-attachment loop that
   // concentrates the whole stream onto a handful of lines.
   if (is_write && fresh) remember_write({cur.page, line});
 
-  rec.addr = page_to_addr(cur.page, line);
-  return rec;
+  rec.dec = place(cur.page, line);
 }
 
 }  // namespace wompcm

@@ -76,9 +76,7 @@ class SyntheticTraceSource final : public TraceSource {
                        const MemoryGeometry& geom, std::uint64_t seed,
                        std::uint64_t num_accesses);
 
-  std::optional<TraceRecord> next() override;
-
-  const WorkloadProfile& profile() const { return profile_; }
+  std::size_t next_block(TraceRecord* out, std::size_t max) override;
 
  private:
   struct PageLine {
@@ -86,12 +84,13 @@ class SyntheticTraceSource final : public TraceSource {
     unsigned line;
   };
 
-  Addr page_to_addr(std::uint64_t page, unsigned line);
+  void generate(TraceRecord& rec);
+  DecodedAddr place(std::uint64_t page, unsigned line) const;
   PageLine pick_fresh(bool is_write);
   void remember_write(const PageLine& pl);
 
   WorkloadProfile profile_;
-  AddressMapper mapper_;
+  MemoryGeometry geom_;
   Rng rng_;
   std::uint64_t placement_salt_;  // seed-derived: distinct streams (cores)
                                   // occupy distinct physical pages

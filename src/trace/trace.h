@@ -12,37 +12,36 @@
 #include <optional>
 #include <vector>
 
+#include "common/address.h"
 #include "common/types.h"
 
 namespace wompcm {
 
+// One access. The address is already decoded: synthetic generators place
+// accesses by coordinate, and file readers decode each record once, as
+// they read it (trace/binary_source.h).
 struct TraceRecord {
   Tick gap = 0;  // nanoseconds since the previous record's arrival
   AccessType type = AccessType::kRead;
-  Addr addr = 0;
+  DecodedAddr dec;
 };
 
 class TraceSource {
  public:
   virtual ~TraceSource() = default;
-  // Returns the next record, or nullopt at end of trace.
-  virtual std::optional<TraceRecord> next() = 0;
 
-  // Bulk fetch: fills `out` with up to `max` records and returns the count
-  // (0 at end of trace). Exactly equivalent to `max` sequential next()
-  // calls — same records, same order — so callers may mix the two freely.
-  // The default loops over next(); sources with cheap in-memory access
-  // override it so the batch front end (SimService::run_to_completion)
-  // pays the virtual call and refill bookkeeping once per block instead of
-  // once per record.
-  virtual std::size_t next_block(TraceRecord* out, std::size_t max) {
-    std::size_t n = 0;
-    while (n < max) {
-      const std::optional<TraceRecord> rec = next();
-      if (!rec) break;
-      out[n++] = *rec;
-    }
-    return n;
+  // Fills `out` with up to `max` records and returns the count. A count
+  // below `max` means the trace has ended; 0 means it had ended already.
+  // The batch front end (SimService::run_to_completion) fetches a block at
+  // a time, so it pays the virtual call once per block, not per record.
+  virtual std::size_t next_block(TraceRecord* out, std::size_t max) = 0;
+
+  // Returns the next record, or nullopt at end of trace. Mixes freely with
+  // next_block().
+  std::optional<TraceRecord> next() {
+    TraceRecord rec;
+    if (next_block(&rec, 1) == 0) return std::nullopt;
+    return rec;
   }
 };
 
@@ -51,11 +50,6 @@ class VectorTraceSource final : public TraceSource {
  public:
   explicit VectorTraceSource(std::vector<TraceRecord> records)
       : records_(std::move(records)) {}
-
-  std::optional<TraceRecord> next() override {
-    if (pos_ >= records_.size()) return std::nullopt;
-    return records_[pos_++];
-  }
 
   std::size_t next_block(TraceRecord* out, std::size_t max) override {
     const std::size_t n = std::min(max, records_.size() - pos_);

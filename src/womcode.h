@@ -15,7 +15,8 @@
 //                  (sim/config_io.h) and the key=value CLI parsing
 //                  (common/config.h)
 //   - traces:      benchmark profiles, recorded trace files, multi-core
-//                  mixes (trace/profiles.h, file_source.h, mix.h)
+//                  mixes (trace/profiles.h, binary_source.h,
+//                  file_source.h, mix.h)
 //   - WOM codes:   the code registry and page codec (wom/registry.h,
 //                  page_codec.h) and exhaustive code search
 //                  (wom/code_search.h)
@@ -36,6 +37,7 @@
 #include "sim/simulator.h"
 #include "stats/histogram.h"
 #include "stats/table.h"
+#include "trace/binary_source.h"
 #include "trace/file_source.h"
 #include "trace/mix.h"
 #include "trace/profiles.h"

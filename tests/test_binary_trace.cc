@@ -1,10 +1,9 @@
 // Tests of the zero-copy binary trace reader and the format dispatcher.
 //
-// MmapTraceSource must decode exactly what TraceWriter wrote (and exactly
-// what the buffered FileTraceSource reader decodes), know the record count
-// up front, reject malformed files, and — through open_trace() /
-// TraceSpec::file() — produce bit-identical simulation results to the
-// text rendering of the same trace.
+// MmapTraceSource must decode exactly what TraceWriter wrote, know the
+// record count up front, reject malformed files, and — through
+// open_trace() / TraceSpec::file() — produce bit-identical simulation
+// results to the text rendering of the same trace.
 #include <gtest/gtest.h>
 
 #include <filesystem>
@@ -26,18 +25,21 @@ std::string temp_path(const char* name) {
       .string();
 }
 
+const MemoryGeometry kGeom;  // the paper geometry
+
 std::vector<TraceRecord> sample_records() {
   return {
-      {0, AccessType::kRead, 0x1000},
-      {120, AccessType::kWrite, 0xdeadbeefc0ull},
-      {7, AccessType::kRead, 0},
-      {100000, AccessType::kWrite, ~Addr{0} ^ 0x3f},
+      {0, AccessType::kRead, {0, 0, 0, 0, 64}},
+      {120, AccessType::kWrite, {0, 3, 17, 1234, 9}},
+      {7, AccessType::kRead, {}},
+      // The last coordinate of every field.
+      {100000, AccessType::kWrite, {0, 15, 31, 32767, 255}},
   };
 }
 
 void write_binary(const std::string& path,
                   const std::vector<TraceRecord>& records) {
-  TraceWriter w(path, TraceWriter::Format::kBinary);
+  TraceWriter w(path, TraceWriter::Format::kBinary, kGeom);
   for (const auto& r : records) w.write(r);
 }
 
@@ -46,14 +48,14 @@ TEST(MmapTrace, RoundTripAndCount) {
   const auto records = sample_records();
   write_binary(path, records);
 
-  MmapTraceSource src(path);
+  MmapTraceSource src(path, kGeom);
   EXPECT_EQ(src.records(), records.size());
   for (const TraceRecord& e : records) {
     const auto got = src.next();
     ASSERT_TRUE(got.has_value());
     EXPECT_EQ(got->gap, e.gap);
     EXPECT_EQ(got->type, e.type);
-    EXPECT_EQ(got->addr, e.addr);
+    EXPECT_EQ(got->dec, e.dec);
   }
   EXPECT_FALSE(src.next().has_value());
 
@@ -61,35 +63,18 @@ TEST(MmapTrace, RoundTripAndCount) {
   src.rewind();
   const auto again = src.next();
   ASSERT_TRUE(again.has_value());
-  EXPECT_EQ(again->addr, records[0].addr);
-  std::filesystem::remove(path);
-}
-
-TEST(MmapTrace, AgreesWithBufferedReader) {
-  const std::string path = temp_path("agree.trc");
-  write_binary(path, sample_records());
-  MmapTraceSource fast(path);
-  FileTraceSource slow(path);
-  for (;;) {
-    const auto a = fast.next();
-    const auto b = slow.next();
-    ASSERT_EQ(a.has_value(), b.has_value());
-    if (!a.has_value()) break;
-    EXPECT_EQ(a->gap, b->gap);
-    EXPECT_EQ(a->type, b->type);
-    EXPECT_EQ(a->addr, b->addr);
-  }
+  EXPECT_EQ(again->dec, records[0].dec);
   std::filesystem::remove(path);
 }
 
 TEST(MmapTrace, RejectsTextFile) {
   const std::string path = temp_path("text.trc");
   {
-    TraceWriter w(path, TraceWriter::Format::kText);
+    TraceWriter w(path, TraceWriter::Format::kText, kGeom);
     for (const auto& r : sample_records()) w.write(r);
   }
   EXPECT_FALSE(is_binary_trace(path));
-  EXPECT_THROW(MmapTraceSource{path}, std::runtime_error);
+  EXPECT_THROW(MmapTraceSource(path, kGeom), std::runtime_error);
   std::filesystem::remove(path);
 }
 
@@ -102,19 +87,20 @@ TEST(MmapTrace, RejectsTruncatedTail) {
     f.write(partial, sizeof(partial));
   }
   EXPECT_TRUE(is_binary_trace(path));
-  EXPECT_THROW(MmapTraceSource{path}, std::runtime_error);
+  EXPECT_THROW(MmapTraceSource(path, kGeom), std::runtime_error);
   std::filesystem::remove(path);
 }
 
 TEST(MmapTrace, MissingFileThrows) {
-  EXPECT_THROW(MmapTraceSource{"/no/such/file.trc"}, std::runtime_error);
+  EXPECT_THROW(MmapTraceSource("/no/such/file.trc", kGeom),
+               std::runtime_error);
   EXPECT_THROW(is_binary_trace("/no/such/file.trc"), std::runtime_error);
 }
 
 TEST(MmapTrace, EmptyPayloadYieldsNothing) {
   const std::string path = temp_path("empty.trc");
   write_binary(path, {});
-  MmapTraceSource src(path);
+  MmapTraceSource src(path, kGeom);
   EXPECT_EQ(src.records(), 0u);
   EXPECT_FALSE(src.next().has_value());
   std::filesystem::remove(path);
@@ -125,11 +111,11 @@ TEST(OpenTrace, DispatchesByFormat) {
   const std::string txt_path = temp_path("dispatch_txt.trc");
   write_binary(bin_path, sample_records());
   {
-    TraceWriter w(txt_path, TraceWriter::Format::kText);
+    TraceWriter w(txt_path, TraceWriter::Format::kText, kGeom);
     for (const auto& r : sample_records()) w.write(r);
   }
-  const auto bin = open_trace(bin_path);
-  const auto txt = open_trace(txt_path);
+  const auto bin = open_trace(bin_path, kGeom);
+  const auto txt = open_trace(txt_path, kGeom);
   EXPECT_NE(dynamic_cast<MmapTraceSource*>(bin.get()), nullptr);
   EXPECT_NE(dynamic_cast<FileTraceSource*>(txt.get()), nullptr);
   // Both decode the same stream.
@@ -140,7 +126,7 @@ TEST(OpenTrace, DispatchesByFormat) {
     if (!a.has_value()) break;
     EXPECT_EQ(a->gap, b->gap);
     EXPECT_EQ(a->type, b->type);
-    EXPECT_EQ(a->addr, b->addr);
+    EXPECT_EQ(a->dec, b->dec);
   }
   std::filesystem::remove(bin_path);
   std::filesystem::remove(txt_path);
@@ -155,8 +141,8 @@ TEST(OpenTrace, TextAndBinaryRunsAreIdentical) {
   {
     SyntheticTraceSource gen(*find_profile("401.bzip2"), paper_config().geom,
                              42, 4000);
-    TraceWriter bin(bin_path, TraceWriter::Format::kBinary);
-    TraceWriter txt(txt_path, TraceWriter::Format::kText);
+    TraceWriter bin(bin_path, TraceWriter::Format::kBinary, kGeom);
+    TraceWriter txt(txt_path, TraceWriter::Format::kText, kGeom);
     while (const auto rec = gen.next()) {
       bin.write(*rec);
       txt.write(*rec);

@@ -166,7 +166,6 @@ TEST(ControllerAllocation, SteadyStateTransactionsAreAllocationFree) {
   SimStats stats;
   auto arch = std::make_unique<Architecture>(geom, cfg.timing, acfg);
   MemoryController ctrl(cfg, 0, *arch, stats);
-  AddressMapper mapper(geom);
 
   std::uint64_t id = 1;
   Tick now = 0;
@@ -179,7 +178,6 @@ TEST(ControllerAllocation, SteadyStateTransactionsAreAllocationFree) {
           Transaction t;
           t.id = id++;
           t.dec = DecodedAddr{0, rank, bank, i % 4, i % 8};
-          t.addr = mapper.encode(t.dec);
           t.arrival = now;
           t.type = (i & 1) ? AccessType::kWrite : AccessType::kRead;
           ctrl.enqueue(t);
@@ -213,13 +211,14 @@ TEST(ControllerAllocation, SteadyStateTransactionsAreAllocationFree) {
 // slab slots and line-index cells without touching the allocator.
 TEST(QueueAllocation, StuckHeadChurnAtCapacityIsAllocationFree) {
   constexpr std::size_t kCapacity = 64;
+  const MemoryGeometry geom;
   TransactionQueue q;
-  q.configure(64, 16, kCapacity);
+  q.configure(16, kCapacity, &geom);
   std::uint64_t id = 1;
   auto push = [&] {
     Transaction tx;
     tx.id = id;
-    tx.addr = (id % 97) * 64;
+    tx.dec.col = static_cast<unsigned>(id % 97);
     tx.arrival = id;
     if (id % 3 == 0) {
       q.push(tx);

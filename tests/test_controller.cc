@@ -29,7 +29,6 @@ class ControllerTest : public ::testing::Test {
     arch_ =
         std::make_unique<Architecture>(cfg_.geom, cfg_.timing, ArchConfig{});
     ctrl_ = std::make_unique<MemoryController>(cfg_, 0, *arch_, stats_);
-    mapper_ = std::make_unique<AddressMapper>(cfg_.geom);
   }
 
   Transaction tx(std::uint64_t id, unsigned rank, unsigned bank, unsigned row,
@@ -37,7 +36,6 @@ class ControllerTest : public ::testing::Test {
     Transaction t;
     t.id = id;
     t.dec = DecodedAddr{0, rank, bank, row, col};
-    t.addr = mapper_->encode(t.dec);
     t.type = type;
     t.arrival = arrival;
     return t;
@@ -59,7 +57,6 @@ class ControllerTest : public ::testing::Test {
   SimStats stats_;
   std::unique_ptr<Architecture> arch_;
   std::unique_ptr<MemoryController> ctrl_;
-  std::unique_ptr<AddressMapper> mapper_;
 };
 
 TEST_F(ControllerTest, SingleReadServiceTime) {

@@ -13,11 +13,15 @@
 namespace wompcm {
 namespace {
 
+// Entries are placed by paper-geometry address, decoded as a trace file
+// reader decodes it; the line index packs lines under the same geometry.
+const MemoryGeometry kGeom;
+
 Transaction make_tx(std::uint64_t id, Addr addr, AccessType type,
                     Tick arrival) {
   Transaction tx;
   tx.id = id;
-  tx.addr = addr;
+  tx.dec = AddressMapper(kGeom).decode(addr);
   tx.type = type;
   tx.arrival = arrival;
   return tx;
@@ -25,7 +29,7 @@ Transaction make_tx(std::uint64_t id, Addr addr, AccessType type,
 
 TEST(TransactionQueue, PosStaysValidAcrossOtherPushesAndTakes) {
   TransactionQueue q;
-  q.configure(64, 4, 8);
+  q.configure(4, 8, &kGeom);
   q.push(make_tx(1, 0x000, AccessType::kWrite, 0), 1);
   const auto held = q.first();
   for (std::uint64_t id = 2; id < 200; ++id) {
@@ -57,10 +61,11 @@ struct ModelEntry {
 };
 
 // Checks every per-entry accessor, the age order, the occupancy mask and
-// the line index against the model.
+// the line index against the model. The index is probed at columns
+// [0, lines) of every row a live entry is on.
 void assert_matches_model(const TransactionQueue& q,
                           const std::deque<ModelEntry>& model,
-                          unsigned resources, Addr lines,
+                          unsigned resources, unsigned lines,
                           std::uint64_t version) {
   ASSERT_EQ(q.size(), model.size());
   auto p = q.first();
@@ -80,10 +85,14 @@ void assert_matches_model(const TransactionQueue& q,
   for (unsigned r = 0; r < resources; ++r) {
     ASSERT_EQ(q.bank_mask().test(r), counts[r] != 0) << "resource " << r;
   }
-  for (Addr line = 0; line < lines; ++line) {
-    bool in_model = false;
-    for (const ModelEntry& m : model) in_model |= m.tx.addr / 64 == line;
-    ASSERT_EQ(q.contains_line(line * 64, 64), in_model) << "line " << line;
+  for (const ModelEntry& on_row : model) {
+    DecodedAddr probe = on_row.tx.dec;
+    for (probe.col = 0; probe.col < lines; ++probe.col) {
+      bool in_model = false;
+      for (const ModelEntry& m : model) in_model |= m.tx.dec == probe;
+      ASSERT_EQ(q.contains_line(probe), in_model)
+          << "row " << probe.row << " col " << probe.col;
+    }
   }
 }
 
@@ -93,11 +102,11 @@ void assert_matches_model(const TransactionQueue& q,
 // which a reused slot must not inherit.
 TEST(TransactionQueue, StuckHeadChurnMatchesDequeModel) {
   constexpr unsigned kResources = 16;
-  constexpr Addr kLines = 48;
+  constexpr unsigned kLines = 48;
   constexpr std::size_t kCapacity = 12;
   constexpr std::uint64_t kVersion = 7;
   TransactionQueue q;
-  q.configure(64, kResources, kCapacity);
+  q.configure(kResources, kCapacity, &kGeom);
   std::deque<ModelEntry> model;
   std::uint64_t next_id = 1;
   std::uint64_t rng = 99;
@@ -152,7 +161,7 @@ TEST(TransactionQueue, StuckHeadChurnMatchesDequeModel) {
 TEST(TransactionQueue, GrowthPastCapacityKeepsOrderAndIndexes) {
   constexpr unsigned kResources = 8;
   TransactionQueue q;
-  q.configure(64, kResources, 8);
+  q.configure(kResources, 8, &kGeom);
   std::deque<ModelEntry> model;
   for (std::uint64_t id = 1; id <= 100; ++id) {
     ModelEntry m;

@@ -9,11 +9,22 @@
 namespace wompcm {
 namespace {
 
+// Entries are placed by address, decoded as a trace file reader decodes
+// it; the line index packs lines under the same geometry. Two channels, so
+// that every coordinate has a bit to move.
+const MemoryGeometry kGeom = [] {
+  MemoryGeometry g;
+  g.channels = 2;
+  return g;
+}();
+
+DecodedAddr at(Addr addr) { return AddressMapper(kGeom).decode(addr); }
+
 Transaction make_tx(std::uint64_t id, Addr addr, AccessType type,
                     Tick arrival) {
   Transaction tx;
   tx.id = id;
-  tx.addr = addr;
+  tx.dec = at(addr);
   tx.type = type;
   tx.arrival = arrival;
   return tx;
@@ -52,33 +63,38 @@ TEST(TransactionQueue, TakeRemovesByPosition) {
 
 TEST(TransactionQueue, ContainsLineMatchesWholeLine) {
   TransactionQueue q;
-  q.configure(64, 0, 8);
+  q.configure(0, 8, &kGeom);
   q.push(make_tx(1, 0x1000, AccessType::kWrite, 0));
-  EXPECT_TRUE(q.contains_line(0x1000, 64));
-  EXPECT_TRUE(q.contains_line(0x103F, 64));  // same 64B line
-  EXPECT_FALSE(q.contains_line(0x1040, 64));
-  EXPECT_FALSE(q.contains_line(0x0FC0, 64));
-  // Queries at a granularity the index is not keyed for still work.
-  EXPECT_TRUE(q.contains_line(0x1100, 4096));
-  EXPECT_FALSE(q.contains_line(0x2000, 4096));
+  EXPECT_TRUE(q.contains_line(at(0x1000)));
+  EXPECT_TRUE(q.contains_line(at(0x103F)));  // same 64B line
+  EXPECT_FALSE(q.contains_line(at(0x1040)));
+  EXPECT_FALSE(q.contains_line(at(0x0FC0)));
+  // Every coordinate is part of the line: moving any one misses.
+  for (unsigned DecodedAddr::*field :
+       {&DecodedAddr::channel, &DecodedAddr::rank, &DecodedAddr::bank,
+        &DecodedAddr::row, &DecodedAddr::col}) {
+    DecodedAddr d = at(0x1000);
+    d.*field ^= 1;
+    EXPECT_FALSE(q.contains_line(d));
+  }
 }
 
 TEST(TransactionQueue, ContainsLineSurvivesChurn) {
   TransactionQueue q;
-  q.configure(64, 0, 4);
+  q.configure(0, 4, &kGeom);
   // Several entries on the same line, interleaved with other lines, then
   // removed one by one: the line must stay visible until the last one goes.
   q.push(make_tx(1, 0x1000, AccessType::kWrite, 0));
   q.push(make_tx(2, 0x1020, AccessType::kWrite, 1));  // same line as 1
   q.push(make_tx(3, 0x2000, AccessType::kWrite, 2));
-  EXPECT_TRUE(q.contains_line(0x1000, 64));
+  EXPECT_TRUE(q.contains_line(at(0x1000)));
   q.take(q.first());  // removes id 1
-  EXPECT_TRUE(q.contains_line(0x1000, 64));  // id 2 still covers the line
+  EXPECT_TRUE(q.contains_line(at(0x1000)));  // id 2 still covers the line
   q.take(q.first());  // removes id 2
-  EXPECT_FALSE(q.contains_line(0x1000, 64));
-  EXPECT_TRUE(q.contains_line(0x2000, 64));
+  EXPECT_FALSE(q.contains_line(at(0x1000)));
+  EXPECT_TRUE(q.contains_line(at(0x2000)));
   q.take(q.first());
-  EXPECT_FALSE(q.contains_line(0x2000, 64));
+  EXPECT_FALSE(q.contains_line(at(0x2000)));
   EXPECT_TRUE(q.empty());
 }
 
@@ -103,7 +119,7 @@ TEST(TransactionQueue, ArrivalMonotonicityTracked) {
 
 TEST(TransactionQueue, ResourceCountsAndMask) {
   TransactionQueue q;
-  q.configure(64, 8, 4);
+  q.configure(8, 4, &kGeom);
   q.push(make_tx(1, 0x000, AccessType::kWrite, 0), 3);
   q.push(make_tx(2, 0x040, AccessType::kWrite, 1), 3);
   q.push(make_tx(3, 0x080, AccessType::kWrite, 2), 5);
@@ -131,7 +147,7 @@ TEST(TransactionQueue, ResourceCountsAndMask) {
 // backward-shift deletion far past the configured capacity.
 TEST(TransactionQueue, ChurnMatchesDequeModel) {
   TransactionQueue q;
-  q.configure(64, 16, 8);
+  q.configure(16, 8, &kGeom);
   std::deque<Transaction> model;
   std::uint64_t next_id = 1;
   std::uint64_t rng = 12345;
@@ -144,7 +160,7 @@ TEST(TransactionQueue, ChurnMatchesDequeModel) {
     if (do_push) {
       const Transaction tx = make_tx(next_id++, (rand() % 32) * 64,
                                      AccessType::kWrite, step);
-      q.push(tx, static_cast<unsigned>(tx.addr / 64 % 16));
+      q.push(tx, tx.dec.col % 16);
       model.push_back(tx);
     } else {
       // Take a pseudo-random live entry by rank.
@@ -164,9 +180,9 @@ TEST(TransactionQueue, ChurnMatchesDequeModel) {
       for (Addr line = 0; line < 32; ++line) {
         bool in_model = false;
         for (const Transaction& tx : model) {
-          in_model |= tx.addr / 64 == line;
+          in_model |= tx.dec == at(line * 64);
         }
-        EXPECT_EQ(q.contains_line(line * 64, 64), in_model) << "line " << line;
+        EXPECT_EQ(q.contains_line(at(line * 64)), in_model) << "line " << line;
       }
     }
   }

@@ -122,7 +122,7 @@ TEST(RunApi, FileSpecReplaysTheRecordedStream) {
   const std::string path = testing::TempDir() + "run_api_replay.trace";
   {
     const auto src = spec.open(cfg.geom, /*seed=*/11);  // mixes internally
-    TraceWriter writer(path, TraceWriter::Format::kBinary);
+    TraceWriter writer(path, TraceWriter::Format::kBinary, cfg.geom);
     while (const auto rec = src->next()) writer.write(*rec);
   }
   // ...and the file-backed run reproduces the synthetic run. Warmup is

@@ -36,8 +36,10 @@ SimConfig small_config(unsigned channels = 2) {
 }
 
 // A short hand-built stream with same-instant bursts (gap 0) and idle
-// stretches — the shapes that stress the sealed-instant merge.
+// stretches — the shapes that stress the sealed-instant merge. Addresses
+// decode under small_config()'s geometry.
 std::vector<TraceRecord> burst_records(std::size_t n, std::uint64_t seed) {
+  const AddressMapper mapper(small_config().geom);
   std::vector<TraceRecord> out;
   out.reserve(n);
   std::uint64_t x = seed * 2654435761u + 1;
@@ -46,7 +48,7 @@ std::vector<TraceRecord> burst_records(std::size_t n, std::uint64_t seed) {
     TraceRecord r;
     r.gap = (x >> 33) % 4 == 0 ? 0 : (x >> 40) % 50;
     r.type = (x >> 13) % 3 == 0 ? AccessType::kWrite : AccessType::kRead;
-    r.addr = (x >> 7) % (1u << 22);
+    r.dec = mapper.decode((x >> 7) % (1u << 22));
     out.push_back(r);
   }
   return out;

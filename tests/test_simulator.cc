@@ -20,12 +20,12 @@ SimConfig small_config() {
 }
 
 std::vector<TraceRecord> simple_trace() {
-  // line_bytes = 64 on this geometry.
+  // {channel, rank, bank, row, col}: col is the line within the row.
   return {
-      {0, AccessType::kWrite, 0 * 64},
-      {50, AccessType::kRead, 100 * 64},
-      {50, AccessType::kWrite, 7 * 64},
-      {1000, AccessType::kRead, 0 * 64},
+      {0, AccessType::kWrite, {0, 0, 0, 0, 0}},
+      {50, AccessType::kRead, {0, 0, 0, 3, 4}},
+      {50, AccessType::kWrite, {0, 0, 0, 0, 7}},
+      {1000, AccessType::kRead, {0, 0, 0, 0, 0}},
   };
 }
 
@@ -67,8 +67,8 @@ TEST(Simulator, BackPressureDefersInjections) {
   // A dense burst to one bank overwhelms a 2-entry queue.
   std::vector<TraceRecord> records;
   for (int i = 0; i < 16; ++i) {
-    records.push_back({1, AccessType::kWrite,
-                       static_cast<Addr>((i % 8) * 64)});
+    records.push_back(
+        {1, AccessType::kWrite, {0, 0, 0, 0, static_cast<unsigned>(i % 8)}});
   }
   VectorTraceSource trace(records);
   const SimResult r = SimService(cfg).run_to_completion(trace);
@@ -79,10 +79,8 @@ TEST(Simulator, BackPressureDefersInjections) {
   // burst aimed at channel 1 of a two-channel platform leaves channel 0's
   // books empty.
   cfg.geom.channels = 2;
-  const AddressMapper mapper(cfg.geom);
   for (int i = 0; i < 16; ++i) {
-    records[i].addr =
-        mapper.encode(DecodedAddr{1, 0, 0, static_cast<unsigned>(i % 8), 0});
+    records[i].dec = DecodedAddr{1, 0, 0, static_cast<unsigned>(i % 8), 0};
   }
   VectorTraceSource trace2(records);
   const SimResult r2 = SimService(cfg).run_to_completion(trace2);
@@ -105,10 +103,10 @@ TEST(Simulator, RefreshCountersSurface) {
   SimConfig cfg = small_config();
   cfg.arch.composition = arch_preset("refresh");
   std::vector<TraceRecord> records = {
-      {0, AccessType::kWrite, 0},
-      {300, AccessType::kWrite, 0},
+      {0, AccessType::kWrite, {0, 0, 0, 0, 0}},
+      {300, AccessType::kWrite, {0, 0, 0, 0, 0}},
       // A very late access leaves a long idle window for the refresh.
-      {100000, AccessType::kRead, 64},
+      {100000, AccessType::kRead, {0, 0, 0, 0, 1}},
   };
   VectorTraceSource trace(records);
   const SimResult r = SimService(cfg).run_to_completion(trace);
@@ -148,11 +146,8 @@ TEST(Simulator, WcpcmGeneratesInternalWrites) {
   SimConfig cfg = small_config();
   cfg.arch.composition = arch_preset("wcpcm");
   // Two writes to the same rank/row from different banks force an eviction.
-  AddressMapper mapper(cfg.geom);
-  const Addr a = mapper.encode(DecodedAddr{0, 0, 0, 5, 0});
-  const Addr b = mapper.encode(DecodedAddr{0, 0, 1, 5, 0});
-  VectorTraceSource trace({{0, AccessType::kWrite, a},
-                           {500, AccessType::kWrite, b}});
+  VectorTraceSource trace({{0, AccessType::kWrite, {0, 0, 0, 5, 0}},
+                           {500, AccessType::kWrite, {0, 0, 1, 5, 0}}});
   const SimResult r = SimService(cfg).run_to_completion(trace);
   EXPECT_EQ(r.stats.counters.get("ctrl.internal_writes"), 1u);
   EXPECT_EQ(r.stats.internal_write_latency.count(), 1u);

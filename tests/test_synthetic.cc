@@ -66,7 +66,7 @@ TEST(SyntheticTrace, DeterministicForSeed) {
     const auto rb = b.next();
     ASSERT_TRUE(ra.has_value());
     ASSERT_TRUE(rb.has_value());
-    EXPECT_EQ(ra->addr, rb->addr);
+    EXPECT_EQ(ra->dec, rb->dec);
     EXPECT_EQ(ra->gap, rb->gap);
     EXPECT_EQ(ra->type, rb->type);
   }
@@ -79,7 +79,7 @@ TEST(SyntheticTrace, DifferentSeedsDiffer) {
   SyntheticTraceSource b(test_profile(), geom, 2, 1000);
   int same = 0;
   for (int i = 0; i < 1000; ++i) {
-    if (a.next()->addr == b.next()->addr) ++same;
+    if (a.next()->dec == b.next()->dec) ++same;
   }
   EXPECT_LT(same, 100);
 }
@@ -102,12 +102,17 @@ TEST(SyntheticTrace, WriteFractionRespected) {
   EXPECT_NEAR(writes / 20000.0, 0.4, 0.02);
 }
 
+// Every coordinate is in range, so each record is one line of the array.
 TEST(SyntheticTrace, AddressesAreLineAligned) {
-  const MemoryGeometry geom;
+  MemoryGeometry geom;
+  geom.channels = 2;
   SyntheticTraceSource src(test_profile(), geom, 11, 2000);
   while (const auto r = src.next()) {
-    EXPECT_EQ(r->addr % geom.line_bytes(), 0u);
-    EXPECT_LT(r->addr, geom.capacity_bytes());
+    EXPECT_LT(r->dec.channel, geom.channels);
+    EXPECT_LT(r->dec.rank, geom.ranks);
+    EXPECT_LT(r->dec.bank, geom.banks_per_rank);
+    EXPECT_LT(r->dec.row, geom.rows_per_bank);
+    EXPECT_LT(r->dec.col, geom.lines_per_row());
   }
 }
 
@@ -123,12 +128,13 @@ TEST(SyntheticTrace, RewriteLocalityProducesLineReuse) {
   p.rewrite_frac = 0.8;
   p.stay_prob = 0.0;
   SyntheticTraceSource src(p, geom, 17, 20000);
-  std::map<Addr, int> write_counts;
+  const AddressMapper mapper(geom);
+  std::map<std::uint64_t, int> write_counts;  // by line id
   while (const auto r = src.next()) {
-    if (r->type == AccessType::kWrite) ++write_counts[r->addr];
+    if (r->type == AccessType::kWrite) ++write_counts[mapper.line_id(r->dec)];
   }
   std::uint64_t rewrites = 0, writes = 0;
-  for (const auto& [addr, n] : write_counts) {
+  for (const auto& [line, n] : write_counts) {
     writes += static_cast<std::uint64_t>(n);
     rewrites += static_cast<std::uint64_t>(n - 1);
   }
@@ -146,12 +152,13 @@ TEST(SyntheticTrace, ZeroRewriteLocalityMostlyFreshLines) {
   p.line_zipf = 0.2;
   p.footprint_pages = 32768;
   SyntheticTraceSource src(p, geom, 19, 10000);
-  std::set<Addr> lines;
+  const AddressMapper mapper(geom);
+  std::set<std::uint64_t> lines;
   std::uint64_t writes = 0;
   while (const auto r = src.next()) {
     if (r->type == AccessType::kWrite) {
       ++writes;
-      lines.insert(r->addr);
+      lines.insert(mapper.line_id(r->dec));
     }
   }
   EXPECT_GT(static_cast<double>(lines.size()) / static_cast<double>(writes),
@@ -164,10 +171,9 @@ TEST(SyntheticTrace, FootprintBoundsDistinctPages) {
   p.footprint_pages = 64;
   p.cluster_frac = 0.0;  // hash placement: distinct pages, distinct rows
   SyntheticTraceSource src(p, geom, 23, 20000);
-  AddressMapper mapper(geom);
   std::set<std::pair<unsigned, std::uint64_t>> rows;
   while (const auto r = src.next()) {
-    const DecodedAddr d = mapper.decode(r->addr);
+    const DecodedAddr& d = r->dec;
     rows.insert({d.rank, static_cast<std::uint64_t>(d.bank) * 1000000 + d.row});
   }
   EXPECT_LE(rows.size(), 64u);

@@ -1,4 +1,5 @@
-// Tests of the trace record plumbing and the text/binary file formats.
+// Tests of the trace record plumbing and the text file format (the binary
+// format's reader is tested in test_binary_trace.cc).
 #include <gtest/gtest.h>
 
 #include <cstdio>
@@ -16,12 +17,15 @@ std::string temp_path(const char* name) {
       .string();
 }
 
+const MemoryGeometry kGeom;  // the paper geometry
+
 std::vector<TraceRecord> sample_records() {
   return {
-      {0, AccessType::kRead, 0x1000},
-      {120, AccessType::kWrite, 0xdeadbeefc0ull},
-      {7, AccessType::kRead, 0},
-      {100000, AccessType::kWrite, ~Addr{0} ^ 0x3f},
+      {0, AccessType::kRead, {0, 0, 0, 0, 64}},
+      {120, AccessType::kWrite, {0, 3, 17, 1234, 9}},
+      {7, AccessType::kRead, {}},
+      // The last coordinate of every field.
+      {100000, AccessType::kWrite, {0, 15, 31, 32767, 255}},
   };
 }
 
@@ -32,7 +36,7 @@ void expect_same(const std::vector<TraceRecord>& expect,
     ASSERT_TRUE(got.has_value());
     EXPECT_EQ(got->gap, e.gap);
     EXPECT_EQ(got->type, e.type);
-    EXPECT_EQ(got->addr, e.addr);
+    EXPECT_EQ(got->dec, e.dec);
   }
   EXPECT_FALSE(source.next().has_value());
 }
@@ -46,24 +50,10 @@ TEST(VectorTraceSource, ReplaysInOrder) {
 TEST(FileTrace, TextRoundTrip) {
   const std::string path = temp_path("text.trc");
   {
-    TraceWriter w(path, TraceWriter::Format::kText);
+    TraceWriter w(path, TraceWriter::Format::kText, kGeom);
     for (const auto& r : sample_records()) w.write(r);
   }
-  FileTraceSource src(path);
-  EXPECT_FALSE(src.binary());
-  auto records = sample_records();
-  expect_same(records, src);
-  std::filesystem::remove(path);
-}
-
-TEST(FileTrace, BinaryRoundTrip) {
-  const std::string path = temp_path("bin.trc");
-  {
-    TraceWriter w(path, TraceWriter::Format::kBinary);
-    for (const auto& r : sample_records()) w.write(r);
-  }
-  FileTraceSource src(path);
-  EXPECT_TRUE(src.binary());
+  FileTraceSource src(path, kGeom);
   auto records = sample_records();
   expect_same(records, src);
   std::filesystem::remove(path);
@@ -76,61 +66,66 @@ TEST(FileTrace, TextCommentsAndBlanksSkipped) {
     f << "# header comment\n\n"
       << "  10 R 0x40\n"
       << "# another\n"
-      << "20 w 80\n";  // lowercase + no 0x prefix are accepted
+      << "20 w 80\n"  // lowercase + no 0x prefix are accepted
+      << "30 R 0xc0  # a trailing comment\n";
   }
-  FileTraceSource src(path);
+  const AddressMapper mapper(kGeom);
+  FileTraceSource src(path, kGeom);
   auto r1 = src.next();
   ASSERT_TRUE(r1.has_value());
   EXPECT_EQ(r1->gap, 10u);
   EXPECT_EQ(r1->type, AccessType::kRead);
-  EXPECT_EQ(r1->addr, 0x40u);
+  EXPECT_EQ(r1->dec, mapper.decode(0x40));
   auto r2 = src.next();
   ASSERT_TRUE(r2.has_value());
   EXPECT_EQ(r2->type, AccessType::kWrite);
-  EXPECT_EQ(r2->addr, 0x80u);
+  EXPECT_EQ(r2->dec, mapper.decode(0x80));
+  auto r3 = src.next();
+  ASSERT_TRUE(r3.has_value());
+  EXPECT_EQ(r3->dec, mapper.decode(0xc0));
   EXPECT_FALSE(src.next().has_value());
   std::filesystem::remove(path);
 }
 
 TEST(FileTrace, MalformedLineThrows) {
   const std::string path = temp_path("bad.trc");
-  {
-    std::ofstream f(path);
-    f << "10 X 0x40\n";
+  for (const char* line : {
+           "10 X 0x40",
+           "99999999999999999999 W 0x40",  // the gap does not fit 64 bits
+           "5 R 0x11112222333344445555",   // nor does the address
+           "7 W 0x80zz junk",              // trailing characters
+       }) {
+    {
+      std::ofstream f(path);
+      f << "# header\n" << line << "\n";
+    }
+    FileTraceSource src(path, kGeom);
+    try {
+      src.next();
+      ADD_FAILURE() << "accepted: " << line;
+    } catch (const std::runtime_error& e) {
+      EXPECT_STREQ(e.what(), "malformed trace line 2") << line;
+    }
   }
-  FileTraceSource src(path);
-  EXPECT_THROW(src.next(), std::runtime_error);
-  std::filesystem::remove(path);
-}
-
-TEST(FileTrace, TruncatedBinaryThrows) {
-  const std::string path = temp_path("trunc.trc");
-  {
-    std::ofstream f(path, std::ios::binary);
-    f.write(kTraceMagic, 8);
-    const char partial[5] = {1, 2, 3, 4, 5};
-    f.write(partial, sizeof(partial));
-  }
-  FileTraceSource src(path);
-  EXPECT_THROW(src.next(), std::runtime_error);
   std::filesystem::remove(path);
 }
 
 TEST(FileTrace, MissingFileThrows) {
-  EXPECT_THROW(FileTraceSource("/no/such/file.trc"), std::runtime_error);
+  EXPECT_THROW(FileTraceSource("/no/such/file.trc", kGeom),
+               std::runtime_error);
 }
 
 TEST(FileTrace, EmptyTextFileYieldsNothing) {
   const std::string path = temp_path("empty.trc");
   std::ofstream(path).close();
-  FileTraceSource src(path);
+  FileTraceSource src(path, kGeom);
   EXPECT_FALSE(src.next().has_value());
   std::filesystem::remove(path);
 }
 
 TEST(TraceWriter, WriteAfterCloseThrows) {
   const std::string path = temp_path("closed.trc");
-  TraceWriter w(path, TraceWriter::Format::kText);
+  TraceWriter w(path, TraceWriter::Format::kText, kGeom);
   w.close();
   EXPECT_THROW(w.write(TraceRecord{}), std::logic_error);
   std::filesystem::remove(path);

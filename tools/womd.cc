@@ -140,7 +140,7 @@ int main(int argc, char** argv) {
     for (const std::string& path : traces) {
       Feed fd;
       fd.label = basename_of(path);
-      fd.src = open_trace(path);
+      fd.src = open_trace(path, cfg.geom);
       feeds.push_back(std::move(fd));
     }
     for (std::size_t p = 0; p < profiles.size(); ++p) {
