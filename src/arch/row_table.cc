@@ -13,11 +13,6 @@ RowTable::RowTable(unsigned lines_per_row, bool generations,
       generations_(generations),
       fault_states_(fault_states) {
   assert(lines_ >= 1);
-  // index_ is only ever keyed (never iterated), so pre-sizing cannot change
-  // any reported value; it avoids rehash churn on the write hot path. The
-  // size is chosen with the setup_s path-length scan: larger tables change
-  // the heap layout that the benchmark's repeated setup sees.
-  index_.reserve(1 << 12);
 }
 
 std::uint32_t RowTable::claim(RowKey key, std::uint8_t initial_gen) {

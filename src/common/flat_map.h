@@ -5,8 +5,8 @@
 // (controller/remap_table.h) keys retired rows; neither erases or
 // iterates. For that access pattern a linear-probe table with a strong
 // mixing hash beats std::unordered_map by several times per lookup: one
-// cache line per probe, no chained nodes, no allocator traffic after
-// reserve(). The trade-offs this makes — no erase(), no iteration,
+// cache line per probe, no chained nodes, and allocator traffic only when
+// the table doubles. The trade-offs this makes — no erase(), no iteration,
 // pointer/reference invalidation on growth — match those users exactly.
 //
 // Replacing std::unordered_map with this table cannot change any reported
@@ -25,13 +25,6 @@ template <typename V>
 class FlatMap64 {
  public:
   FlatMap64() { rehash(kMinCapacity); }
-
-  // Pre-sizes the table for `n` entries without exceeding the load limit.
-  void reserve(std::size_t n) {
-    std::size_t cap = kMinCapacity;
-    while (cap / 2 < n) cap *= 2;
-    if (cap > cells_.size()) rehash(cap);
-  }
 
   // Value for `key`, default-constructed and inserted if absent.
   // References stay valid until the next insertion that grows the table.
