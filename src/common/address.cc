@@ -61,44 +61,81 @@ AddressMapper::AddressMapper(const MemoryGeometry& geom) : geom_(geom) {
   rank_bits_ = log2_exact(geom_.ranks);
   row_bits_ = log2_exact(geom_.rows_per_bank);
   channel_bits_ = log2_exact(geom_.channels);
-  const Field col{&DecodedAddr::col, col_bits_};
-  const Field bank{&DecodedAddr::bank, bank_bits_};
-  const Field rank{&DecodedAddr::rank, rank_bits_};
-  const Field row{&DecodedAddr::row, row_bits_};
-  const Field channel{&DecodedAddr::channel, channel_bits_};
-  switch (geom_.mapping) {
-    case AddressMapping::kRowRankBankCol:
-      fields_ = {col, bank, rank, row, channel};
-      break;
-    case AddressMapping::kRowBankRankCol:
-      fields_ = {col, rank, bank, row, channel};
-      break;
-    case AddressMapping::kRankBankRowCol:
-      fields_ = {col, row, bank, rank, channel};
-      break;
-  }
 }
 
-// Addresses beyond the configured capacity wrap: each field keeps only its
-// own bits, so coordinates are always in range.
+namespace {
+
+// Extracts `bits` bits of `addr` starting at `*shift`, advancing the shift.
+unsigned take(Addr addr, unsigned bits, unsigned* shift) {
+  const unsigned v =
+      static_cast<unsigned>((addr >> *shift) & ((Addr{1} << bits) - 1));
+  *shift += bits;
+  return v;
+}
+
+// Inserts `value` into `*addr` at `*shift`, advancing the shift.
+void put(Addr* addr, unsigned value, unsigned bits, unsigned* shift) {
+  *addr |= (static_cast<Addr>(value) & ((Addr{1} << bits) - 1)) << *shift;
+  *shift += bits;
+}
+
+}  // namespace
+
 DecodedAddr AddressMapper::decode(Addr addr) const {
   DecodedAddr d;
-  addr >>= offset_bits_;
-  for (const Field& f : fields_) {
-    d.*f.member = static_cast<unsigned>(addr & ((Addr{1} << f.bits) - 1));
-    addr >>= f.bits;
+  unsigned shift = offset_bits_;
+  switch (geom_.mapping) {
+    case AddressMapping::kRowRankBankCol:
+      d.col = take(addr, col_bits_, &shift);
+      d.bank = take(addr, bank_bits_, &shift);
+      d.rank = take(addr, rank_bits_, &shift);
+      break;
+    case AddressMapping::kRowBankRankCol:
+      d.col = take(addr, col_bits_, &shift);
+      d.rank = take(addr, rank_bits_, &shift);
+      d.bank = take(addr, bank_bits_, &shift);
+      break;
+    case AddressMapping::kRankBankRowCol:
+      d.col = take(addr, col_bits_, &shift);
+      break;
   }
+  if (geom_.mapping == AddressMapping::kRankBankRowCol) {
+    d.row = take(addr, row_bits_, &shift);
+    d.bank = take(addr, bank_bits_, &shift);
+    d.rank = take(addr, rank_bits_, &shift);
+  } else {
+    d.row = take(addr, row_bits_, &shift);
+  }
+  d.channel = take(addr, channel_bits_, &shift);
+  // Addresses beyond the configured capacity wrap; the row mask above already
+  // guarantees coordinates are in range.
   return d;
 }
 
 Addr AddressMapper::encode(const DecodedAddr& d) const {
   Addr addr = 0;
   unsigned shift = offset_bits_;
-  for (const Field& f : fields_) {
-    addr |= (static_cast<Addr>(d.*f.member) & ((Addr{1} << f.bits) - 1))
-            << shift;
-    shift += f.bits;
+  switch (geom_.mapping) {
+    case AddressMapping::kRowRankBankCol:
+      put(&addr, d.col, col_bits_, &shift);
+      put(&addr, d.bank, bank_bits_, &shift);
+      put(&addr, d.rank, rank_bits_, &shift);
+      put(&addr, d.row, row_bits_, &shift);
+      break;
+    case AddressMapping::kRowBankRankCol:
+      put(&addr, d.col, col_bits_, &shift);
+      put(&addr, d.rank, rank_bits_, &shift);
+      put(&addr, d.bank, bank_bits_, &shift);
+      put(&addr, d.row, row_bits_, &shift);
+      break;
+    case AddressMapping::kRankBankRowCol:
+      put(&addr, d.col, col_bits_, &shift);
+      put(&addr, d.row, row_bits_, &shift);
+      put(&addr, d.bank, bank_bits_, &shift);
+      put(&addr, d.rank, rank_bits_, &shift);
+      break;
   }
+  put(&addr, d.channel, channel_bits_, &shift);
   return addr;
 }
 

@@ -6,7 +6,6 @@
 // 64 bits per beat and a DDR3 burst of 8 beats moves a 64-byte line.
 #pragma once
 
-#include <array>
 #include <cstddef>
 #include <string>
 
@@ -95,12 +94,6 @@ class AddressMapper {
   }
 
  private:
-  // One coordinate's slice of the address.
-  struct Field {
-    unsigned DecodedAddr::*member;
-    unsigned bits;
-  };
-
   MemoryGeometry geom_;
   unsigned offset_bits_;
   unsigned col_bits_;
@@ -108,8 +101,6 @@ class AddressMapper {
   unsigned rank_bits_;
   unsigned row_bits_;
   unsigned channel_bits_;
-  // The coordinates in address order, from the bit above the line offset.
-  std::array<Field, 5> fields_;
 };
 
 // Number of bits needed to address `n` items; `n` must be a power of two.

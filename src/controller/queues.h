@@ -185,13 +185,6 @@ class TransactionQueue {
   Pos free_ = kNoPos;  // most recently freed slot
   std::size_t live_ = 0;
 
-  // The line index, when configured: line ids are packed under
-  // `line_ids_`'s geometry into a linear-probe hash of power-of-two size.
-  std::optional<AddressMapper> line_ids_;
-  std::vector<LineCell> lines_;
-  std::size_t line_mask_ = 0;
-  std::size_t line_used_ = 0;
-
   std::vector<std::uint32_t> counts_;  // live entries per resource
   BankBitmap mask_;
   std::size_t unindexed_ = 0;
@@ -200,6 +193,14 @@ class TransactionQueue {
   bool has_pushed_ = false;
   Tick last_push_arrival_ = 0;
   std::uint64_t push_count_ = 0;
+
+  // The line index, when configured: line ids are packed under
+  // `line_ids_`'s geometry into a linear-probe hash of power-of-two size.
+  // Kept last, behind the fields every push, take and scan reads.
+  std::optional<AddressMapper> line_ids_;
+  std::vector<LineCell> lines_;
+  std::size_t line_mask_ = 0;
+  std::size_t line_used_ = 0;
 };
 
 }  // namespace wompcm
