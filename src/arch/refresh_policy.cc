@@ -27,7 +27,7 @@ void RatRefreshPolicy::touch(unsigned unit, std::uint64_t entry) {
 }
 
 bool RatRefreshPolicy::refresh_one(
-    unsigned unit, const std::function<bool(std::uint64_t)>& refresh_entry) {
+    unsigned unit, FunctionRef<bool(std::uint64_t)> refresh_entry) {
   auto& q = rat_[unit];
   while (!q.empty()) {
     std::uint64_t entry;

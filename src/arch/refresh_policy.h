@@ -14,9 +14,9 @@
 
 #include <cstdint>
 #include <deque>
-#include <functional>
 #include <vector>
 
+#include "common/function_ref.h"
 #include "stats/stats.h"
 
 namespace wompcm {
@@ -47,7 +47,7 @@ class RatRefreshPolicy final {
   // rows retired by the fault model) count as rat.stale_pop. Returns true
   // when an entry was refreshed.
   bool refresh_one(unsigned unit,
-                   const std::function<bool(std::uint64_t)>& refresh_entry);
+                   FunctionRef<bool(std::uint64_t)> refresh_entry);
 
  private:
   void bump(std::uint64_t*& slot, const char* name) {

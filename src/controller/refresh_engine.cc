@@ -10,9 +10,8 @@ RefreshEngine::RefreshEngine(const RefreshConfig& cfg, const PcmTiming& timing,
       channel_(channel),
       next_check_(cfg.enabled ? timing.refresh_period_ns : kNeverTick) {}
 
-Tick RefreshEngine::run(Tick now, Architecture& arch,
-                        const BankResolver& bank_of,
-                        const std::function<bool(unsigned)>& unit_ready) {
+Tick RefreshEngine::run(Tick now, Architecture& arch, BankResolver bank_of,
+                        UnitReady unit_ready) {
   if (!active(arch)) return 0;
   Tick finish = 0;
   while (next_check_ <= now) {
@@ -23,9 +22,8 @@ Tick RefreshEngine::run(Tick now, Architecture& arch,
   return finish;
 }
 
-Tick RefreshEngine::scan(Tick now, Architecture& arch,
-                         const BankResolver& bank_of,
-                         const std::function<bool(unsigned)>& unit_ready) {
+Tick RefreshEngine::scan(Tick now, Architecture& arch, BankResolver bank_of,
+                         UnitReady unit_ready) {
   const unsigned nranks = geom_.ranks;
   for (unsigned i = 0; i < nranks; ++i) {
     const unsigned rank = (cursor_ + i) % nranks;

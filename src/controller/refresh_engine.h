@@ -10,10 +10,8 @@
 // mid-refresh preempt it at a small pause penalty (write pausing).
 #pragma once
 
-#include <functional>
-#include <vector>
-
 #include "arch/arch.h"
+#include "common/function_ref.h"
 #include "pcm/bank.h"
 
 namespace wompcm {
@@ -33,7 +31,8 @@ class RefreshEngine {
  public:
   // Maps a global bank-like resource index (as used by Architecture) to
   // the owning controller's bank state.
-  using BankResolver = std::function<Bank&(unsigned)>;
+  using BankResolver = FunctionRef<Bank&(unsigned)>;
+  using UnitReady = FunctionRef<bool(unsigned)>;
 
   RefreshEngine(const RefreshConfig& cfg, const PcmTiming& timing,
                 const MemoryGeometry& geom, unsigned channel);
@@ -51,8 +50,8 @@ class RefreshEngine {
   // Runs the checks due at or before `now`. `unit_ready(resource)` must
   // report whether that bank-like unit can stream a refresh right now.
   // Returns the completion time of a refresh issued at `now` (or 0).
-  Tick run(Tick now, Architecture& arch, const BankResolver& bank_of,
-           const std::function<bool(unsigned)>& unit_ready);
+  Tick run(Tick now, Architecture& arch, BankResolver bank_of,
+           UnitReady unit_ready);
 
   std::uint64_t commands() const { return commands_; }
   std::uint64_t rows_refreshed() const { return rows_; }
@@ -60,8 +59,8 @@ class RefreshEngine {
  private:
   // One scan over this channel's ranks: returns completion time if a
   // command was issued, else 0.
-  Tick scan(Tick now, Architecture& arch, const BankResolver& bank_of,
-            const std::function<bool(unsigned)>& unit_ready);
+  Tick scan(Tick now, Architecture& arch, BankResolver bank_of,
+            UnitReady unit_ready);
 
   RefreshConfig cfg_;
   PcmTiming timing_;
