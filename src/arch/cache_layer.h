@@ -62,12 +62,6 @@ class CacheLayer final {
   // stays dead.
   void retire(unsigned cache_idx, unsigned row);
 
-  // Monotone stamp advanced on every tag mutation that could flip a queued
-  // demand read's probe outcome (install, re-bank, new valid line,
-  // retirement) — see Architecture::route_version.
-  std::uint64_t route_version() const { return route_version_; }
-  void note_route_change() { ++route_version_; }
-
  private:
   // Header word of a row entry: the occupant bank in the low 32 bits.
   static constexpr std::uint64_t kBankMask = 0xffffffffULL;
@@ -103,7 +97,6 @@ class CacheLayer final {
   // words_per_row_ line words; cleared rows keep their entry.
   std::vector<std::uint32_t> row_slab_;
   std::vector<std::uint64_t> words_;
-  std::uint64_t route_version_ = 0;
 };
 
 }  // namespace wompcm

@@ -54,6 +54,9 @@ struct IssuePlan {
   Tick program_ns = 0;    // write programming latency (0 for reads)
   Tick post_ns = 0;       // after the array phase: hidden-page second access
   WriteClass write_class = WriteClass::kResetOnly;  // diagnostics
+  // A cache write changed its row's tags: queued reads of that (channel,
+  // rank, row) may route elsewhere now (Architecture::route).
+  bool retagged = false;
   std::vector<SpawnedWrite> spawned;  // internal writes to enqueue
 };
 

@@ -64,6 +64,10 @@ class BankBitmap {
   bool any() const;
   unsigned bits() const { return bits_; }
 
+  // Word `i` of the packed map: bits [64 * i, 64 * i + 64).
+  std::uint64_t word(std::size_t i) const { return words_[i]; }
+  std::size_t words() const { return words_.size(); }
+
  private:
   std::vector<std::uint64_t> words_;
   unsigned bits_ = 0;

@@ -176,6 +176,10 @@ class SimService {
   Tick now() const { return clock_.now(); }
   unsigned open_sessions() const;
 
+  // The memory system, for tests that read its controllers' work counts
+  // (MemoryController::scan_steps); valid after drain() too.
+  const MemorySystem& memory_system() const { return *system_; }
+
   // The batch entry: one internal session, the whole trace fed through the
   // submit/step/close/drain cycle, injection_block records at a time. The
   // internal session is untagged and publishes no stream metrics, so a

@@ -207,24 +207,21 @@ TEST(ControllerAllocation, SteadyStateTransactionsAreAllocationFree) {
 }
 
 // The scheduler's queues at capacity with the oldest entry stuck (its bank
-// never frees up) while every other slot churns: push and take recycle
-// slab slots and line-index cells without touching the allocator.
+// never frees up) while every other slot churns: push, take and relist
+// recycle slab slots, list links and line-index cells without touching the
+// allocator.
 TEST(QueueAllocation, StuckHeadChurnAtCapacityIsAllocationFree) {
   constexpr std::size_t kCapacity = 64;
   const MemoryGeometry geom;
   TransactionQueue q;
-  q.configure(16, kCapacity, &geom);
+  q.configure(16, kCapacity, &geom, /*window=*/16);
   std::uint64_t id = 1;
   auto push = [&] {
     Transaction tx;
     tx.id = id;
     tx.dec.col = static_cast<unsigned>(id % 97);
     tx.arrival = id;
-    if (id % 3 == 0) {
-      q.push(tx);
-    } else {
-      q.push(tx, static_cast<unsigned>(id % 16));
-    }
+    q.push(tx, static_cast<unsigned>(id % 16));
     ++id;
   };
   for (std::size_t i = 0; i < kCapacity; ++i) push();
@@ -238,6 +235,7 @@ TEST(QueueAllocation, StuckHeadChurnAtCapacityIsAllocationFree) {
     }
     q.take(p);
     push();
+    q.relist(q.first(), static_cast<unsigned>(i % 16));
   }
   const std::uint64_t after = g_allocations.load();
   EXPECT_EQ(after - before, 0u)

@@ -33,9 +33,10 @@ TEST(SchedulerConfig, RejectsBadWatermarks) {
 
 TEST(PickTransaction, OldestIssuableWithoutRowHits) {
   TransactionQueue q;
-  q.push(make_tx(1, 0, 0));
-  q.push(make_tx(2, 0, 1));
-  q.push(make_tx(3, 0, 2));
+  q.configure(1, 8);
+  q.push(make_tx(1, 0, 0), 0);
+  q.push(make_tx(2, 0, 1), 0);
+  q.push(make_tx(3, 0, 2), 0);
   SchedulerConfig cfg;
   cfg.row_hit_first = false;
   const auto pick = pick_transaction(
@@ -46,8 +47,9 @@ TEST(PickTransaction, OldestIssuableWithoutRowHits) {
 
 TEST(PickTransaction, PrefersRowHit) {
   TransactionQueue q;
-  q.push(make_tx(1, 5, 0));
-  q.push(make_tx(2, 9, 1));  // the row hit, but younger
+  q.configure(1, 8);
+  q.push(make_tx(1, 5, 0), 0);
+  q.push(make_tx(2, 9, 1), 0);  // the row hit, but younger
   SchedulerConfig cfg;
   const auto pick = pick_transaction(
       q, cfg, [](const Transaction&) { return true; },
@@ -57,8 +59,9 @@ TEST(PickTransaction, PrefersRowHit) {
 
 TEST(PickTransaction, FallsBackToOldestWhenNoHit) {
   TransactionQueue q;
-  q.push(make_tx(1, 5, 0));
-  q.push(make_tx(2, 9, 1));
+  q.configure(1, 8);
+  q.push(make_tx(1, 5, 0), 0);
+  q.push(make_tx(2, 9, 1), 0);
   SchedulerConfig cfg;
   const auto pick = pick_transaction(
       q, cfg, [](const Transaction&) { return true; },
@@ -68,7 +71,8 @@ TEST(PickTransaction, FallsBackToOldestWhenNoHit) {
 
 TEST(PickTransaction, NothingIssuable) {
   TransactionQueue q;
-  q.push(make_tx(1, 0, 0));
+  q.configure(1, 8);
+  q.push(make_tx(1, 0, 0), 0);
   SchedulerConfig cfg;
   const auto pick = pick_transaction(
       q, cfg, [](const Transaction&) { return false; },
@@ -78,7 +82,8 @@ TEST(PickTransaction, NothingIssuable) {
 
 TEST(PickTransaction, ScanLimitBoundsTheWindow) {
   TransactionQueue q;
-  for (std::uint64_t i = 0; i < 10; ++i) q.push(make_tx(i, 0, i));
+  q.configure(1, 8);
+  for (std::uint64_t i = 0; i < 10; ++i) q.push(make_tx(i, 0, i), 0);
   SchedulerConfig cfg;
   cfg.scan_limit = 4;
   // Only entries beyond the window are issuable: the pick must miss them.
