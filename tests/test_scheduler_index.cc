@@ -1,20 +1,25 @@
 // Tests of the controller's per-bank queue index as the scheduler and the
 // refresh engine see it: runs with refresh.require_empty_queues pinned as
 // behaviour goldens; the scheduler's scan work per issued access, bounded
-// on a saturated and a light run; and WCPCM reads moved to a new route
-// when a cache row is retagged while they wait.
+// on a saturated and a light run; a multi-session service run pinned as a
+// golden; and WCPCM reads moved to a new route when a cache row is
+// retagged while they wait.
 #include <gtest/gtest.h>
 
 #include <cstdint>
 #include <memory>
 #include <sstream>
 #include <string>
+#include <vector>
 
 #include "arch/arch.h"
+#include "common/config.h"
 #include "controller/controller.h"
+#include "sim/config_io.h"
 #include "sim/experiment.h"
 #include "sim/memory_system.h"
 #include "sim/service.h"
+#include "trace/profiles.h"
 #include "trace/synthetic.h"
 
 namespace wompcm {
@@ -124,6 +129,87 @@ TEST(SchedulerScanWork, PaperPcmRefresh) {
   cfg.arch.composition = arch_preset("refresh");
   EXPECT_LE(scan_steps_per_issue(cfg, *find_profile("401.bzip2"), 40000),
             1.5);
+}
+
+// Eight live sessions on 4 channels with polar WOM cells and RAT refresh,
+// the shape of the benchmark's serve-polar workload at a small access
+// count: each round submits up to 256 records per open session (a bounced
+// tail is resubmitted next round), then steps. Returns the drained result
+// and the records bounced by back-pressure.
+SimResult serve_polar_run(std::uint64_t* rejected) {
+  constexpr unsigned kStreams = 8;
+  constexpr std::uint64_t kAccesses = 3000;
+  constexpr std::size_t kChunk = 256;
+  SimConfig cfg = paper_config();
+  cfg.geom.channels = 4;
+  cfg.geom.ranks = 4;
+  cfg = apply_overrides(cfg, KeyValueConfig::from_tokens(
+                                 {"main.coding=polar",
+                                  "main.code=polar-m7-inv", "refresh=rat"}));
+  cfg.warmup_accesses = kStreams * kAccesses / 5;
+  SimService svc(cfg);
+  struct Feed {
+    std::unique_ptr<SyntheticTraceSource> src;
+    SessionId id = 0;
+    std::vector<TraceRecord> buf;
+    std::size_t off = 0;
+    bool eof = false;
+    bool closed = false;
+  };
+  std::vector<Feed> feeds(kStreams);
+  for (unsigned s = 0; s < kStreams; ++s) {
+    const WorkloadProfile& p = benchmark_profiles()[s];
+    feeds[s].src = std::make_unique<SyntheticTraceSource>(
+        p, cfg.geom, 1 ^ (0x9e3779b97f4a7c15ull * (s + 1)), kAccesses);
+    StreamSpec spec;
+    spec.name = p.name;
+    spec.capacity = 4 * kChunk;
+    feeds[s].id = svc.open_session(spec);
+  }
+  *rejected = 0;
+  for (unsigned live = kStreams; live > 0;) {
+    for (Feed& fd : feeds) {
+      if (fd.closed) continue;
+      if (fd.off == fd.buf.size() && !fd.eof) {
+        fd.buf.resize(kChunk);
+        fd.buf.resize(fd.src->next_block(fd.buf.data(), kChunk));
+        fd.off = 0;
+        fd.eof = fd.buf.size() < kChunk;
+      }
+      const std::size_t n = fd.buf.size() - fd.off;
+      if (n > 0) {
+        const std::size_t took = svc.submit(fd.id, fd.buf.data() + fd.off, n)
+                                     .accepted;
+        *rejected += n - took;
+        fd.off += took;
+      }
+      if (fd.eof && fd.off == fd.buf.size()) {
+        svc.close_session(fd.id);
+        fd.closed = true;
+        --live;
+      }
+    }
+    svc.step();
+  }
+  return svc.drain();
+}
+
+// Pins every registry entry of the multi-session run, the per-stream
+// books ("stream<N>.*") included: the service path is the one the
+// benchmark's serve-polar workload times, and the registry corpus pins
+// only single-session batch runs.
+TEST(ServiceGolden, EightSessionsPolarRat) {
+  std::uint64_t rejected = 0;
+  const SimResult r = serve_polar_run(&rejected);
+  EXPECT_GT(rejected, 0u);
+  EXPECT_EQ(r.injected_reads + r.injected_writes, 8u * 3000u);
+  std::ostringstream os;
+  os.precision(17);
+  for (const auto& [name, m] : r.metrics.all()) {
+    os << name << ' ' << m.count << ' ' << m.value << '\n';
+  }
+  EXPECT_NE(os.str().find("stream7.avg_read_ns"), std::string::npos);
+  EXPECT_EQ(fnv(os.str()), 9783204215409460376u);
 }
 
 // One WCPCM channel of 2 ranks x 2 banks, refresh off, driven
