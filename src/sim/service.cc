@@ -95,6 +95,8 @@ SessionId SimService::open_session(StreamSpec spec) {
   s.clock = std::max(spec.start, clock_.now());
   s.tag = spec.per_access_stats ? id + 1 : 0;
   s.ring.resize(spec.capacity);
+  // Open and dry: the new stream's clock bounds what it may still send.
+  unknown_ = std::min(unknown_, s.clock);
   sessions_.push_back(std::move(s));
   return id;
 }
@@ -126,6 +128,7 @@ Accepted SimService::submit(SessionId id, const TraceRecord* records,
     s.push(tx);
   }
   trace_gen_ticks_ += perf::now_ticks() - t0;
+  if (took > 0) update_frontier();
   s.submitted += took;
   s.rejected += n - took;
   return Accepted{took};
@@ -140,6 +143,7 @@ void SimService::close_session(SessionId id) {
                                 ") is already closed");
   }
   s.open = false;
+  update_frontier();
 }
 
 unsigned SimService::open_sessions() const {
@@ -162,29 +166,29 @@ const Transaction* SimService::peek_head(std::size_t* session) const {
   return best;
 }
 
-Tick SimService::unknown_frontier() const {
+void SimService::update_frontier() {
   Tick t = kNeverTick;
   for (const Session& s : sessions_) {
     if (s.open && s.count == 0) t = std::min(t, s.clock);
   }
-  return t;
+  unknown_ = t;
 }
 
-void SimService::inject_due(Tick now) {
-  for (;;) {
-    std::size_t si = 0;
-    const Transaction* head = peek_head(&si);
-    if (head == nullptr || head->arrival > now) return;
-    // The head is only certainly next in merge order if no open dry
-    // session could still slot a record before (or tied with, from a
-    // lower-id stream) it. A tie is resolved conservatively: wait until
-    // the blocker submits or closes.
-    if (head->arrival >= unknown_frontier()) return;
-    if (!system_->can_accept(head->dec)) return;
+bool SimService::injectable(const Transaction* head, Tick now) const {
+  // The head is only certainly next in merge order if no open dry session
+  // could still slot a record before (or tied with, from a lower-id
+  // stream) it. A tie is resolved conservatively: wait until the blocker
+  // submits or closes.
+  return head != nullptr && head->arrival <= now && head->arrival < unknown_ &&
+         system_->can_accept(head->dec);
+}
 
+void SimService::inject_due(Tick now, std::size_t si) {
+  for (;;) {
     Session& s = sessions_[si];
-    Transaction tx = *head;
+    Transaction tx = s.front();
     s.pop();
+    if (s.count == 0 && s.open) unknown_ = std::min(unknown_, s.clock);
     tx.id = next_id_++;
     // Warmup semantics: the budget counts transactions, reads and writes
     // jointly, in merge order — the first `warmup` accesses of either
@@ -206,23 +210,25 @@ void SimService::inject_due(Tick now) {
       ++s.injected_writes;
     }
     system_->enqueue(tx);
+    if (!injectable(peek_head(&si), now)) return;
   }
 }
 
 SimService::Pump SimService::pump_once() {
+  ++pumps_;
+  std::size_t si = 0;
+  const Transaction* head = peek_head(&si);
+  bool inject = false;
   if (pending_tick_ == kNeverTick) {
     const Tick now0 = clock_.now();
-    const Tick unknown = unknown_frontier();
-    std::size_t si = 0;
-    const Transaction* head = peek_head(&si);
     // The batch loop's termination condition: no pending input and every
     // queue drained — even with future wakeups still scheduled (a drained
     // system's events are no-ops, and ticking them would diverge from the
     // batch end time).
-    if (head == nullptr && unknown == kNeverTick && system_->drained()) {
+    if (head == nullptr && unknown_ == kNeverTick && system_->drained()) {
       return Pump::kQuiescent;
     }
-    const bool head_certain = head != nullptr && head->arrival < unknown;
+    const bool head_certain = head != nullptr && head->arrival < unknown_;
 
     // The batch loop body: the next instant is the earlier of the merge
     // head's (possibly deferred) arrival and the memory system's next
@@ -239,22 +245,26 @@ SimService::Pump SimService::pump_once() {
       // quiescence break. Otherwise it's quiescent only when no input can
       // ever arrive (all sessions closed and drained).
       if (head_certain) return Pump::kQuiescent;
-      return (head != nullptr || unknown != kNeverTick) ? Pump::kStarved
-                                                        : Pump::kQuiescent;
+      return (head != nullptr || unknown_ != kNeverTick) ? Pump::kStarved
+                                                         : Pump::kQuiescent;
     }
     // Seal the instant: an open dry session with clock <= target could
     // still submit an arrival at or before it.
-    if (target >= unknown) return Pump::kStarved;
+    if (target >= unknown_) return Pump::kStarved;
     clock_.advance({target});
     pending_tick_ = clock_.now();
+    // The head is due only when the instant is its arrival.
+    inject = target == t_arrival;
+  } else {
+    inject = injectable(head, pending_tick_);
   }
 
   // Execute the owed instant: all due arrivals, then its one tick — but
   // only once the instant is still/again sealed (injections that empty a
   // buffer can expose it to a gap-0 resubmission at the same instant).
   const Tick now = pending_tick_;
-  inject_due(now);
-  if (unknown_frontier() <= now) return Pump::kStarved;
+  if (inject) inject_due(now, si);
+  if (unknown_ <= now) return Pump::kStarved;
   system_->tick(now);
   pending_tick_ = kNeverTick;
   return Pump::kProgress;

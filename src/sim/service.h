@@ -177,8 +177,11 @@ class SimService {
   unsigned open_sessions() const;
 
   // The memory system, for tests that read its controllers' work counts
-  // (MemoryController::scan_steps); valid after drain() too.
+  // (MemoryController::scan_steps, ticks); valid after drain() too.
   const MemorySystem& memory_system() const { return *system_; }
+  // Loop iterations run so far (each executes at most one simulated
+  // instant): a count of event-loop work, not published as a metric.
+  std::uint64_t pumps() const { return pumps_; }
 
   // The batch entry: one internal session, the whole trace fed through the
   // submit/step/close/drain cycle, injection_block records at a time. The
@@ -226,13 +229,14 @@ class SimService {
   // The merge head: the buffered transaction least in (arrival, session)
   // order, or nullptr when every buffer is empty.
   const Transaction* peek_head(std::size_t* session) const;
-  // Lower bound on the arrival of any record an open dry session may still
-  // submit (kNeverTick when no session is open with an empty buffer).
-  // Instants at or past this bound are not yet sealed.
-  Tick unknown_frontier() const;
-  // Injects every sealed merge head due at or before `now` while the
-  // target channel accepts it (the batch loop's inner while).
-  void inject_due(Tick now);
+  // Recomputes unknown_ from every session.
+  void update_frontier();
+  // True when `head` (a merge head, or nullptr) is sealed, due at or
+  // before `now`, and its channel accepts it.
+  bool injectable(const Transaction* head, Tick now) const;
+  // Injects the merge head, which is in session `si` and injectable, and
+  // every injectable head after it (the batch loop's inner while).
+  void inject_due(Tick now, std::size_t si);
   Pump pump_once();
   void require_live(const char* what) const;
   SimResult finalize();
@@ -243,6 +247,12 @@ class SimService {
   Clock clock_;
   std::uint64_t warmup_ = 0;
   std::uint64_t next_id_ = 1;
+  std::uint64_t pumps_ = 0;
+  // Lower bound on the arrival of any record an open dry session may still
+  // submit (kNeverTick when no session is open with an empty buffer).
+  // Instants at or past this bound are not yet sealed. Kept current by
+  // every open, submit, close and buffer-emptying injection.
+  Tick unknown_ = kNeverTick;
   // An instant whose arrivals were injected but whose tick is still owed:
   // set when an instant's buffer-emptying injection un-seals the instant
   // itself (a gap-0 submit could still land there). The owed tick runs
