@@ -1,5 +1,6 @@
 #include "controller/controller.h"
 
+#include <algorithm>
 #include <cassert>
 #include <cstdio>
 #include <cstdlib>
@@ -81,20 +82,16 @@ void MemoryController::enqueue(Transaction tx) {
   assert(tx.arrival >= last_tick_);
   assert(tx.dec.channel == channel_);
   if (tx.internal) {
-    internal_q_.push(tx, local_resource(arch_.route(tx.dec, tx.type, true)));
+    list(internal_q_, tx, local_resource(arch_.route(tx.dec, tx.type, true)));
     note_queue_depth();
-    push_event(tx.arrival);
-    if (bus_free_ > tx.arrival) push_event(bus_free_);
     return;
   }
   if (tx.background) {
     // Tier writeback: demand-routed (it traverses a composed WOM cache on
     // its way into PCM) but queued with the background write-backs so it
     // never starves demand traffic.
-    internal_q_.push(tx, local_resource(arch_.route(tx.dec, tx.type, false)));
+    list(internal_q_, tx, local_resource(arch_.route(tx.dec, tx.type, false)));
     note_queue_depth();
-    push_event(tx.arrival);
-    if (bus_free_ > tx.arrival) push_event(bus_free_);
     return;
   }
   if (tier_ != nullptr) {
@@ -151,15 +148,48 @@ void MemoryController::enqueue(Transaction tx) {
     }
     // Listed under its route now; relist_reads() moves it if a cache
     // retag changes that route while it waits.
-    read_q_.push(tx, local_resource(arch_.route(tx.dec, tx.type, false)));
+    list(read_q_, tx, local_resource(arch_.route(tx.dec, tx.type, false)));
   } else {
-    write_q_.push(tx, local_resource(arch_.route(tx.dec, tx.type, false)));
+    list(write_q_, tx, local_resource(arch_.route(tx.dec, tx.type, false)));
   }
   note_queue_depth();
-  push_event(tx.arrival);
-  // issue() skips the bus-free event when the queues go empty; a late
-  // arrival that finds the bus held must restore it.
-  if (bus_free_ > tx.arrival) push_event(bus_free_);
+}
+
+void MemoryController::list(TransactionQueue& q, const Transaction& tx,
+                            unsigned local) {
+  if (tx.arrival > max_arrival_) max_arrival_ = tx.arrival;
+  const bool was_waited_on = waited_on(local);
+  const TransactionQueue::Pos last = q.window_last();
+  q.push(tx, local);
+  // Only an entry that lands inside the scan window can issue before a
+  // take moves the window (issue_at handles the entry that moves in).
+  if (q.window_last() != last) {
+    note_waiting(local, tx.arrival, was_waited_on);
+  }
+}
+
+// A window entry arriving at `arrival` now waits on local bank `local`; it
+// can first issue at max(arrival, bus free, the bank's wake). A bank that
+// some window entry waited on already has an event at max(bus free, wake)
+// or earlier, so the new entry needs none when every entry ever queued has
+// arrived by then. This keeps same-instant arrivals on a busy bank from
+// pushing copies of its wake.
+void MemoryController::note_waiting(unsigned local, Tick arrival,
+                                    bool was_waited_on) {
+  const Tick floor = std::max(bus_free_, wake_at(banks_[local]));
+  if (was_waited_on && max_arrival_ <= floor) return;
+  push_event(std::max(arrival, floor));
+}
+
+bool MemoryController::ready_waited_on() const {
+  bool found = false;
+  for (const TransactionQueue* q : {&read_q_, &write_q_, &internal_q_}) {
+    if (found || !ready_.intersects(q->bank_mask())) continue;
+    q->for_each_listed(ready_, [&](unsigned r) {
+      found = found || q->in_window(q->list_head(r));
+    });
+  }
+  return found;
 }
 
 bool MemoryController::is_row_hit(const Transaction& tx) const {
@@ -178,8 +208,21 @@ bool MemoryController::can_issue(const Transaction& tx, Tick now) const {
 bool MemoryController::issue_from(TransactionQueue& q, Tick now) {
   const Pick p = find_pick(q, now);
   if (p.idx == kNoPick) return false;
-  issue(q.take(p.idx), now);
+  issue_at(q, p.idx, now);
   return true;
+}
+
+void MemoryController::issue_at(TransactionQueue& q, TransactionQueue::Pos idx,
+                                Tick now) {
+  // A take from a full window lets the oldest entry past it in.
+  const bool full = q.size() > cfg_.sched.scan_limit;
+  const unsigned issued = issue(q.take(idx), now);
+  if (!full) return;
+  const TransactionQueue::Pos in = q.window_last();
+  const unsigned r = q.resource_at(in);
+  // issue() already gave the issued bank its event if anything waits on it.
+  note_waiting(r, q.arrival_at(in),
+               r == issued || q.list_head(r) != in || waited_on_except(q, r));
 }
 
 // The straight-line scan: every entry in age order through the generic
@@ -305,16 +348,15 @@ bool MemoryController::issue_fcfs(Tick now) {
     take_read = r.arrival <= w.arrival;  // strict age order otherwise
   }
   if (take_read) {
-    issue(read_q_.take(r.idx), now);
+    issue_at(read_q_, r.idx, now);
   } else {
-    issue(write_q_.take(w.idx), now);
+    issue_at(write_q_, w.idx, now);
   }
   return true;
 }
 
-void MemoryController::issue(Transaction tx, Tick now) {
+unsigned MemoryController::issue(const Transaction& tx, Tick now) {
   IssuePlan plan = arch_.plan(tx.dec, tx.type, tx.internal, now);
-  if (plan.retagged) relist_reads(tx.dec, plan.resource);
   Bank& bank = bank_mut(plan.resource);
 
   Tick pre = plan.pre_ns;
@@ -367,6 +409,13 @@ void MemoryController::issue(Transaction tx, Tick now) {
     }
   }
 
+  // The bank is busy until `finish`: a tick then matters only if something
+  // in a scan window still waits on it (a bank waited on later gets its
+  // event from note_waiting).
+  if (waited_on(lr)) push_event(finish);
+  // Re-listing and spawning come after the bank and bus updates, so their
+  // events see the new busy and bus-free times.
+  if (plan.retagged) relist_reads(tx.dec, plan.resource);
   for (const SpawnedWrite& s : plan.spawned) {
     Transaction victim;
     victim.id = next_internal_id_++;
@@ -375,17 +424,12 @@ void MemoryController::issue(Transaction tx, Tick now) {
     victim.arrival = now;
     victim.internal = true;
     victim.record = tx.record;
-    internal_q_.push(victim,
-                     local_resource(arch_.route(victim.dec, victim.type, true)));
+    list(internal_q_, victim,
+         local_resource(arch_.route(victim.dec, victim.type, true)));
     note_queue_depth();
     if (tx.record) bump(ctr_internal_writes_, "ctrl.internal_writes");
   }
-
-  push_event(finish);
-  // A tick at bus-free time can only matter if something is left to issue;
-  // with every queue empty the instant is a no-op, and any later arrival
-  // that finds the bus held re-schedules it (see enqueue).
-  if (!drained()) push_event(bus_free_);
+  return lr;
 }
 
 // plan() retagged the cache row of `dec` (its channel, rank and row) in
@@ -396,13 +440,19 @@ void MemoryController::issue(Transaction tx, Tick now) {
 void MemoryController::relist_reads(const DecodedAddr& dec, unsigned cache) {
   // An internal write goes to the main bank of its row.
   const unsigned main = arch_.route(dec, AccessType::kWrite, true);
-  for (const unsigned list : {local_resource(cache), local_resource(main)}) {
-    for (auto pos = read_q_.list_head(list); pos != TransactionQueue::kNoPos;) {
+  for (const unsigned from : {local_resource(cache), local_resource(main)}) {
+    for (auto pos = read_q_.list_head(from); pos != TransactionQueue::kNoPos;) {
       const auto next = read_q_.list_next(pos);
       if (read_q_.row_at(pos) == dec.row) {
         const Transaction& tx = read_q_.at(pos);
         const unsigned r = local_resource(arch_.route(tx.dec, tx.type, false));
-        if (r != list) read_q_.relist(pos, r);
+        if (r != from) {
+          const bool was_waited_on = waited_on(r);
+          read_q_.relist(pos, r);
+          if (read_q_.in_window(pos)) {
+            note_waiting(r, tx.arrival, was_waited_on);
+          }
+        }
       }
       pos = next;
     }
@@ -440,15 +490,18 @@ void MemoryController::run_refresh(Tick now) {
   };
   const Tick f = refresh_.run(now, arch_, bank_of, unit_ready);
   if (f != 0) {
-    push_event(f);
     if (f > last_completion_) last_completion_ = f;
     if (!pausing_) {
       // Without write pausing a refreshing bank blocks demand: reflect the
-      // refresh window in the readiness bitmap.
+      // refresh window in the readiness bitmap, and wake a bank that
+      // something waits on when its refresh ends.
       for (const unsigned r : refresh_touched_) {
         const unsigned lr = local_resource(r);
         ready_.clear(lr);
         wake_push(banks_[lr].refresh_until(), lr);
+        if (waited_on(lr)) {
+          push_event(std::max(banks_[lr].refresh_until(), bus_free_));
+        }
       }
     }
   }
@@ -462,9 +515,7 @@ void MemoryController::process_bank_wakes(Tick now) {
     std::pop_heap(wake_heap_.begin(), wake_heap_.end(), WakeLater{});
     const BankWake w = wake_heap_.back();
     wake_heap_.pop_back();
-    const Bank& b = banks_[w.resource];
-    Tick at = b.busy_until();
-    if (!pausing_ && b.refresh_until() > at) at = b.refresh_until();
+    const Tick at = wake_at(banks_[w.resource]);
     if (at <= now) {
       ready_.set(w.resource);
       ++scan_epoch_;
@@ -476,12 +527,20 @@ void MemoryController::process_bank_wakes(Tick now) {
 
 void MemoryController::tick(Tick now) {
   assert(now >= last_tick_);
+#ifdef WOMPCM_AUDIT
+  audit_missed(now);
+#endif
   last_tick_ = now;
+  ++ticks_;
   process_bank_wakes(now);
 
   // Run due PCM-refresh checks first: refresh only targets quiet ranks, so
   // pending demand work always wins.
-  if (refresh_active_ && refresh_.next_check() <= now) run_refresh(now);
+  bool idle = true;
+  if (refresh_active_ && refresh_.next_check() <= now) {
+    run_refresh(now);
+    idle = false;
+  }
 
   // Issue until neither class can make progress at this instant. Internal
   // write-backs drain only when no demand transaction can go.
@@ -500,8 +559,12 @@ void MemoryController::tick(Tick now) {
     }
     if (!issued) issued = issue_from(internal_q_, now);
     if (!issued) break;
+    idle = false;
   }
+  if (idle) ++idle_ticks_;
 
+  // A window entry on a ready bank waits only for the bus.
+  if (bus_free_ > now && ready_waited_on()) push_event(bus_free_);
   next_event_ = events_.next_after(now);
 }
 
@@ -537,6 +600,39 @@ void MemoryController::audit_pick(const TransactionQueue& q, Tick now,
   show("reference", want);
   std::fputc('\n', stderr);
   std::abort();
+}
+
+void MemoryController::audit_missed(Tick now) const {
+  // Nothing has changed since the last tick but arrivals, so an entry of
+  // the window can first issue at max(arrival, bus free, its bank's wake).
+  Tick first = kNeverTick;
+  for (const TransactionQueue* q : {&read_q_, &write_q_, &internal_q_}) {
+    std::size_t seen = 0;
+    for (auto p = q->first();
+         p != TransactionQueue::kNoPos && seen < cfg_.sched.scan_limit;
+         p = q->next(p), ++seen) {
+      const Transaction& tx = q->at(p);
+      const Bank& b = bank(arch_.route(tx.dec, tx.type, tx.internal));
+      first = std::min(first, std::max({tx.arrival, bus_free_, wake_at(b)}));
+    }
+  }
+  if (first >= now) return;
+  for (const TransactionQueue* q : {&read_q_, &write_q_, &internal_q_}) {
+    const Pick p = find_pick_reference(*q, first);
+    if (p.idx == kNoPick) continue;
+    const char* queue = q == &read_q_    ? "read"
+                        : q == &write_q_ ? "write"
+                                         : "internal";
+    std::fprintf(stderr,
+                 "controller audit: missed instant ch%u t*=%llu (last "
+                 "tick %llu, now %llu) %s queue: reference {idx=%u "
+                 "row_hit=%d arrival=%llu}\n",
+                 channel_, static_cast<unsigned long long>(first),
+                 static_cast<unsigned long long>(last_tick_),
+                 static_cast<unsigned long long>(now), queue, p.idx,
+                 p.row_hit ? 1 : 0, static_cast<unsigned long long>(p.arrival));
+    std::abort();
+  }
 }
 
 void MemoryController::audit_skipped(Tick now) const {

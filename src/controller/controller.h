@@ -137,6 +137,10 @@ class MemoryController {
   // Queue entries the scheduler's picks have visited so far: a count of
   // scan work, identical on every host (not published as a metric).
   std::uint64_t scan_steps() const { return scan_steps_; }
+  // Calls to tick(), and those that issued nothing and ran no refresh
+  // check: counts of event-loop work, also unpublished.
+  std::uint64_t ticks() const { return ticks_; }
+  std::uint64_t idle_ticks() const { return idle_ticks_; }
 
   // Publishes this channel's counters ("ch<N>." prefix) plus its share of
   // the system-wide refresh totals into the registry.
@@ -188,6 +192,34 @@ class MemoryController {
   Bank& bank_mut(unsigned global_resource) {
     return banks_[local_resource(global_resource)];
   }
+  // Earliest instant `b` can start a demand op: its busy end, or its
+  // refresh end too when write pausing does not hide refresh.
+  Tick wake_at(const Bank& b) const {
+    return !pausing_ && b.refresh_until() > b.busy_until() ? b.refresh_until()
+                                                          : b.busy_until();
+  }
+  // True while an entry inside `q`'s scan window is listed under `local`
+  // (lists run in age order, so it is the list's oldest entry).
+  static bool window_lists(const TransactionQueue& q, unsigned local) {
+    return q.listed(local) && q.in_window(q.list_head(local));
+  }
+  // True while some queue's scan window holds an entry for local bank
+  // `local`: the banks that need events.
+  bool waited_on(unsigned local) const {
+    return window_lists(read_q_, local) || window_lists(write_q_, local) ||
+           window_lists(internal_q_, local);
+  }
+  // The same, over the queues other than `q`.
+  bool waited_on_except(const TransactionQueue& q, unsigned local) const {
+    return (&q != &read_q_ && window_lists(read_q_, local)) ||
+           (&q != &write_q_ && window_lists(write_q_, local)) ||
+           (&q != &internal_q_ && window_lists(internal_q_, local));
+  }
+  // True while some ready bank is waited on.
+  bool ready_waited_on() const;
+  // Pushes `tx` into `q` under local bank `local`, with the bank's event.
+  void list(TransactionQueue& q, const Transaction& tx, unsigned local);
+  void note_waiting(unsigned local, Tick arrival, bool was_waited_on);
   bool can_issue(const Transaction& tx, Tick now) const;
   bool is_row_hit(const Transaction& tx) const;
   Pick find_pick(TransactionQueue& q, Tick now);
@@ -198,9 +230,15 @@ class MemoryController {
   // straight-line scan's pick.
   void audit_pick(const TransactionQueue& q, Tick now, const Pick& got,
                   const char* what) const;
+  // Audit build only: aborts if some window entry could have issued at an
+  // instant before `now` that no tick ran.
+  void audit_missed(Tick now) const;
   bool issue_fcfs(Tick now);
   bool issue_from(TransactionQueue& q, Tick now);
-  void issue(Transaction tx, Tick now);
+  // Takes entry `idx` of `q` and issues it.
+  void issue_at(TransactionQueue& q, TransactionQueue::Pos idx, Tick now);
+  // Issues `tx`; returns the local bank it occupies.
+  unsigned issue(const Transaction& tx, Tick now);
   void relist_reads(const DecodedAddr& dec, unsigned cache);
   void enqueue_tier_writeback(const DecodedAddr& victim, Tick now,
                               bool record);
@@ -259,11 +297,14 @@ class MemoryController {
   // detected per queue via TransactionQueue::listings()).
   std::uint64_t scan_epoch_ = 0;
   std::uint64_t scan_steps_ = 0;
+  std::uint64_t ticks_ = 0;
+  std::uint64_t idle_ticks_ = 0;
   std::vector<unsigned> refresh_touched_;  // global resources, scratch
 
   EventQueue events_;
   Tick next_event_ = kNeverTick;  // cached minimum of events_
   Tick last_tick_ = 0;
+  Tick max_arrival_ = 0;  // latest arrival of any entry ever listed
   Tick last_completion_ = 0;
   std::uint64_t next_internal_id_;
 

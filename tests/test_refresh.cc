@@ -164,6 +164,22 @@ TEST_F(RefreshTest, WithoutPausingDemandWaitsForRefresh) {
   EXPECT_EQ(stats_.counters.get("ctrl.refresh_pauses"), 0u);
 }
 
+// The read arrives at the very instant of the refresh check, so the
+// refresh takes the idle bank first and the read, already queued, must be
+// woken when the refresh ends.
+TEST_F(RefreshTest, WithoutPausingDemandAtTheCheckWaitsForRefresh) {
+  build(0.0, /*pausing=*/false);
+  ctrl_->enqueue(tx(1, 0, 0, 3, 0, AccessType::kWrite, 0));
+  ctrl_->enqueue(tx(2, 0, 0, 3, 0, AccessType::kWrite, 300));
+  const Tick now = run_until(3999);
+  ctrl_->enqueue(tx(3, 0, 0, 5, 0, AccessType::kRead, 4000));
+  run_until(20000, now);
+  ASSERT_EQ(ctrl_->refresh_engine().commands(), 1u);
+  ASSERT_EQ(stats_.demand_read_latency.count(), 1u);
+  // Refresh holds the bank until 4154; then 44 ns service.
+  EXPECT_EQ(stats_.demand_read_latency.mean(), 198.0);
+}
+
 TEST_F(RefreshTest, RefreshEngineInactiveWhenDisabled) {
   cfg_ = ControllerConfig{};
   cfg_.geom = small_geom();

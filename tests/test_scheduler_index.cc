@@ -91,22 +91,50 @@ TEST(RequireEmptyQueuesGolden, WcpcmAndPcmRefresh) {
   }
 }
 
-// Queue entries the scheduler visited per access issued to a bank, over a
-// whole run of `accesses` records of `profile`.
-double scan_steps_per_issue(const SimConfig& cfg, const WorkloadProfile& p,
+// Counted work per access issued to a bank, over a whole run of
+// `accesses` records of `profile`: queue entries the scheduler visited,
+// controller ticks, ticks that did nothing, and service loop iterations.
+struct WorkPerIssue {
+  double scan_steps = 0;
+  double ticks = 0;
+  double idle_ticks = 0;
+  double pumps = 0;
+};
+
+WorkPerIssue work_per_issue(const SimConfig& cfg, const WorkloadProfile& p,
                             std::uint64_t accesses) {
   SimService svc(cfg);
   SyntheticTraceSource src(p, cfg.geom, 3, accesses);
   svc.run_to_completion(src);
   const MemorySystem& mem = svc.memory_system();
-  std::uint64_t steps = 0;
-  std::uint64_t issues = 0;
+  std::uint64_t steps = 0, ticks = 0, idle = 0, issues = 0;
   for (unsigned c = 0; c < mem.num_channels(); ++c) {
-    steps += mem.channel(c).scan_steps();
-    for (const Bank& b : mem.channel(c).banks()) issues += b.ops();
+    const MemoryController& ctrl = mem.channel(c);
+    steps += ctrl.scan_steps();
+    ticks += ctrl.ticks();
+    idle += ctrl.idle_ticks();
+    for (const Bank& b : ctrl.banks()) issues += b.ops();
   }
   EXPECT_GT(issues, accesses / 2);
-  return static_cast<double>(steps) / static_cast<double>(issues);
+  const double n = static_cast<double>(issues);
+  return {static_cast<double>(steps) / n, static_cast<double>(ticks) / n,
+          static_cast<double>(idle) / n,
+          static_cast<double>(svc.pumps()) / n};
+}
+
+SimConfig saturated_wcpcm(WorkloadProfile* p) {
+  SimConfig cfg = paper_config();
+  cfg.arch.composition = arch_preset("wcpcm");
+  *p = *find_profile("464.h264ref");
+  p->intra_gap_ns = 4;
+  p->idle_gap_mean_ns = 20;
+  return cfg;
+}
+
+SimConfig paper_pcm_refresh() {
+  SimConfig cfg = paper_config();
+  cfg.arch.composition = arch_preset("refresh");
+  return cfg;
 }
 
 // Scan work is counted, so it is the same on every host and can be bounded
@@ -115,20 +143,39 @@ double scan_steps_per_issue(const SimConfig& cfg, const WorkloadProfile& p,
 // where walking the whole 64-entry window in age order visits ~125
 // entries per issue.
 TEST(SchedulerScanWork, SaturatedWcpcm) {
-  SimConfig cfg = paper_config();
-  cfg.arch.composition = arch_preset("wcpcm");
-  WorkloadProfile p = *find_profile("464.h264ref");
-  p.intra_gap_ns = 4;
-  p.idle_gap_mean_ns = 20;
-  EXPECT_LE(scan_steps_per_issue(cfg, p, 40000), 12.0);
+  WorkloadProfile p;
+  const SimConfig cfg = saturated_wcpcm(&p);
+  EXPECT_LE(work_per_issue(cfg, p, 40000).scan_steps, 12.0);
 }
 
 // The paper's light load: shallow queues, about one entry per pick.
 TEST(SchedulerScanWork, PaperPcmRefresh) {
-  SimConfig cfg = paper_config();
-  cfg.arch.composition = arch_preset("refresh");
-  EXPECT_LE(scan_steps_per_issue(cfg, *find_profile("401.bzip2"), 40000),
-            1.5);
+  EXPECT_LE(
+      work_per_issue(paper_pcm_refresh(), *find_profile("401.bzip2"), 40000)
+          .scan_steps,
+      1.5);
+}
+
+// The controller schedules an instant only where an issue can happen (or
+// a refresh check is due), so it ticks about once per issued access and
+// almost never for nothing. Scheduling every bank finish, every arrival
+// and every bus release instead ticks ~2.4 times per access on the paper
+// load, ~1.4 of them idle.
+TEST(EventLoopWork, PaperPcmRefresh) {
+  const WorkPerIssue w =
+      work_per_issue(paper_pcm_refresh(), *find_profile("401.bzip2"), 40000);
+  EXPECT_LE(w.ticks, 1.2);
+  EXPECT_LE(w.idle_ticks, 0.15);
+}
+
+// At saturation arrivals and bank finishes far outnumber the instants at
+// which something can issue.
+TEST(EventLoopWork, SaturatedWcpcm) {
+  WorkloadProfile p;
+  const SimConfig cfg = saturated_wcpcm(&p);
+  const WorkPerIssue w = work_per_issue(cfg, p, 40000);
+  EXPECT_LE(w.ticks, 1.2);
+  EXPECT_LE(w.idle_ticks, 0.15);
 }
 
 // Eight live sessions on 4 channels with polar WOM cells and RAT refresh,
