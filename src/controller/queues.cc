@@ -187,15 +187,6 @@ void TransactionQueue::relist(Pos p, unsigned resource) {
   assert(heads_[resource] == k.rnext || keys_[k.rnext].seq > k.seq);
 }
 
-Tick TransactionQueue::oldest_arrival() const {
-  Tick t = kNeverTick;
-  for (Pos p = first(); p != kNoPos; p = next(p)) {
-    const Tick a = keys_[p].arrival;
-    if (a < t) t = a;
-  }
-  return t;
-}
-
 void TransactionQueue::line_add(std::uint64_t line) {
   if ((line_used_ + 1) * 2 > lines_.size()) grow_lines();
   std::size_t i = line_hash(line) & line_mask_;

@@ -146,9 +146,6 @@ class TransactionQueue {
     return line_find(line_ids_->line_id(d));
   }
 
-  // Oldest arrival time in the queue (kNeverTick when empty).
-  Tick oldest_arrival() const;
-
   // Occupancy mask over resources with at least one listed entry.
   const BankBitmap& bank_mask() const { return mask_; }
 

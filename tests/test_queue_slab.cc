@@ -163,7 +163,8 @@ TEST(TransactionQueue, GrowthPastCapacityKeepsOrderAndIndexes) {
   ASSERT_GT(model.size(), 8u);
   assert_matches_model(q, model, kResources, 128,
                        TransactionQueue::kWholeQueue);
-  EXPECT_EQ(q.oldest_arrival(), model.front().tx.arrival);
+  ASSERT_EQ(q.first(), model.front().pos);
+  EXPECT_EQ(q.arrival_at(q.first()), model.front().tx.arrival);
   while (!model.empty()) {
     ASSERT_EQ(q.take(model.front().pos).id, model.front().tx.id);
     model.pop_front();

@@ -101,16 +101,6 @@ TEST(TransactionQueue, ContainsLineSurvivesChurn) {
   EXPECT_TRUE(q.empty());
 }
 
-TEST(TransactionQueue, OldestArrival) {
-  TransactionQueue q;
-  q.configure(1, 8);
-  EXPECT_EQ(q.oldest_arrival(), kNeverTick);
-  q.push(make_tx(1, 0, AccessType::kRead, 50), 0);
-  q.push(make_tx(2, 0, AccessType::kRead, 20), 0);
-  q.push(make_tx(3, 0, AccessType::kRead, 70), 0);
-  EXPECT_EQ(q.oldest_arrival(), 20u);
-}
-
 TEST(TransactionQueue, ArrivalMonotonicityTracked) {
   TransactionQueue q;
   q.configure(1, 8);
