@@ -5,10 +5,11 @@
 // answer "when could anything next happen?". Two small types capture that
 // protocol in one place:
 //
-//  - EventQueue: a min-heap of future instants. Components push completion
-//    and wakeup times as they schedule work; next_after(now) discards
-//    everything already reached and reports the earliest pending instant
-//    (kNeverTick when quiescent). The heap is a plain vector so callers on
+//  - EventQueue: a min-heap of future instants. Components push the
+//    instants at which they could next do work (the memory controller
+//    pushes only those at which an issue or a refresh check can happen);
+//    next_after(now) discards everything already reached and reports the
+//    earliest pending instant (kNeverTick when quiescent). The heap is a plain vector so callers on
 //    the hot path can reserve() once and stay off the allocator, and
 //    peek() exposes the earliest scheduled instant without popping.
 //  - Clock: the monotone simulation clock of a driving loop. advance()

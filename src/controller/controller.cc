@@ -528,7 +528,7 @@ void MemoryController::process_bank_wakes(Tick now) {
 void MemoryController::tick(Tick now) {
   assert(now >= last_tick_);
 #ifdef WOMPCM_AUDIT
-  audit_missed(now);
+  audit_missed(0, now);
 #endif
   last_tick_ = now;
   ++ticks_;
@@ -569,8 +569,12 @@ void MemoryController::tick(Tick now) {
 }
 
 Tick MemoryController::next_event_after(Tick now) {
-  if (next_event_ != kNeverTick && next_event_ > now) return next_event_;
-  next_event_ = events_.next_after(now);
+  if (next_event_ == kNeverTick || next_event_ <= now) {
+    next_event_ = events_.next_after(now);
+  }
+#ifdef WOMPCM_AUDIT
+  audit_missed(now, next_event_);
+#endif
   return next_event_;
 }
 
@@ -602,9 +606,9 @@ void MemoryController::audit_pick(const TransactionQueue& q, Tick now,
   std::abort();
 }
 
-void MemoryController::audit_missed(Tick now) const {
-  // Nothing has changed since the last tick but arrivals, so an entry of
-  // the window can first issue at max(arrival, bus free, its bank's wake).
+void MemoryController::audit_missed(Tick from, Tick until) const {
+  // Nothing changes between ticks but arrivals, so an entry of the window
+  // can first issue at max(arrival, bus free, its bank's wake).
   Tick first = kNeverTick;
   for (const TransactionQueue* q : {&read_q_, &write_q_, &internal_q_}) {
     std::size_t seen = 0;
@@ -613,10 +617,11 @@ void MemoryController::audit_missed(Tick now) const {
          p = q->next(p), ++seen) {
       const Transaction& tx = q->at(p);
       const Bank& b = bank(arch_.route(tx.dec, tx.type, tx.internal));
-      first = std::min(first, std::max({tx.arrival, bus_free_, wake_at(b)}));
+      const Tick t = std::max({tx.arrival, bus_free_, wake_at(b)});
+      if (t >= from) first = std::min(first, t);
     }
   }
-  if (first >= now) return;
+  if (first >= until) return;
   for (const TransactionQueue* q : {&read_q_, &write_q_, &internal_q_}) {
     const Pick p = find_pick_reference(*q, first);
     if (p.idx == kNoPick) continue;
@@ -625,11 +630,11 @@ void MemoryController::audit_missed(Tick now) const {
                                          : "internal";
     std::fprintf(stderr,
                  "controller audit: missed instant ch%u t*=%llu (last "
-                 "tick %llu, now %llu) %s queue: reference {idx=%u "
+                 "tick %llu, next %llu) %s queue: reference {idx=%u "
                  "row_hit=%d arrival=%llu}\n",
                  channel_, static_cast<unsigned long long>(first),
                  static_cast<unsigned long long>(last_tick_),
-                 static_cast<unsigned long long>(now), queue, p.idx,
+                 static_cast<unsigned long long>(until), queue, p.idx,
                  p.row_hit ? 1 : 0, static_cast<unsigned long long>(p.arrival));
     std::abort();
   }

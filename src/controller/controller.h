@@ -14,6 +14,14 @@
 // work may become possible. The driving loop (SimService, sim/service.h,
 // through its MemorySystem) interleaves trace arrivals with these events.
 //
+// The event set is exact. Besides refresh checks, an instant is scheduled
+// only where an issue can happen: every bank that an entry inside a scan
+// window waits on has an event at max(its wake, bus free, the entry's
+// arrival), the wake being the bank's busy end (or its refresh end, when
+// write pausing does not hide refresh). Entries past the window need none:
+// only a take moves the window, and a take holds the bus, so the tick
+// that took pushes bus free if a ready bank is then waited on.
+//
 // Service-time model for an access issued at time s on bank B:
 //   activate = row_read_ns if B's open row differs from the target row
 //   read:  pre + activate + col_read_ns + burst + post
@@ -33,8 +41,10 @@
 //
 // Audit build: the test suite links a variant of this library compiled
 // with WOMPCM_AUDIT. It checks every find_pick result against the
-// straight-line pick_transaction scan (find_pick_reference), and every
-// channel the memory system skips (audit_skipped); a failed check aborts.
+// straight-line pick_transaction scan (find_pick_reference), every
+// channel the memory system skips (audit_skipped), and that no instant at
+// which that scan could issue falls before the next tick (audit_missed,
+// at every tick and every next_event_after); a failed check aborts.
 #pragma once
 
 #include <memory>
@@ -230,9 +240,12 @@ class MemoryController {
   // straight-line scan's pick.
   void audit_pick(const TransactionQueue& q, Tick now, const Pick& got,
                   const char* what) const;
-  // Audit build only: aborts if some window entry could have issued at an
-  // instant before `now` that no tick ran.
-  void audit_missed(Tick now) const;
+  // Audit build only: aborts if some window entry could issue at an
+  // instant in [from, until), which no tick will run: called by tick(now)
+  // for the instants before `now`, and by next_event_after(now), which
+  // declares `now` done, for `now` and the instants up to the event it
+  // reports.
+  void audit_missed(Tick from, Tick until) const;
   bool issue_fcfs(Tick now);
   bool issue_from(TransactionQueue& q, Tick now);
   // Takes entry `idx` of `q` and issues it.

@@ -30,8 +30,8 @@ Tick MemorySystem::next_event_after(Tick now) {
 
 void MemorySystem::tick(Tick now) {
   // Controllers are quiescent between their own scheduled events (every
-  // wake condition — arrival, bank finish, bus free, refresh check or
-  // completion — has a pushed event), so a channel with nothing due at
+  // instant at which a channel could issue or run a refresh check has a
+  // pushed event; see MemoryController), so a channel with nothing due at
   // `now` would tick to no effect: skip it.
   for (const auto& c : channels_) {
     if (c->pending_event() <= now) {

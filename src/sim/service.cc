@@ -253,7 +253,8 @@ SimService::Pump SimService::pump_once() {
     if (target >= unknown_) return Pump::kStarved;
     clock_.advance({target});
     pending_tick_ = clock_.now();
-    // The head is due only when the instant is its arrival.
+    // The head is injectable exactly when the instant is its (possibly
+    // deferred) arrival.
     inject = target == t_arrival;
   } else {
     inject = injectable(head, pending_tick_);

@@ -1,7 +1,8 @@
 // Tests of the controller's per-bank queue index as the scheduler and the
 // refresh engine see it: runs with refresh.require_empty_queues pinned as
-// behaviour goldens; the scheduler's scan work per issued access, bounded
-// on a saturated and a light run; a multi-session service run pinned as a
+// behaviour goldens; the scheduler's scan work and the event loop's ticks
+// and pumps per issued access, bounded on a saturated and a light run; a
+// multi-session service run pinned as a
 // golden; and WCPCM reads moved to a new route when a cache row is
 // retagged while they wait.
 #include <gtest/gtest.h>
@@ -158,24 +159,30 @@ TEST(SchedulerScanWork, PaperPcmRefresh) {
 
 // The controller schedules an instant only where an issue can happen (or
 // a refresh check is due), so it ticks about once per issued access and
-// almost never for nothing. Scheduling every bank finish, every arrival
-// and every bus release instead ticks ~2.4 times per access on the paper
-// load, ~1.4 of them idle.
+// almost never for nothing: ~1.04 ticks, 0.03 idle and ~1.47 service
+// pumps here. Scheduling every bank finish, every arrival and every bus
+// release instead ticks ~2.5 times per access, ~1.5 of them idle, in ~2.5
+// pumps.
 TEST(EventLoopWork, PaperPcmRefresh) {
   const WorkPerIssue w =
       work_per_issue(paper_pcm_refresh(), *find_profile("401.bzip2"), 40000);
   EXPECT_LE(w.ticks, 1.2);
   EXPECT_LE(w.idle_ticks, 0.15);
+  EXPECT_LE(w.pumps, 1.6);
 }
 
-// At saturation arrivals and bank finishes far outnumber the instants at
-// which something can issue.
+// At saturation, arrivals and bank finishes far outnumber the instants at
+// which something can issue, and most queued entries sit past the scan
+// window: ~1.09 ticks, 0.08 idle and ~2.08 pumps (most of them arrival
+// instants) against ~2.8, 1.8 and 2.8 when every finish, arrival and bus
+// release is scheduled.
 TEST(EventLoopWork, SaturatedWcpcm) {
   WorkloadProfile p;
   const SimConfig cfg = saturated_wcpcm(&p);
   const WorkPerIssue w = work_per_issue(cfg, p, 40000);
   EXPECT_LE(w.ticks, 1.2);
   EXPECT_LE(w.idle_ticks, 0.15);
+  EXPECT_LE(w.pumps, 2.3);
 }
 
 // Eight live sessions on 4 channels with polar WOM cells and RAT refresh,
