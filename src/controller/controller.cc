@@ -214,15 +214,16 @@ bool MemoryController::issue_from(TransactionQueue& q, Tick now) {
 
 void MemoryController::issue_at(TransactionQueue& q, TransactionQueue::Pos idx,
                                 Tick now) {
-  // A take from a full window lets the oldest entry past it in.
+  // A take from a full window lets the oldest entry past it in. If that
+  // entry's bank was waited on already, it has its event (the issued bank
+  // gets one from issue(), and a read that issue() re-lists gets one from
+  // relist_reads()).
   const bool full = q.size() > cfg_.sched.scan_limit;
-  const unsigned issued = issue(q.take(idx), now);
-  if (!full) return;
-  const TransactionQueue::Pos in = q.window_last();
-  const unsigned r = q.resource_at(in);
-  // issue() already gave the issued bank its event if anything waits on it.
-  note_waiting(r, q.arrival_at(in),
-               r == issued || q.list_head(r) != in || waited_on_except(q, r));
+  const TransactionQueue::Pos in =
+      full ? q.next(q.window_last()) : TransactionQueue::kNoPos;
+  const bool was_waited_on = full && waited_on(q.resource_at(in));
+  issue(q.take(idx), now);
+  if (full) note_waiting(q.resource_at(in), q.arrival_at(in), was_waited_on);
 }
 
 // The straight-line scan: every entry in age order through the generic
@@ -355,7 +356,7 @@ bool MemoryController::issue_fcfs(Tick now) {
   return true;
 }
 
-unsigned MemoryController::issue(const Transaction& tx, Tick now) {
+void MemoryController::issue(const Transaction& tx, Tick now) {
   IssuePlan plan = arch_.plan(tx.dec, tx.type, tx.internal, now);
   Bank& bank = bank_mut(plan.resource);
 
@@ -429,7 +430,6 @@ unsigned MemoryController::issue(const Transaction& tx, Tick now) {
     note_queue_depth();
     if (tx.record) bump(ctr_internal_writes_, "ctrl.internal_writes");
   }
-  return lr;
 }
 
 // plan() retagged the cache row of `dec` (its channel, rank and row) in

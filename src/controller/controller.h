@@ -219,12 +219,6 @@ class MemoryController {
     return window_lists(read_q_, local) || window_lists(write_q_, local) ||
            window_lists(internal_q_, local);
   }
-  // The same, over the queues other than `q`.
-  bool waited_on_except(const TransactionQueue& q, unsigned local) const {
-    return (&q != &read_q_ && window_lists(read_q_, local)) ||
-           (&q != &write_q_ && window_lists(write_q_, local)) ||
-           (&q != &internal_q_ && window_lists(internal_q_, local));
-  }
   // True while some ready bank is waited on.
   bool ready_waited_on() const;
   // Pushes `tx` into `q` under local bank `local`, with the bank's event.
@@ -250,8 +244,7 @@ class MemoryController {
   bool issue_from(TransactionQueue& q, Tick now);
   // Takes entry `idx` of `q` and issues it.
   void issue_at(TransactionQueue& q, TransactionQueue::Pos idx, Tick now);
-  // Issues `tx`; returns the local bank it occupies.
-  unsigned issue(const Transaction& tx, Tick now);
+  void issue(const Transaction& tx, Tick now);
   void relist_reads(const DecodedAddr& dec, unsigned cache);
   void enqueue_tier_writeback(const DecodedAddr& victim, Tick now,
                               bool record);
