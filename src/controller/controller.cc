@@ -157,28 +157,29 @@ void MemoryController::enqueue(Transaction tx) {
 
 void MemoryController::list(TransactionQueue& q, const Transaction& tx,
                             unsigned local) {
-  if (tx.arrival > max_arrival_) max_arrival_ = tx.arrival;
   const bool was_waited_on = waited_on(local);
   const TransactionQueue::Pos last = q.window_last();
   q.push(tx, local);
   // Only an entry that lands inside the scan window can issue before a
-  // take moves the window (issue_at handles the entry that moves in).
+  // take moves the window (issue_at handles the entry that moves in). It
+  // is listed at its arrival instant.
   if (q.window_last() != last) {
     note_waiting(local, tx.arrival, was_waited_on);
   }
 }
 
-// A window entry arriving at `arrival` now waits on local bank `local`; it
-// can first issue at max(arrival, bus free, the bank's wake). A bank that
-// some window entry waited on already has an event at max(bus free, wake)
-// or earlier, so the new entry needs none when every entry ever queued has
-// arrived by then. This keeps same-instant arrivals on a busy bank from
-// pushing copies of its wake.
-void MemoryController::note_waiting(unsigned local, Tick arrival,
+// From instant `now` on, a window entry waits on local bank `local`; it
+// can first issue at max(now, bus free, the bank's wake). A bank that an
+// older window entry waited on already has an event at max(its arrival,
+// bus free, wake). Every entry has arrived by the instant it is listed, and
+// had that event passed before `now`, its tick would have issued the older
+// entry; so the event is at max(now, bus free, wake), and the new entry
+// needs none. Same-instant arrivals on a busy bank push no copies of its
+// wake.
+void MemoryController::note_waiting(unsigned local, Tick now,
                                     bool was_waited_on) {
-  const Tick floor = std::max(bus_free_, wake_at(banks_[local]));
-  if (was_waited_on && max_arrival_ <= floor) return;
-  push_event(std::max(arrival, floor));
+  if (was_waited_on) return;
+  push_event(std::max({now, bus_free_, wake_at(banks_[local])}));
 }
 
 bool MemoryController::ready_waited_on() const {
@@ -223,7 +224,7 @@ void MemoryController::issue_at(TransactionQueue& q, TransactionQueue::Pos idx,
       full ? q.next(q.window_last()) : TransactionQueue::kNoPos;
   const bool was_waited_on = full && waited_on(q.resource_at(in));
   issue(q.take(idx), now);
-  if (full) note_waiting(q.resource_at(in), q.arrival_at(in), was_waited_on);
+  if (full) note_waiting(q.resource_at(in), now, was_waited_on);
 }
 
 // The straight-line scan: every entry in age order through the generic
@@ -243,51 +244,36 @@ MemoryController::Pick MemoryController::find_pick_reference(
   return p;
 }
 
+// The indexed pick: the same entry as find_pick_reference. It returns no
+// pick without a walk when the queue is empty, the bus is held, or no
+// listed bank is ready (occupancy mask vs readiness bitmap); otherwise
+// walk_lists() does the work.
 MemoryController::Pick MemoryController::find_pick(TransactionQueue& q,
                                                    Tick now) {
-  const Pick p = find_pick_indexed(q, now);
+  Pick p;
+  if (!q.empty() && bus_free_ <= now && ready_.intersects(q.bank_mask())) {
+    p = walk_lists(q);
+  }
 #ifdef WOMPCM_AUDIT
   audit_pick(q, now, p, "pick mismatch");
 #endif
   return p;
 }
 
-// The indexed pick. Picks the same entry as find_pick_reference, but
-// bails without a walk when the queue is empty, the bus is held, no
-// listed bank is ready (occupancy mask vs readiness bitmap), or nothing
-// that could produce a pick has happened since a failed pick
-// (ScanCache); otherwise walk_lists() does the work.
-MemoryController::Pick MemoryController::find_pick_indexed(
-    TransactionQueue& q, Tick now) {
-  if (q.empty() || bus_free_ > now || !ready_.intersects(q.bank_mask())) {
-    return Pick{};
-  }
-  const ScanCache& sc = scan_cache_for(q);
-  if (sc.valid && sc.epoch == scan_epoch_ && sc.listings == q.listings() &&
-      now < sc.barrier) {
-    return Pick{};
-  }
-  return walk_lists(q, now);
-}
-
 // Walks, in age order, the lists of the resources that are both ready and
 // listed in `q`, each only as far as the end of the scan window, reading
-// the queue's packed scan keys (sequence number, arrival, row). The oldest
-// arrived entry of each list is its oldest issuable one; with row hits
-// first, the list is walked on to its oldest arrived row hit. A list stops
-// early at an entry younger than a row hit already found, and at its first
-// not-yet-arrived entry when arrivals are monotone (everything after it on
-// the list has not arrived either).
-MemoryController::Pick MemoryController::walk_lists(TransactionQueue& q,
-                                                    Tick now) {
-  const bool monotone = q.arrivals_monotone();
+// the queue's packed scan keys (sequence number, arrival, row). Every
+// queued entry has arrived, so the oldest entry of each list is its oldest
+// issuable one; with row hits first, the list is walked on to its oldest
+// row hit. A list stops early at an entry younger than a row hit already
+// found.
+MemoryController::Pick MemoryController::walk_lists(TransactionQueue& q) {
   const bool row_hit_first = cfg_.sched.row_hit_first;
   const std::uint32_t window_end = q.seq_at(q.window_last());
   Pick hit;  // oldest issuable row hit (row_hit_first only)
   Pick any;  // oldest issuable entry
   std::uint32_t hit_seq = 0;
   std::uint32_t any_seq = 0;
-  Tick barrier = kNeverTick;  // earliest unarrived entry met
   std::uint64_t steps = 0;
   q.for_each_listed(ready_, [&](unsigned r) {
     const auto open = banks_[r].open_row();
@@ -299,13 +285,6 @@ MemoryController::Pick MemoryController::walk_lists(TransactionQueue& q,
       if (!row_hit_first && any.idx != kNoPick && seq > any_seq) break;
       ++steps;
       const Tick arrival = q.arrival_at(pos);
-      if (arrival > now) {
-        if (monotone) {
-          if (arrival < barrier) barrier = arrival;
-          break;
-        }
-        continue;
-      }
       const bool row_hit = open.has_value() && *open == q.row_at(pos);
       if (row_hit_first && row_hit) {
         hit = Pick{pos, true, arrival};
@@ -320,18 +299,7 @@ MemoryController::Pick MemoryController::walk_lists(TransactionQueue& q,
     }
   });
   scan_steps_ += steps;
-  if (hit.idx != kNoPick) return hit;
-  if (any.idx == kNoPick && monotone) {
-    // Complete failure: remember it so the next pick is O(1) unless an
-    // invalidating event intervenes. Non-monotone queues are skipped —
-    // unarrived entries may be scattered, so no single barrier covers them.
-    ScanCache& sc = scan_cache_for(q);
-    sc.valid = true;
-    sc.epoch = scan_epoch_;
-    sc.listings = q.listings();
-    sc.barrier = barrier;
-  }
-  return any;
+  return hit.idx != kNoPick ? hit : any;
 }
 
 bool MemoryController::issue_fcfs(Tick now) {
@@ -416,7 +384,7 @@ void MemoryController::issue(const Transaction& tx, Tick now) {
   if (waited_on(lr)) push_event(finish);
   // Re-listing and spawning come after the bank and bus updates, so their
   // events see the new busy and bus-free times.
-  if (plan.retagged) relist_reads(tx.dec, plan.resource);
+  if (plan.retagged) relist_reads(tx.dec, plan.resource, now);
   for (const SpawnedWrite& s : plan.spawned) {
     Transaction victim;
     victim.id = next_internal_id_++;
@@ -437,7 +405,8 @@ void MemoryController::issue(const Transaction& tx, Tick now) {
 // missed or miss where it hit. A hit is listed under the cache array and a
 // miss under its main bank, and only reads of the written bank can turn
 // into hits, so those two lists hold every read whose route can change.
-void MemoryController::relist_reads(const DecodedAddr& dec, unsigned cache) {
+void MemoryController::relist_reads(const DecodedAddr& dec, unsigned cache,
+                                    Tick now) {
   // An internal write goes to the main bank of its row.
   const unsigned main = arch_.route(dec, AccessType::kWrite, true);
   for (const unsigned from : {local_resource(cache), local_resource(main)}) {
@@ -449,9 +418,7 @@ void MemoryController::relist_reads(const DecodedAddr& dec, unsigned cache) {
         if (r != from) {
           const bool was_waited_on = waited_on(r);
           read_q_.relist(pos, r);
-          if (read_q_.in_window(pos)) {
-            note_waiting(r, tx.arrival, was_waited_on);
-          }
+          if (read_q_.in_window(pos)) note_waiting(r, now, was_waited_on);
         }
       }
       pos = next;
@@ -518,7 +485,6 @@ void MemoryController::process_bank_wakes(Tick now) {
     const Tick at = wake_at(banks_[w.resource]);
     if (at <= now) {
       ready_.set(w.resource);
-      ++scan_epoch_;
     } else {
       wake_push(at, w.resource);  // re-blocked since the wake was scheduled
     }
@@ -528,6 +494,7 @@ void MemoryController::process_bank_wakes(Tick now) {
 void MemoryController::tick(Tick now) {
   assert(now >= last_tick_);
 #ifdef WOMPCM_AUDIT
+  audit_arrived(now);
   audit_missed(0, now);
 #endif
   last_tick_ = now;
@@ -579,6 +546,10 @@ Tick MemoryController::next_event_after(Tick now) {
 }
 
 #ifdef WOMPCM_AUDIT
+const char* MemoryController::queue_name(const TransactionQueue& q) const {
+  return &q == &read_q_ ? "read" : &q == &write_q_ ? "write" : "internal";
+}
+
 void MemoryController::audit_pick(const TransactionQueue& q, Tick now,
                                   const Pick& got, const char* what) const {
   const Pick want = find_pick_reference(q, now);
@@ -595,15 +566,29 @@ void MemoryController::audit_pick(const TransactionQueue& q, Tick now,
                    static_cast<unsigned long long>(p.arrival));
     }
   };
-  const char* queue = &q == &read_q_    ? "read"
-                      : &q == &write_q_ ? "write"
-                                        : "internal";
   std::fprintf(stderr, "controller audit: %s ch%u now=%llu %s queue:", what,
-               channel_, static_cast<unsigned long long>(now), queue);
+               channel_, static_cast<unsigned long long>(now),
+               queue_name(q));
   show("indexed", got);
   show("reference", want);
   std::fputc('\n', stderr);
   std::abort();
+}
+
+void MemoryController::audit_arrived(Tick now) const {
+  for (const TransactionQueue* q : {&read_q_, &write_q_, &internal_q_}) {
+    for (auto p = q->first(); p != TransactionQueue::kNoPos; p = q->next(p)) {
+      if (q->arrival_at(p) <= now) continue;
+      std::fprintf(stderr,
+                   "controller audit: unarrived entry ch%u now=%llu %s "
+                   "queue: {idx=%u id=%llu arrival=%llu}\n",
+                   channel_, static_cast<unsigned long long>(now),
+                   queue_name(*q), p,
+                   static_cast<unsigned long long>(q->at(p).id),
+                   static_cast<unsigned long long>(q->arrival_at(p)));
+      std::abort();
+    }
+  }
 }
 
 void MemoryController::audit_missed(Tick from, Tick until) const {
@@ -625,16 +610,13 @@ void MemoryController::audit_missed(Tick from, Tick until) const {
   for (const TransactionQueue* q : {&read_q_, &write_q_, &internal_q_}) {
     const Pick p = find_pick_reference(*q, first);
     if (p.idx == kNoPick) continue;
-    const char* queue = q == &read_q_    ? "read"
-                        : q == &write_q_ ? "write"
-                                         : "internal";
     std::fprintf(stderr,
                  "controller audit: missed instant ch%u t*=%llu (last "
                  "tick %llu, next %llu) %s queue: reference {idx=%u "
                  "row_hit=%d arrival=%llu}\n",
                  channel_, static_cast<unsigned long long>(first),
                  static_cast<unsigned long long>(last_tick_),
-                 static_cast<unsigned long long>(until), queue, p.idx,
+                 static_cast<unsigned long long>(until), queue_name(*q), p.idx,
                  p.row_hit ? 1 : 0, static_cast<unsigned long long>(p.arrival));
     std::abort();
   }

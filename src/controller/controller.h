@@ -12,7 +12,10 @@
 // `now` (issue demand accesses, run due refresh checks), and
 // next_event_after(now) reports the earliest future instant at which new
 // work may become possible. The driving loop (SimService, sim/service.h,
-// through its MemorySystem) interleaves trace arrivals with these events.
+// through its MemorySystem) interleaves trace arrivals with these events,
+// and hands each transaction over at its arrival instant: tx.arrival is
+// the instant of the next tick(), so every queued entry has arrived and
+// a pick never meets one that has not.
 //
 // The event set is exact. Besides refresh checks, an instant is scheduled
 // only where an issue can happen: every bank that an entry inside a scan
@@ -42,7 +45,8 @@
 // Audit build: the test suite links a variant of this library compiled
 // with WOMPCM_AUDIT. It checks every find_pick result against the
 // straight-line pick_transaction scan (find_pick_reference), every
-// channel the memory system skips (audit_skipped), and that no instant at
+// channel the memory system skips (audit_skipped), that every queued
+// entry has arrived by each tick (audit_arrived), and that no instant at
 // which that scan could issue falls before the next tick (audit_missed,
 // at every tick and every next_event_after); a failed check aborts.
 #pragma once
@@ -103,9 +107,10 @@ class MemoryController {
   // Frontend back-pressure: false when the demand queues are full.
   bool can_accept() const;
 
-  // Hands a demand transaction to the controller. tx.arrival is the
-  // enqueue time and must not precede the latest tick; tx.dec.channel must
-  // be this controller's channel.
+  // Hands a demand transaction to the controller at its arrival instant:
+  // tx.arrival is the instant of the next tick() (or, for a write-back
+  // spawned inside a tick, that tick's instant). tx.dec.channel must be
+  // this controller's channel.
   void enqueue(Transaction tx);
 
   // Performs all work possible at time `now` (monotone across calls).
@@ -126,9 +131,6 @@ class MemoryController {
   Tick last_completion() const { return last_completion_; }
   unsigned channel() const { return channel_; }
 
-  std::size_t read_queue_size() const { return read_q_.size(); }
-  std::size_t write_queue_size() const { return write_q_.size(); }
-  std::size_t internal_queue_size() const { return internal_q_.size(); }
   std::size_t max_queue_depth() const { return max_queue_depth_; }
   // Cumulative time the channel's data bus was held by bursts.
   Tick bus_busy_time() const { return bus_busy_time_; }
@@ -178,26 +180,8 @@ class MemoryController {
     }
   };
 
-  // Memoized failed pick for one queue (see find_pick_indexed). A recorded
-  // failure proves "no entry can issue", and stays valid until an event
-  // occurs that could create a pick: a bank turning ready (scan_epoch_), a
-  // push or relist in this queue (listings), or the earliest not-yet-
-  // arrived entry the walk met coming due (barrier). Bank-busying events
-  // and takes only shrink the issuable set, so they leave a failure valid.
-  struct ScanCache {
-    std::uint64_t epoch = 0;
-    std::uint64_t listings = 0;
-    Tick barrier = 0;
-    bool valid = false;
-  };
-
   unsigned local_resource(unsigned global_resource) const {
     return global_to_local_[global_resource];
-  }
-  ScanCache& scan_cache_for(const TransactionQueue& q) {
-    if (&q == &read_q_) return scan_cache_[0];
-    if (&q == &write_q_) return scan_cache_[1];
-    return scan_cache_[2];
   }
   Bank& bank_mut(unsigned global_resource) {
     return banks_[local_resource(global_resource)];
@@ -223,17 +207,21 @@ class MemoryController {
   bool ready_waited_on() const;
   // Pushes `tx` into `q` under local bank `local`, with the bank's event.
   void list(TransactionQueue& q, const Transaction& tx, unsigned local);
-  void note_waiting(unsigned local, Tick arrival, bool was_waited_on);
+  void note_waiting(unsigned local, Tick now, bool was_waited_on);
   bool can_issue(const Transaction& tx, Tick now) const;
   bool is_row_hit(const Transaction& tx) const;
   Pick find_pick(TransactionQueue& q, Tick now);
-  Pick find_pick_indexed(TransactionQueue& q, Tick now);
-  Pick walk_lists(TransactionQueue& q, Tick now);
+  Pick walk_lists(TransactionQueue& q);
   Pick find_pick_reference(const TransactionQueue& q, Tick now) const;
+  // Audit build only: "read", "write" or "internal", for audit messages.
+  const char* queue_name(const TransactionQueue& q) const;
   // Audit build only: aborts, naming `what`, unless `got` is the
   // straight-line scan's pick.
   void audit_pick(const TransactionQueue& q, Tick now, const Pick& got,
                   const char* what) const;
+  // Audit build only: aborts, naming the entry, if some queued entry
+  // arrives after `now` (an enqueue ahead of its arrival instant).
+  void audit_arrived(Tick now) const;
   // Audit build only: aborts if some window entry could issue at an
   // instant in [from, until), which no tick will run: called by tick(now)
   // for the instants before `now`, and by next_event_after(now), which
@@ -245,7 +233,7 @@ class MemoryController {
   // Takes entry `idx` of `q` and issues it.
   void issue_at(TransactionQueue& q, TransactionQueue::Pos idx, Tick now);
   void issue(const Transaction& tx, Tick now);
-  void relist_reads(const DecodedAddr& dec, unsigned cache);
+  void relist_reads(const DecodedAddr& dec, unsigned cache, Tick now);
   void enqueue_tier_writeback(const DecodedAddr& victim, Tick now,
                               bool record);
   bool refresh_unit_ready(unsigned resource, Tick now) const;
@@ -298,10 +286,6 @@ class MemoryController {
   // start and synchronously on issue/refresh within a tick.
   BankBitmap ready_;
   std::vector<BankWake> wake_heap_;  // min-heap of readiness re-check times
-  ScanCache scan_cache_[3];          // read, write, internal
-  // Advances whenever a readiness bit is set (pushes and relists are
-  // detected per queue via TransactionQueue::listings()).
-  std::uint64_t scan_epoch_ = 0;
   std::uint64_t scan_steps_ = 0;
   std::uint64_t ticks_ = 0;
   std::uint64_t idle_ticks_ = 0;
@@ -310,7 +294,6 @@ class MemoryController {
   EventQueue events_;
   Tick next_event_ = kNeverTick;  // cached minimum of events_
   Tick last_tick_ = 0;
-  Tick max_arrival_ = 0;  // latest arrival of any entry ever listed
   Tick last_completion_ = 0;
   std::uint64_t next_internal_id_;
 

@@ -42,10 +42,6 @@ void TransactionQueue::configure(unsigned resources, std::size_t capacity,
     lines_.assign(pow2_at_least(cap * 4), LineCell{});
     line_mask_ = lines_.size() - 1;
   }
-  monotone_ = true;
-  has_pushed_ = false;
-  last_push_arrival_ = 0;
-  listings_ = 0;
 }
 
 void TransactionQueue::grow_slab(std::size_t slots) {
@@ -134,10 +130,6 @@ void TransactionQueue::push(const Transaction& tx, unsigned resource) {
   if (++next_seq_ == 0) renumber();  // numbers ran out: restart them
   ++live_;
   if (live_ <= window_) win_last_ = p;
-  ++listings_;
-  if (has_pushed_ && tx.arrival < last_push_arrival_) monotone_ = false;
-  has_pushed_ = true;
-  last_push_arrival_ = tx.arrival;
   if (line_ids_) line_add(line_ids_->line_id(tx.dec));
   list_insert(p, resource);
 }
@@ -180,7 +172,6 @@ void TransactionQueue::relist(Pos p, unsigned resource) {
   assert(live(p) && resource < heads_.size());
   list_remove(p);
   list_insert(p, resource);
-  ++listings_;
   // The entry sits between its list neighbours in age order.
   [[maybe_unused]] const ScanKey& k = keys_[p];
   assert(heads_[resource] == p || keys_[k.rprev].seq < k.seq);

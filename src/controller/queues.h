@@ -35,9 +35,9 @@
 //    per-line counts and backward-shift deletion), so contains_line() is
 //    O(1) instead of a scan over the queue. Other queues skip the index.
 //
-// The queue also tracks whether pushes arrived in non-decreasing arrival
-// order (arrivals_monotone()); schedulers may stop walking a list at the
-// first not-yet-arrived entry only when that holds.
+// The queue stores each entry's arrival but does not interpret it: the
+// controller pushes an entry only at its arrival instant
+// (controller/controller.h), so every queued entry has arrived.
 #pragma once
 
 #include <algorithm>
@@ -149,14 +149,6 @@ class TransactionQueue {
   // Occupancy mask over resources with at least one listed entry.
   const BankBitmap& bank_mask() const { return mask_; }
 
-  // True while every push so far arrived in non-decreasing arrival order.
-  bool arrivals_monotone() const { return monotone_; }
-
-  // Pushes plus relists over the queue's lifetime. Lets a scheduler detect
-  // "no entry was listed anywhere new since my last scan": takes only
-  // shrink the schedulable set, so a failed scan stays failed.
-  std::uint64_t listings() const { return listings_; }
-
  private:
   // prev_ value of a slot on the free list (kNoPos marks the list head).
   static constexpr Pos kFree = kNoPos - 1;
@@ -223,11 +215,6 @@ class TransactionQueue {
   // group_shift_) hold a set bit; the shift keeps every group in one word.
   std::uint64_t summary_ = 0;
   unsigned group_shift_ = 0;
-
-  bool monotone_ = true;
-  bool has_pushed_ = false;
-  Tick last_push_arrival_ = 0;
-  std::uint64_t listings_ = 0;
 
   // The line index, when configured: line ids are packed under
   // `line_ids_`'s geometry into a linear-probe hash of power-of-two size.

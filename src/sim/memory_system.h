@@ -43,8 +43,8 @@ class MemorySystem {
 
   // Frontend back-pressure for the channel this address decodes to.
   bool can_accept(const DecodedAddr& dec) const;
-  // Routes a demand transaction to its channel. tx.arrival must not
-  // precede the latest tick.
+  // Routes a demand transaction to its channel at its arrival instant:
+  // tx.arrival is the instant of the next tick().
   void enqueue(const Transaction& tx);
   // Earliest future instant any channel could make progress (kNeverTick
   // when the whole system is quiescent).

@@ -14,13 +14,13 @@ EncodeLut::EncodeLut(const WomCode& code)
       states_(1u << code.wits()) {
   enc_.assign(static_cast<std::size_t>(t_) * states_ * values_, kInvalid);
   dec_.assign(states_, kInvalid);
-  init_ = static_cast<std::uint32_t>(code.initial_state().extract_word(0, n_));
 
   // Breadth-first over the states the code can actually reach: generation g
-  // only ever sees states produced by g-1 (or the erased state for g = 0).
-  // Enumerating blindly would feed encode() wit patterns that are not
-  // codewords, which codes are allowed to reject.
-  std::vector<std::uint32_t> frontier = {init_};
+  // only ever sees states produced by g-1 (or the erased state for g = 0,
+  // packed with bit j = wit j). Enumerating blindly would feed encode() wit
+  // patterns that are not codewords, which codes are allowed to reject.
+  std::vector<std::uint32_t> frontier = {
+      static_cast<std::uint32_t>(code.initial_state().extract_word(0, n_))};
   BitVec cur(n_);
   for (unsigned g = 0; g < t_; ++g) {
     std::vector<bool> in_next(states_, false);

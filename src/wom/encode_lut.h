@@ -43,8 +43,6 @@ class EncodeLut {
   unsigned data_bits() const { return k_; }
   unsigned wits() const { return n_; }
   unsigned max_writes() const { return t_; }
-  // Wit state of an erased symbol, packed with bit j = wit j.
-  std::uint32_t initial_word() const { return init_; }
 
   // Next wit state after writing `value` as the `generation`-th write into
   // state `cur`. Only states the code itself can produce are populated; the
@@ -75,7 +73,6 @@ class EncodeLut {
   unsigned t_ = 0;
   std::uint32_t values_ = 0;
   std::uint32_t states_ = 0;
-  std::uint32_t init_ = 0;
   std::vector<std::uint32_t> enc_;  // [generation][state][value] -> state
   std::vector<std::uint32_t> dec_;  // [state] -> value
 };

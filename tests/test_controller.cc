@@ -7,6 +7,7 @@
 #include <memory>
 
 #include "arch/arch.h"
+#include "arrival_feed.h"
 #include "controller/controller.h"
 
 namespace wompcm {
@@ -41,18 +42,14 @@ class ControllerTest : public ::testing::Test {
     return t;
   }
 
-  // Runs the controller's event loop to quiescence starting at `now`.
-  void run_to_drain(Tick now = 0) {
-    ctrl_->tick(now);
-    for (;;) {
-      const Tick t = ctrl_->next_event_after(now);
-      if (t == kNeverTick) break;
-      now = t;
-      ctrl_->tick(now);
-    }
+  // Delivers the fed transactions at their arrival instants and runs the
+  // controller's events to quiescence.
+  void run_to_drain() {
+    feed_.run(*ctrl_);
     EXPECT_TRUE(ctrl_->drained());
   }
 
+  ArrivalFeed feed_;
   ControllerConfig cfg_;
   SimStats stats_;
   std::unique_ptr<Architecture> arch_;
@@ -60,7 +57,7 @@ class ControllerTest : public ::testing::Test {
 };
 
 TEST_F(ControllerTest, SingleReadServiceTime) {
-  ctrl_->enqueue(tx(1, 0, 0, 3, 0, AccessType::kRead, 0));
+  feed_.add(tx(1, 0, 0, 3, 0, AccessType::kRead, 0));
   run_to_drain();
   ASSERT_EQ(stats_.demand_read_latency.count(), 1u);
   // activate + column read + burst = 27 + 13 + 4.
@@ -68,8 +65,8 @@ TEST_F(ControllerTest, SingleReadServiceTime) {
 }
 
 TEST_F(ControllerTest, RowHitReadSkipsActivation) {
-  ctrl_->enqueue(tx(1, 0, 0, 3, 0, AccessType::kRead, 0));
-  ctrl_->enqueue(tx(2, 0, 0, 3, 5, AccessType::kRead, 0));
+  feed_.add(tx(1, 0, 0, 3, 0, AccessType::kRead, 0));
+  feed_.add(tx(2, 0, 0, 3, 5, AccessType::kRead, 0));
   run_to_drain();
   ASSERT_EQ(stats_.demand_read_latency.count(), 2u);
   // First: 44 at t=0..44. Second issues at 44 (bank busy): 13+4 service,
@@ -79,7 +76,7 @@ TEST_F(ControllerTest, RowHitReadSkipsActivation) {
 }
 
 TEST_F(ControllerTest, SingleWriteServiceTime) {
-  ctrl_->enqueue(tx(1, 0, 0, 3, 0, AccessType::kWrite, 0));
+  feed_.add(tx(1, 0, 0, 3, 0, AccessType::kWrite, 0));
   run_to_drain();
   ASSERT_EQ(stats_.demand_write_latency.count(), 1u);
   // activate + burst + full row write = 27 + 4 + 150.
@@ -87,8 +84,8 @@ TEST_F(ControllerTest, SingleWriteServiceTime) {
 }
 
 TEST_F(ControllerTest, ReadBlocksBehindWriteOnSameBank) {
-  ctrl_->enqueue(tx(1, 0, 0, 3, 0, AccessType::kWrite, 0));
-  ctrl_->enqueue(tx(2, 0, 0, 4, 0, AccessType::kRead, 1));
+  feed_.add(tx(1, 0, 0, 3, 0, AccessType::kWrite, 0));
+  feed_.add(tx(2, 0, 0, 4, 0, AccessType::kRead, 1));
   run_to_drain();
   ASSERT_EQ(stats_.demand_read_latency.count(), 1u);
   // Write occupies the bank until 181; read (different row, no forwarding)
@@ -97,8 +94,8 @@ TEST_F(ControllerTest, ReadBlocksBehindWriteOnSameBank) {
 }
 
 TEST_F(ControllerTest, IndependentBanksProceedInParallel) {
-  ctrl_->enqueue(tx(1, 0, 0, 3, 0, AccessType::kWrite, 0));
-  ctrl_->enqueue(tx(2, 1, 1, 4, 0, AccessType::kRead, 0));
+  feed_.add(tx(1, 0, 0, 3, 0, AccessType::kWrite, 0));
+  feed_.add(tx(2, 1, 1, 4, 0, AccessType::kRead, 0));
   run_to_drain();
   ASSERT_EQ(stats_.demand_read_latency.count(), 1u);
   // Arrival tie goes to the read; the write then waits only for the shared
@@ -108,9 +105,9 @@ TEST_F(ControllerTest, IndependentBanksProceedInParallel) {
 }
 
 TEST_F(ControllerTest, BusSerializesSameChannelIssues) {
-  ctrl_->enqueue(tx(1, 0, 0, 1, 0, AccessType::kRead, 0));
-  ctrl_->enqueue(tx(2, 1, 0, 1, 0, AccessType::kRead, 0));
-  ctrl_->enqueue(tx(3, 0, 1, 1, 0, AccessType::kRead, 0));
+  feed_.add(tx(1, 0, 0, 1, 0, AccessType::kRead, 0));
+  feed_.add(tx(2, 1, 0, 1, 0, AccessType::kRead, 0));
+  feed_.add(tx(3, 0, 1, 1, 0, AccessType::kRead, 0));
   run_to_drain();
   ASSERT_EQ(stats_.demand_read_latency.count(), 3u);
   // Issue times 0, 4, 8 on distinct banks: latencies 44, 48, 52.
@@ -121,8 +118,8 @@ TEST_F(ControllerTest, BusSerializesSameChannelIssues) {
 
 TEST_F(ControllerTest, FcfsAgeOrderAcrossReadAndWrite) {
   // Older write goes before the younger read to the same bank and row.
-  ctrl_->enqueue(tx(1, 0, 0, 3, 0, AccessType::kWrite, 0));
-  ctrl_->enqueue(tx(2, 0, 0, 3, 1, AccessType::kRead, 1));
+  feed_.add(tx(1, 0, 0, 3, 0, AccessType::kWrite, 0));
+  feed_.add(tx(2, 0, 0, 3, 1, AccessType::kRead, 1));
   run_to_drain();
   // Write runs 0..181; the read then row-hits (13 + 4), so it completes at
   // 198 for a latency of 197.
@@ -131,9 +128,9 @@ TEST_F(ControllerTest, FcfsAgeOrderAcrossReadAndWrite) {
 }
 
 TEST_F(ControllerTest, WriteToReadForwarding) {
-  ctrl_->enqueue(tx(1, 0, 0, 3, 0, AccessType::kWrite, 0));
+  feed_.add(tx(1, 0, 0, 3, 0, AccessType::kWrite, 0));
   // Same line: served from the write queue at buffer latency.
-  ctrl_->enqueue(tx(2, 0, 0, 3, 0, AccessType::kRead, 0));
+  feed_.add(tx(2, 0, 0, 3, 0, AccessType::kRead, 0));
   run_to_drain();
   ASSERT_EQ(stats_.demand_read_latency.count(), 1u);
   EXPECT_EQ(stats_.demand_read_latency.mean(), 17.0);  // col read + burst
@@ -143,8 +140,8 @@ TEST_F(ControllerTest, WriteToReadForwarding) {
 TEST_F(ControllerTest, ForwardingCanBeDisabled) {
   cfg_.read_forwarding = false;
   ctrl_ = std::make_unique<MemoryController>(cfg_, 0, *arch_, stats_);
-  ctrl_->enqueue(tx(1, 0, 0, 3, 0, AccessType::kWrite, 0));
-  ctrl_->enqueue(tx(2, 0, 0, 3, 0, AccessType::kRead, 1));
+  feed_.add(tx(1, 0, 0, 3, 0, AccessType::kWrite, 0));
+  feed_.add(tx(2, 0, 0, 3, 0, AccessType::kRead, 1));
   run_to_drain();
   EXPECT_EQ(stats_.counters.get("ctrl.reads_forwarded"), 0u);
   // Without forwarding the read waits out the whole write (181) and then
@@ -168,14 +165,14 @@ TEST_F(ControllerTest, BackPressureAtCapacity) {
 TEST_F(ControllerTest, WarmupTransactionsKeepNoStats) {
   Transaction t = tx(1, 0, 0, 3, 0, AccessType::kRead, 0);
   t.record = false;
-  ctrl_->enqueue(t);
-  ctrl_->enqueue(tx(2, 0, 0, 3, 1, AccessType::kRead, 0));
+  feed_.add(t);
+  feed_.add(tx(2, 0, 0, 3, 1, AccessType::kRead, 0));
   run_to_drain();
   EXPECT_EQ(stats_.demand_read_latency.count(), 1u);
 }
 
 TEST_F(ControllerTest, LastCompletionTracksFinish) {
-  ctrl_->enqueue(tx(1, 0, 0, 3, 0, AccessType::kWrite, 0));
+  feed_.add(tx(1, 0, 0, 3, 0, AccessType::kWrite, 0));
   run_to_drain();
   EXPECT_EQ(ctrl_->last_completion(), 181u);
 }
@@ -185,8 +182,8 @@ TEST_F(ControllerTest, ReadPriorityPolicyServesReadFirst) {
   ctrl_ = std::make_unique<MemoryController>(cfg_, 0, *arch_, stats_);
   // Write is older, read younger, same bank: read-priority lets the read
   // bypass the queued write.
-  ctrl_->enqueue(tx(1, 0, 0, 3, 0, AccessType::kWrite, 0));
-  ctrl_->enqueue(tx(2, 0, 0, 4, 0, AccessType::kRead, 0));
+  feed_.add(tx(1, 0, 0, 3, 0, AccessType::kWrite, 0));
+  feed_.add(tx(2, 0, 0, 4, 0, AccessType::kRead, 0));
   run_to_drain();
   EXPECT_EQ(stats_.demand_read_latency.mean(), 44.0);
   EXPECT_GT(stats_.demand_write_latency.mean(), 181.0);

@@ -6,6 +6,7 @@
 
 #include <memory>
 
+#include "arrival_feed.h"
 #include "sim/experiment.h"
 #include "sim/memory_system.h"
 
@@ -43,16 +44,9 @@ class MultiChannelTest : public ::testing::Test {
     return t;
   }
 
-  void run_to_drain(Tick limit = kNeverTick) {
-    Tick now = 0;
-    mem_->tick(now);
-    for (;;) {
-      const Tick t = mem_->next_event_after(now);
-      if (t == kNeverTick || t > limit) break;
-      now = t;
-      mem_->tick(now);
-    }
-  }
+  // Delivers the fed transactions at their arrival instants and runs the
+  // memory system's events up to and including `limit`.
+  void run_to_drain(Tick limit = kNeverTick) { feed_.run(*mem_, limit); }
 
   // End-of-run books: the registry and the per-resource bank snapshot.
   SimResult finish(MetricsRegistry& reg) {
@@ -63,6 +57,7 @@ class MultiChannelTest : public ::testing::Test {
 
   const SimStats& stats() const { return mem_->stats(); }
 
+  ArrivalFeed feed_;
   SimConfig cfg_;
   std::unique_ptr<MemorySystem> mem_;
 };
@@ -70,8 +65,8 @@ class MultiChannelTest : public ::testing::Test {
 TEST_F(MultiChannelTest, BusesAreIndependent) {
   // Two same-instant reads on different channels both issue at t = 0;
   // on one channel the second would wait for the 4 ns burst slot.
-  mem_->enqueue(tx(1, 0, 0, 0, 1, AccessType::kRead, 0));
-  mem_->enqueue(tx(2, 1, 0, 0, 1, AccessType::kRead, 0));
+  feed_.add(tx(1, 0, 0, 0, 1, AccessType::kRead, 0));
+  feed_.add(tx(2, 1, 0, 0, 1, AccessType::kRead, 0));
   run_to_drain();
   ASSERT_EQ(stats().demand_read_latency.count(), 2u);
   EXPECT_EQ(stats().demand_read_latency.min(), 44u);
@@ -79,8 +74,8 @@ TEST_F(MultiChannelTest, BusesAreIndependent) {
 }
 
 TEST_F(MultiChannelTest, SameChannelStillSerializesOnTheBus) {
-  mem_->enqueue(tx(1, 0, 0, 0, 1, AccessType::kRead, 0));
-  mem_->enqueue(tx(2, 0, 1, 1, 1, AccessType::kRead, 0));
+  feed_.add(tx(1, 0, 0, 0, 1, AccessType::kRead, 0));
+  feed_.add(tx(2, 0, 1, 1, 1, AccessType::kRead, 0));
   run_to_drain();
   EXPECT_EQ(stats().demand_read_latency.min(), 44u);
   EXPECT_EQ(stats().demand_read_latency.max(), 48u);  // +4 ns bus slot
@@ -130,12 +125,10 @@ TEST_F(MultiChannelTest, PerChannelBusBusyTimesSumToGlobalFigure) {
   // one 4 ns burst, so the per-channel busy times must sum to the figure
   // the old single fused controller reported: total issued ops x burst.
   for (std::uint64_t i = 0; i < 6; ++i) {
-    mem_->enqueue(tx(2 * i + 1, 0, i % 2, (i / 2) % 2, 1 + (i % 3),
-                     i % 2 == 0 ? AccessType::kRead : AccessType::kWrite,
-                     10 * i));
-    mem_->enqueue(tx(2 * i + 2, 1, (i + 1) % 2, i % 2, 1 + (i % 3),
-                     i % 2 == 0 ? AccessType::kWrite : AccessType::kRead,
-                     10 * i));
+    feed_.add(tx(2 * i + 1, 0, i % 2, (i / 2) % 2, 1 + (i % 3),
+                 i % 2 == 0 ? AccessType::kRead : AccessType::kWrite, 10 * i));
+    feed_.add(tx(2 * i + 2, 1, (i + 1) % 2, i % 2, 1 + (i % 3),
+                 i % 2 == 0 ? AccessType::kWrite : AccessType::kRead, 10 * i));
   }
   run_to_drain();
   MetricsRegistry reg;
@@ -151,8 +144,8 @@ TEST_F(MultiChannelTest, PerChannelBusBusyTimesSumToGlobalFigure) {
 }
 
 TEST_F(MultiChannelTest, PerChannelMetricsPublished) {
-  mem_->enqueue(tx(1, 0, 0, 0, 1, AccessType::kRead, 0));
-  mem_->enqueue(tx(2, 1, 0, 0, 1, AccessType::kRead, 0));
+  feed_.add(tx(1, 0, 0, 0, 1, AccessType::kRead, 0));
+  feed_.add(tx(2, 1, 0, 0, 1, AccessType::kRead, 0));
   run_to_drain();
   MetricsRegistry reg;
   finish(reg);
@@ -167,9 +160,8 @@ TEST_F(MultiChannelTest, RefreshCoversBothChannels) {
   build("refresh");
   // Drive one row to the limit on each channel.
   for (unsigned ch = 0; ch < 2; ++ch) {
-    mem_->enqueue(tx(1 + ch * 2, ch, 0, 0, 3, AccessType::kWrite, ch * 100));
-    mem_->enqueue(
-        tx(2 + ch * 2, ch, 0, 0, 3, AccessType::kWrite, 600 + ch * 100));
+    feed_.add(tx(1 + ch * 2, ch, 0, 0, 3, AccessType::kWrite, ch * 100));
+    feed_.add(tx(2 + ch * 2, ch, 0, 0, 3, AccessType::kWrite, 600 + ch * 100));
   }
   run_to_drain(20000);
   // Each channel's refresh engine reaches its own pending row.

@@ -101,17 +101,6 @@ TEST(TransactionQueue, ContainsLineSurvivesChurn) {
   EXPECT_TRUE(q.empty());
 }
 
-TEST(TransactionQueue, ArrivalMonotonicityTracked) {
-  TransactionQueue q;
-  q.configure(1, 8);
-  q.push(make_tx(1, 0, AccessType::kRead, 10), 0);
-  q.push(make_tx(2, 0, AccessType::kRead, 10), 0);
-  q.push(make_tx(3, 0, AccessType::kRead, 30), 0);
-  EXPECT_TRUE(q.arrivals_monotone());
-  q.push(make_tx(4, 0, AccessType::kRead, 20), 0);  // out of order
-  EXPECT_FALSE(q.arrivals_monotone());
-}
-
 TEST(TransactionQueue, ResourceCountsAndMask) {
   TransactionQueue q;
   q.configure(8, 4, &kGeom);

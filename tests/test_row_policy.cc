@@ -4,6 +4,7 @@
 #include <memory>
 
 #include "arch/arch.h"
+#include "arrival_feed.h"
 #include "controller/controller.h"
 
 namespace wompcm {
@@ -33,16 +34,9 @@ class RowPolicyTest : public ::testing::TestWithParam<RowPolicy> {
     ctrl_ = std::make_unique<MemoryController>(cfg_, 0, *arch_, stats_);
   }
 
-  void run_to_drain() {
-    Tick now = 0;
-    ctrl_->tick(now);
-    for (;;) {
-      const Tick t = ctrl_->next_event_after(now);
-      if (t == kNeverTick) break;
-      now = t;
-      ctrl_->tick(now);
-    }
-  }
+  // Delivers the fed transactions at their arrival instants and runs the
+  // controller's events to quiescence.
+  void run_to_drain() { feed_.run(*ctrl_); }
 
   Transaction tx(std::uint64_t id, unsigned row, unsigned col, Tick arrival) {
     Transaction t;
@@ -53,6 +47,7 @@ class RowPolicyTest : public ::testing::TestWithParam<RowPolicy> {
     return t;
   }
 
+  ArrivalFeed feed_;
   ControllerConfig cfg_;
   SimStats stats_;
   std::unique_ptr<Architecture> arch_;
@@ -60,8 +55,8 @@ class RowPolicyTest : public ::testing::TestWithParam<RowPolicy> {
 };
 
 TEST_P(RowPolicyTest, BackToBackSameRowReads) {
-  ctrl_->enqueue(tx(1, 3, 0, 0));
-  ctrl_->enqueue(tx(2, 3, 1, 0));
+  feed_.add(tx(1, 3, 0, 0));
+  feed_.add(tx(2, 3, 1, 0));
   run_to_drain();
   ASSERT_EQ(stats_.demand_read_latency.count(), 2u);
   if (GetParam() == RowPolicy::kOpen) {
