@@ -1,10 +1,10 @@
 // Audited runs of the event-loop hot path.
 //
-// The indexed scan layers bank-occupancy masks, the readiness bitmap,
-// cached next-event dispatch, and memoized failed scans on top of the
-// straight-line age-order scan (pick_transaction). The test suite links the
-// audit build of the library, in which every find_pick result is compared
-// with the straight-line scan and every channel the memory system skips is
+// The indexed scan layers bank-occupancy masks, the readiness bitmap and
+// cached next-event dispatch on top of the straight-line age-order scan
+// (pick_transaction). The test suite links the audit build of the
+// library, in which every find_pick result is compared with the
+// straight-line scan and every channel the memory system skips is
 // checked to have nothing issuable and no refresh check due; a failed
 // check aborts the run. This suite drives that audit over the three
 // reference platforms plus the scheduler/row-policy variants the indexed
